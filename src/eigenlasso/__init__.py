@@ -9,7 +9,6 @@ degeneracy that a sign of -1 on the boundary forces.
 
 from .clifford import (
     CliffordRep,
-    RotationLift,
     StructureMap,
     build_clifford,
     find_structure_map,

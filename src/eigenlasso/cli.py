@@ -479,25 +479,11 @@ def _parser() -> argparse.ArgumentParser:
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output directory (default: $EIGENLASSO_OUT or config)")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--threads", type=int, help="limit BLAS threads (needs threadpoolctl)")
-
-
-def _apply_threads(n: Optional[int]):
-    if n is None:
-        return None
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print("warning: --threads ignored (threadpoolctl is not installed)", file=sys.stderr)
-        return None
-    return threadpool_limits(limits=n)
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    limiter = None
     try:
-        limiter = _apply_threads(args.threads)
         if args.command == "reproduce-all":
             return _cmd_reproduce_all(args)
         with open(args.config) as fh:
@@ -517,9 +503,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if limiter is not None:
-            limiter.unregister()
 
 
 if __name__ == "__main__":

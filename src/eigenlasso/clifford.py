@@ -23,13 +23,14 @@ from functools import reduce
 
 import numpy as np
 
+from ._linalg import _frozen, _opnorm
+
 __all__ = [
     "ALGEBRA_TOL",
     "SOLVER_TOL",
     "MAX_AMBIENT_DIM",
     "EPSILON_BY_DIMENSION",
     "CliffordRep",
-    "RotationLift",
     "StructureMap",
     "build_clifford",
     "lift_rotation",
@@ -54,16 +55,6 @@ def _kron_chain(factors):
     return reduce(np.kron, factors, np.eye(1, dtype=complex))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
-def _opnorm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
-
-
 @dataclass(frozen=True)
 class CliffordRep:
     """An anticommuting family of unitary anti-Hermitian generators.
@@ -82,9 +73,6 @@ class CliffordRep:
     m: int
     dim: int
     generators: tuple
-
-    def gamma(self, i: int) -> np.ndarray:
-        return self.generators[i]
 
     def max_anticommutation_residual(self) -> float:
         """max over pairs of || gamma_i gamma_j + gamma_j gamma_i + 2 delta_ij I ||_2."""
@@ -107,15 +95,13 @@ class CliffordRep:
         return worst
 
 
-def build_clifford(m: int, tol: float = ALGEBRA_TOL) -> CliffordRep:
+def build_clifford(m: int) -> CliffordRep:
     """Construct the Pauli tensor representation with m generators.
 
     Parameters
     ----------
     m : int
         Ambient dimension, ``1 <= m <= 12`` (keeps dim <= 64).
-    tol : float
-        Acceptance tolerance for the algebra relations.
 
     Returns
     -------
@@ -147,11 +133,11 @@ def build_clifford(m: int, tol: float = ALGEBRA_TOL) -> CliffordRep:
         gens.append(_frozen(1j * _kron_chain(factors)))
     rep = CliffordRep(m=int(m), dim=2**k, generators=tuple(gens))
     res = rep.max_anticommutation_residual()
-    if res > tol:
-        raise RuntimeError(f"anticommutation residual {res:.3e} exceeds {tol:.1e}")
+    if res > ALGEBRA_TOL:
+        raise RuntimeError(f"anticommutation residual {res:.3e} exceeds {ALGEBRA_TOL:.1e}")
     resu = rep.max_unitarity_residual()
-    if resu > tol:
-        raise RuntimeError(f"generator unitarity residual {resu:.3e} exceeds {tol:.1e}")
+    if resu > ALGEBRA_TOL:
+        raise RuntimeError(f"generator unitarity residual {resu:.3e} exceeds {ALGEBRA_TOL:.1e}")
     return rep
 
 
@@ -172,20 +158,6 @@ def lift_rotation(rep: CliffordRep, i: int, j: int, alpha: float) -> np.ndarray:
     return np.cos(half) * np.eye(rep.dim) + np.sin(half) * (
         rep.generators[i] @ rep.generators[j]
     )
-
-
-@dataclass(frozen=True)
-class RotationLift:
-    """A planar rotation lift, kept with its defining data."""
-
-    rep: CliffordRep
-    plane: tuple
-    angle: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        i, j = self.plane
-        return lift_rotation(self.rep, i, j, self.angle)
 
 
 @dataclass(frozen=True)
@@ -288,14 +260,12 @@ def _kernel_vector_sparse(rep: CliffordRep) -> np.ndarray:
     return vecs[:, order[0]]
 
 
-def find_structure_map(rep: CliffordRep, tol: float = SOLVER_TOL) -> StructureMap:
+def find_structure_map(rep: CliffordRep) -> StructureMap:
     """Solve the antilinear commutant equations for a structure map.
 
     Parameters
     ----------
     rep : CliffordRep
-    tol : float
-        Residual tolerance for the recovered map.
 
     Returns
     -------
@@ -332,23 +302,23 @@ def find_structure_map(rep: CliffordRep, tol: float = SOLVER_TOL) -> StructureMa
     mu = float(np.real(np.trace(square)) / n)
     if abs(mu) < 1e-6:
         raise RuntimeError(f"structure map square degenerate (mu={mu:.3e})")
-    if _opnorm(square - mu * np.eye(n)) > tol * max(1.0, abs(mu)):
+    if _opnorm(square - mu * np.eye(n)) > SOLVER_TOL * max(1.0, abs(mu)):
         raise RuntimeError("structure map square is not scalar")
     c = c / np.sqrt(abs(mu))
     epsilon = 1 if mu > 0 else -1
 
     smap = StructureMap(matrix=_frozen(c), epsilon=epsilon)
     res = smap.commutant_residual(rep)
-    if res > tol:
-        raise RuntimeError(f"commutant residual {res:.3e} exceeds {tol:.1e}")
-    if _opnorm(c.conj().T @ c - np.eye(n)) > 100 * tol:
+    if res > SOLVER_TOL:
+        raise RuntimeError(f"commutant residual {res:.3e} exceeds {SOLVER_TOL:.1e}")
+    if _opnorm(c.conj().T @ c - np.eye(n)) > 100 * SOLVER_TOL:
         raise RuntimeError("structure map matrix is not unitary")
-    if _opnorm(c @ np.conj(c) - epsilon * np.eye(n)) > 100 * tol:
+    if _opnorm(c @ np.conj(c) - epsilon * np.eye(n)) > 100 * SOLVER_TOL:
         raise RuntimeError("structure map square differs from epsilon * I")
     return smap
 
 
-def real_form_basis(rep: CliffordRep, smap: StructureMap, tol: float = SOLVER_TOL) -> np.ndarray:
+def real_form_basis(rep: CliffordRep, smap: StructureMap) -> np.ndarray:
     """Orthonormal basis of the J-fixed real subspace, as matrix columns.
 
     Only defined for ``epsilon = +1`` maps, whose fixed set is a real
@@ -369,8 +339,8 @@ def real_form_basis(rep: CliffordRep, smap: StructureMap, tol: float = SOLVER_TO
     if s[n - 1] <= 1e-8 * s[0] or (s.shape[0] > n and s[n] > 1e-8 * s[0]):
         raise RuntimeError("fixed subspace does not have full real rank")
     basis = u[:n, :n] + 1j * u[n:, :n]
-    if _opnorm(basis.conj().T @ basis - np.eye(n)) > tol:
+    if _opnorm(basis.conj().T @ basis - np.eye(n)) > SOLVER_TOL:
         raise RuntimeError("real form basis failed orthonormality check")
-    if _opnorm(smap.apply(basis) - basis) > 100 * tol:
+    if _opnorm(smap.apply(basis) - basis) > 100 * SOLVER_TOL:
         raise RuntimeError("real form basis columns are not J-fixed")
     return _frozen(basis)

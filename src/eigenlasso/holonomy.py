@@ -17,6 +17,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ._linalg import _opnorm
 from .models import OperatorFamily
 from .spectral import SpectralWindow, eigendecompose, projector_distance
 
@@ -44,10 +45,6 @@ class TransportError(RuntimeError):
     def __init__(self, message: str, parameter: Optional[float] = None):
         super().__init__(message)
         self.parameter = parameter
-
-
-def _opnorm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,7 @@ def _polar_align(projector: np.ndarray, frame: np.ndarray) -> np.ndarray:
 
 
 def transport(loop: OperatorFamily, window: SpectralWindow,
-              initial_samples: int = 16, max_samples: int = 100_000,
-              initial_frame: Optional[np.ndarray] = None):
+              initial_samples: int = 16, initial_frame: Optional[np.ndarray] = None):
     """Drag a window eigenframe once around the loop.
 
     Returns (FramePath, ReturnMatrix).  Sampling is refined adaptively
@@ -116,9 +112,10 @@ def transport(loop: OperatorFamily, window: SpectralWindow,
     """
     if initial_samples < 2:
         raise ValueError("need at least 2 initial samples")
-    base = loop(0.0)
+    # the raw sampler: calling a circle family wraps t = 1 back to 0
+    base = loop.sampler(0.0)
     scale = max(_opnorm(base), 1.0)
-    if _opnorm(loop(1.0) - base) > 1e-12 * scale:
+    if _opnorm(loop.sampler(1.0) - base) > 1e-12 * scale:
         raise TransportError("loop is not closed: samples at t=0 and t=1 differ")
 
     ts = list(np.linspace(0.0, 1.0, initial_samples + 1))
@@ -134,9 +131,9 @@ def transport(loop: OperatorFamily, window: SpectralWindow,
                if projector_distance(at(ts[i])[0], at(ts[i + 1])[0]) >= MAX_PROJECTOR_STEP]
         if not bad:
             break
-        if len(ts) + len(bad) > max_samples:
+        if len(ts) + len(bad) > 100_000:
             raise TransportError(
-                f"refinement exceeded {max_samples} samples; "
+                "refinement exceeded 100000 samples; "
                 "window subspace moves too fast somewhere on the loop"
             )
         for i in reversed(bad):
@@ -242,7 +239,7 @@ def concatenate_loops(loop1: OperatorFamily, loop2: OperatorFamily) -> OperatorF
     if b1.shape != b2.shape or _opnorm(b1 - b2) > 1e-12 * scale:
         raise ValueError("loops must share their basepoint operator")
     for name, lp in (("first", loop1), ("second", loop2)):
-        if _opnorm(lp(1.0) - lp(0.0)) > 1e-12 * scale:
+        if _opnorm(lp.sampler(1.0) - lp.sampler(0.0)) > 1e-12 * scale:
             raise ValueError(f"{name} loop is not closed")
 
     def sampler(t: float) -> np.ndarray:

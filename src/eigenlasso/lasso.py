@@ -22,6 +22,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._linalg import _opnorm
 from .models import EquivariantLoopModel, OperatorFamily, SymmetricOperator, as_matrix
 from .spectral import SpectralWindow, cluster_groups, eigendecompose
 from .holonomy import transport
@@ -36,10 +37,6 @@ __all__ = [
     "refine",
     "cluster_multiplicity",
 ]
-
-
-def _opnorm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
 
 
 @dataclass(frozen=True)
@@ -224,10 +221,6 @@ class DegeneracyCertificate:
         if self.gap > self.tol:
             raise RuntimeError(f"certificate gap {self.gap:.3e} exceeds tol {self.tol:.3e}")
 
-    @property
-    def point(self) -> Tuple[float, float]:
-        return (self.r, self.theta)
-
 
 class DegeneracyNotFound(Exception):
     """Refinement stagnated; carries the best point and gap reached."""
@@ -275,14 +268,13 @@ def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
 
 def refine(disc: DiscFamily, window: SpectralWindow,
            point: Union[Tuple[float, float], Sequence[float]], tol: float,
-           step: Optional[Tuple[float, float]] = None,
-           max_levels: int = 40) -> DegeneracyCertificate:
+           step: Optional[Tuple[float, float]] = None) -> DegeneracyCertificate:
     """Shrink the anchored gap below ``tol`` by nested stencil search.
 
     Deterministic 5x5 stencils around the current best point, with the
     stencil radius divided by 4 per level; the radial coordinate is
     clipped to [0, 1] and the angle wraps.  Raises DegeneracyNotFound
-    when the level cap is reached first.
+    when the cap of 40 levels is reached first.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -300,6 +292,7 @@ def refine(disc: DiscFamily, window: SpectralWindow,
 
     best_r, best_t = min(max(r, 0.0), 1.0), theta % 1.0
     best_gap = gap_at(best_r, best_t)
+    max_levels = 40
     for level in range(max_levels):
         if best_gap <= tol:
             return _certificate_at(disc, window, anchor, best_r, best_t, tol)

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._linalg import _frozen, _opnorm
 from .clifford import build_clifford, find_structure_map, lift_rotation, real_form_basis
 
 __all__ = [
@@ -33,16 +34,6 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-13
-
-
-def _opnorm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 def as_matrix(op) -> np.ndarray:
@@ -357,20 +348,14 @@ def make_spin_loop(m: int, base, turns: int = 1) -> EquivariantLoopModel:
 # perturbed base operators
 # ---------------------------------------------------------------------------
 
-def make_odd_multiplicity_base(
-    cluster_values,
-    epsilon: float,
-    seed: int,
-    max_retries: int = 10,
-    gap_floor_rtol: float = 1e-12,
-) -> SymmetricOperator:
+def make_odd_multiplicity_base(cluster_values, epsilon: float, seed: int) -> SymmetricOperator:
     """diag(cluster_values) plus a seeded random symmetric perturbation.
 
     The perturbation S is normalized to operator norm 1 and scaled by
     epsilon, which keeps every eigenvalue within epsilon of the input
     clusters while generically splitting them into simple eigenvalues.
-    Draws are retried (same seeded stream) up to ``max_retries`` times
-    until the spectrum is simple; epsilon = 0 returns the exact diagonal.
+    Draws are retried (same seeded stream) up to 10 times until the
+    spectrum is simple; epsilon = 0 returns the exact diagonal.
     """
     values = np.asarray(cluster_values, dtype=float).ravel()
     if values.size == 0:
@@ -383,7 +368,7 @@ def make_odd_multiplicity_base(
     rng = np.random.default_rng(seed)
     scale = max(float(np.abs(values).max()), 1.0) + epsilon
     best_gap = -1.0
-    for _ in range(max_retries):
+    for _ in range(10):
         g = rng.standard_normal((values.size, values.size))
         s = 0.5 * (g + g.T)
         s /= _opnorm(s)
@@ -391,8 +376,8 @@ def make_odd_multiplicity_base(
         gaps = np.diff(np.linalg.eigvalsh(candidate))
         min_gap = float(gaps.min()) if gaps.size else np.inf
         best_gap = max(best_gap, min_gap)
-        if min_gap > gap_floor_rtol * scale:
+        if min_gap > 1e-12 * scale:
             return SymmetricOperator(candidate)
     raise RuntimeError(
-        f"no simple spectrum after {max_retries} draws (best min gap {best_gap:.3e})"
+        f"no simple spectrum after 10 draws (best min gap {best_gap:.3e})"
     )

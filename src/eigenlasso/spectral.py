@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._linalg import _opnorm
 from .models import OperatorFamily, as_matrix
 
 __all__ = [
@@ -45,26 +46,22 @@ CLUSTER_RTOL = 1e-8
 PROJECTOR_TOL = 1e-10
 
 
-def _opnorm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
-
-
 def _scale(values: np.ndarray) -> float:
     return max(float(np.abs(values).max(initial=0.0)), 1.0)
 
 
-def eigendecompose(op, residual_rtol: float = 1e-11) -> Tuple[np.ndarray, np.ndarray]:
+def eigendecompose(op) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns.
 
     The factorization is validated before being returned: residual
-    norm against ``residual_rtol`` times the operator norm, and frame
+    norm against 1e-11 times the operator norm, and frame
     orthonormality to 1e-12.
     """
     a = as_matrix(op)
     values, vectors = np.linalg.eigh(a)
     scale = max(_opnorm(a), 1e-300)
     residual = _opnorm(a @ vectors - vectors * values)
-    if residual > residual_rtol * scale:
+    if residual > 1e-11 * scale:
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} too large")
     ortho = _opnorm(vectors.conj().T @ vectors - np.eye(a.shape[0]))
     if ortho > 1e-12:
@@ -101,12 +98,12 @@ class SpectralWindow:
     def count_inside(self, values: np.ndarray) -> int:
         return int(np.count_nonzero(self.contains(values)))
 
-    def validate_endpoints(self, values: np.ndarray, margin: float = ENDPOINT_MARGIN):
-        """Raise if either endpoint sits within ``margin`` of an eigenvalue."""
+    def validate_endpoints(self, values: np.ndarray):
+        """Raise if either endpoint sits within ENDPOINT_MARGIN of an eigenvalue."""
         values = np.asarray(values)
         for name, edge in (("lower", self.lower), ("upper", self.upper)):
             dist = float(np.abs(values - edge).min(initial=np.inf))
-            if dist < margin:
+            if dist < ENDPOINT_MARGIN:
                 raise ValueError(
                     f"window {name} endpoint {edge} is within {dist:.3e} of an eigenvalue"
                 )
@@ -142,23 +139,20 @@ class WindowMembership:
     clusters: Tuple[Tuple[float, int], ...]
 
 
-def window_membership(op, window: SpectralWindow, gap_tol: Optional[float] = None,
-                      cluster_tol: Optional[float] = None) -> WindowMembership:
+def window_membership(op, window: SpectralWindow) -> WindowMembership:
     """Check window admissibility for one operator.
 
     Admissible means: exactly ``window.count`` eigenvalues strictly
     inside, the gaps separating them from the nearest outside
-    eigenvalues both exceed ``gap_tol``, and the inside spectrum has at
-    least one odd-multiplicity cluster.  Raises if an endpoint collides
-    with an eigenvalue (the window is then invalid for this operator).
+    eigenvalues both exceed CLUSTER_RTOL * max(1, max |eigenvalue|), the
+    resolution that also groups clusters, and the inside spectrum has at
+    least one odd-multiplicity cluster.
+    Raises if an endpoint collides with an eigenvalue (the window is
+    then invalid for this operator).
     """
     values = np.linalg.eigvalsh(as_matrix(op))
     window.validate_endpoints(values)
-    scale = _scale(values)
-    if gap_tol is None:
-        gap_tol = CLUSTER_RTOL * scale
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_RTOL * scale
+    tol = CLUSTER_RTOL * _scale(values)
 
     mask = window.contains(values)
     inside = values[mask]
@@ -175,11 +169,11 @@ def window_membership(op, window: SpectralWindow, gap_tol: Optional[float] = Non
         if j_above < values.size:
             gap_above = float(values[j_above] - inside[-1])
     clusters = tuple(
-        (float(inside[a:b].mean()), b - a) for a, b in cluster_groups(inside, cluster_tol)
+        (float(inside[a:b].mean()), b - a) for a, b in cluster_groups(inside, tol)
     )
     has_odd = any(mult % 2 == 1 for _, mult in clusters)
-    gap_below_ok = gap_below > gap_tol
-    gap_above_ok = gap_above > gap_tol
+    gap_below_ok = gap_below > tol
+    gap_above_ok = gap_above > tol
     return WindowMembership(
         admissible=count_ok and gap_below_ok and gap_above_ok and has_odd,
         count_inside=count_in,
@@ -198,21 +192,19 @@ def window_membership(op, window: SpectralWindow, gap_tol: Optional[float] = Non
 # spectral projectors, two independent routes
 # ---------------------------------------------------------------------------
 
-def spectral_projector_eig(op, window: SpectralWindow, validate: bool = True) -> np.ndarray:
+def spectral_projector_eig(op, window: SpectralWindow) -> np.ndarray:
     """Window projector assembled from eigenvectors."""
     a = as_matrix(op)
     values, vectors = eigendecompose(a)
     window.validate_endpoints(values)
     v_in = vectors[:, window.contains(values)]
     p = v_in @ v_in.conj().T
-    if validate:
-        k = v_in.shape[1]
-        if _opnorm(p @ p - p) > PROJECTOR_TOL:
-            raise RuntimeError("projector is not idempotent within tolerance")
-        if _opnorm(p - p.conj().T) > PROJECTOR_TOL:
-            raise RuntimeError("projector is not symmetric within tolerance")
-        if abs(float(np.real(np.trace(p))) - k) > PROJECTOR_TOL:
-            raise RuntimeError("projector trace does not match the window count")
+    if _opnorm(p @ p - p) > PROJECTOR_TOL:
+        raise RuntimeError("projector is not idempotent within tolerance")
+    if _opnorm(p - p.conj().T) > PROJECTOR_TOL:
+        raise RuntimeError("projector is not symmetric within tolerance")
+    if abs(float(np.real(np.trace(p))) - v_in.shape[1]) > PROJECTOR_TOL:
+        raise RuntimeError("projector trace does not match the window count")
     if not np.iscomplexobj(a):
         p = np.real(p)
     return p
@@ -278,9 +270,6 @@ class EnumeratedFamily:
     parameters: np.ndarray
     values: np.ndarray
     weyl_defect: float
-
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j]
 
 
 def enumerate_family(family: OperatorFamily, parameters: Sequence[float]) -> EnumeratedFamily:
@@ -366,8 +355,8 @@ class RayleighReport:
     failures: Tuple[str, ...]
 
 
-def rayleigh_distance_check(op, k: int, level: float, eps: float, x: np.ndarray,
-                            cluster_tol: Optional[float] = None) -> RayleighReport:
+def rayleigh_distance_check(op, k: int, level: float, eps: float,
+                            x: np.ndarray) -> RayleighReport:
     """Distance bound from a small Rayleigh quotient.
 
     For a nonnegative operator with distinct eigenvalues
@@ -380,15 +369,13 @@ def rayleigh_distance_check(op, k: int, level: float, eps: float, x: np.ndarray,
     a = as_matrix(op)
     values, vectors = eigendecompose(a)
     scale = _scale(values)
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_RTOL * scale
     x = np.asarray(x, dtype=vectors.dtype).ravel()
     failures = []
     if x.size != a.shape[0]:
         raise ValueError("test vector has the wrong length")
     if abs(float(np.linalg.norm(x)) - 1.0) > 1e-10:
         failures.append("x is not a unit vector")
-    groups = cluster_groups(values, cluster_tol)
+    groups = cluster_groups(values, CLUSTER_RTOL * scale)
     distinct = [float(values[s:e].mean()) for s, e in groups]
     if len(distinct) < k + 1:
         failures.append(f"need at least {k + 1} distinct eigenvalues, found {len(distinct)}")
@@ -424,8 +411,7 @@ def rayleigh_distance_check(op, k: int, level: float, eps: float, x: np.ndarray,
 # closeness and model property checks
 # ---------------------------------------------------------------------------
 
-def spectral_close(spec_a, spec_b, lower: float, upper: float, eps: float,
-                   margin: float = ENDPOINT_MARGIN) -> bool:
+def spectral_close(spec_a, spec_b, lower: float, upper: float, eps: float) -> bool:
     """Window-restricted spectra agree in count and pair up within eps.
 
     Raises when either window endpoint collides with either spectrum;
@@ -439,9 +425,9 @@ def spectral_close(spec_a, spec_b, lower: float, upper: float, eps: float,
     b = np.sort(np.asarray(spec_b, dtype=float).ravel())
     for name, spec in (("first", a), ("second", b)):
         for edge in (lower, upper):
-            if spec.size and float(np.abs(spec - edge).min()) < margin:
+            if spec.size and float(np.abs(spec - edge).min()) < ENDPOINT_MARGIN:
                 raise ValueError(
-                    f"endpoint {edge} is within {margin:.0e} of the {name} spectrum"
+                    f"endpoint {edge} is within {ENDPOINT_MARGIN:.0e} of the {name} spectrum"
                 )
     ina = a[(a > lower) & (a < upper)]
     inb = b[(b > lower) & (b < upper)]
@@ -465,8 +451,7 @@ class DiracPropertyReport:
     max_abs_value: float
 
 
-def verify_dirac_properties(spectrum, m: int, radius: float,
-                            symmetry_tol: float = 1e-9) -> DiracPropertyReport:
+def verify_dirac_properties(spectrum, m: int, radius: float) -> DiracPropertyReport:
     """Qualitative first-order-operator spectrum checks, report only.
 
     Symmetry about zero is expected unless the ambient dimension is
@@ -482,7 +467,7 @@ def verify_dirac_properties(spectrum, m: int, radius: float,
     defect = None
     if applicable and window.size:
         defect = float(np.abs(window + window[::-1]).max())
-        symmetry_ok = defect <= symmetry_tol
+        symmetry_ok = defect <= 1e-9
     exponent = None
     mags = np.sort(np.abs(window))
     groups = cluster_groups(mags, 1e-9)

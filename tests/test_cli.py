@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,18 +189,24 @@ def test_experiment_name_mismatch_is_rejected(tmp_path, capsys):
     assert "experiment" in capsys.readouterr().err
 
 
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+
+
 def test_reports_are_deterministic(tmp_path):
-    cfg = write_config(tmp_path, {
-        "loop": HALFTURN_LOOP,
-        "window": UNIT_WINDOW,
-    })
-    assert cli.main(["holonomy", "--config", cfg, "--out", str(tmp_path)]) == 0
-    first = read_report(tmp_path, "holonomy")
-    assert cli.main(["holonomy", "--config", cfg, "--out", str(tmp_path)]) == 0
-    second = read_report(tmp_path, "holonomy")
-    first.pop("environment")
-    second.pop("environment")
-    assert first == second
+    assert SHIPPED_CONFIGS
+    for config in SHIPPED_CONFIGS:
+        command = json.loads(config.read_text())["experiment"]
+        # several configs share a report prefix, so each gets its own directory
+        out = tmp_path / config.stem
+        reports = []
+        for _ in range(2):
+            code = cli.main([command, "--config", str(config), "--out", str(out)])
+            assert code == 0, config.name
+            (report_path,) = out.glob("*_report.json")
+            report = json.loads(report_path.read_text())
+            report.pop("environment")
+            reports.append(report)
+        assert reports[0] == reports[1], config.name
 
 
 def test_reproduce_all_single_criterion(tmp_path, capsys):

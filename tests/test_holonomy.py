@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,24 @@ def test_transport_raises_when_window_leaks():
     assert 0.0 <= exc.value.parameter <= 1.0
 
 
+def quarter_turn_family():
+    # a quarter turn carries diag(1, 2) to diag(2, 1), so t = 1 does not
+    # close up; calling the family wraps t = 1 to 0 and would hide that
+    def sampler(t):
+        c, s = np.cos(0.5 * np.pi * t), np.sin(0.5 * np.pi * t)
+        r = np.array([[c, -s], [s, c]])
+        return r @ np.diag([1.0, 2.0]) @ r.T
+
+    return OperatorFamily(domain="circle", sampler=sampler)
+
+
+def test_transport_rejects_non_closed_sampler_quickly():
+    start = time.perf_counter()
+    with pytest.raises(TransportError, match="not closed"):
+        transport(quarter_turn_family(), SpectralWindow(0.5, 1.5, count=1))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_transport_rejects_bad_initial_frame():
     loop = make_halfturn_loop(np.diag([1.0, 2.0]))
     window = SpectralWindow(0.5, 1.5, count=1)
@@ -145,6 +165,12 @@ def test_concatenation_rejects_mismatched_basepoints():
     b = make_halfturn_loop(np.diag([3.0, 4.0])).family()
     with pytest.raises(ValueError):
         concatenate_loops(a, b)
+
+
+def test_concatenation_rejects_non_closed_sampler():
+    quarter = quarter_turn_family()
+    with pytest.raises(ValueError, match="not closed"):
+        concatenate_loops(quarter, quarter)
 
 
 def test_stability_identical_loops():
