@@ -7,11 +7,15 @@ orthogonal mismatch survives at closure is the holonomy.  Frames are
 realigned by polar orthonormalization, which is the unique choice
 closest to the dragged frame and thus cannot inject a spurious
 reflection; QR with unconstrained diagonal signs could.
+
+Everything here works on n x k window frames, never on n x n
+projectors: for orthonormal frames F and G of equal rank,
+||P_F - P_G|| = ||G - F (F^H G)|| = sin of the largest principal angle,
+and P_G F = G (G^H F).
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -19,7 +23,7 @@ import numpy as np
 
 from ._linalg import _opnorm
 from .models import OperatorFamily
-from .spectral import SpectralWindow, eigendecompose, projector_distance
+from .spectral import SpectralWindow, eigendecompose
 
 __all__ = [
     "MAX_PROJECTOR_STEP",
@@ -69,9 +73,9 @@ class ReturnMatrix:
     sign: int
 
 
-def _window_frame(matrix: np.ndarray, window: SpectralWindow, t: float):
-    """Eigenvalues, in-window frame, and projector at one sample."""
-    values, vectors = eigendecompose(matrix)
+def _window_frame(values: np.ndarray, vectors: np.ndarray, window: SpectralWindow,
+                  t: float) -> np.ndarray:
+    """In-window orthonormal frame from one sample's eigendecomposition."""
     try:
         window.validate_endpoints(values)
     except ValueError as exc:
@@ -83,28 +87,47 @@ def _window_frame(matrix: np.ndarray, window: SpectralWindow, t: float):
             f"at t={t:.6g}: window holds {k} eigenvalues, expected {window.count}",
             parameter=t,
         )
-    frame = vectors[:, mask]
-    return frame @ frame.conj().T, frame
+    return vectors[:, mask]
 
 
-def _polar_align(projector: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    dragged = projector @ frame
-    u, s, vt = np.linalg.svd(dragged, full_matrices=False)
+def _frame_distance(f: np.ndarray, g: np.ndarray) -> float:
+    """Operator-norm distance of the projectors onto two equal-rank frames.
+
+    Computed as ||G - F (F^H G)||, the sine of the largest principal
+    angle, which keeps full accuracy at small angles.
+    """
+    return float(np.linalg.norm(g - f @ (f.conj().T @ g), 2))
+
+
+def _polar_align(new: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Polar factor of the frame dragged onto the span of ``new``.
+
+    The dragged frame is P_new F = new (new^H F); its polar factor is
+    new (u v^H) from the SVD u s v^H of the k x k overlap.
+    """
+    u, s, vt = np.linalg.svd(new.conj().T @ frame)
     if float(s.min()) < 0.1:
         raise TransportError(
             f"dragged frame nearly rank-deficient (smallest singular value {s.min():.3e})"
         )
-    return u @ vt
+    return new @ (u @ vt)
 
 
 def transport(loop: OperatorFamily, window: SpectralWindow,
               initial_samples: int = 16, initial_frame: Optional[np.ndarray] = None):
     """Drag a window eigenframe once around the loop.
 
-    Returns (FramePath, ReturnMatrix).  Sampling is refined adaptively
-    by midpoint insertion until every consecutive pair of window
-    projectors is closer than MAX_PROJECTOR_STEP in operator norm; the
-    computed sign is then stable under any further refinement.
+    Returns (FramePath, ReturnMatrix).  Sampling is refined adaptively:
+    each interval between consecutive samples is checked once, and one
+    whose window subspaces are not closer than MAX_PROJECTOR_STEP in
+    operator norm is split at its midpoint, until every interval
+    passes.  That is all that is checked.  Nothing is checked between
+    samples, so a subspace that turns by a half turn or more between
+    two samples that happen to land close goes unseen, and the sign can
+    then differ from the one a finer grid gives (for example,
+    ``make_block_rotation_loop(diag(1, 2, 3, 4), turns=1.5)`` with
+    window (0.5, 1.5) and ``initial_samples=3`` returns +1 where the
+    parity rule says -1).
 
     ``initial_frame``, when given, replaces the eigendecomposition
     frame at the basepoint; it must be orthonormal and span the same
@@ -114,43 +137,52 @@ def transport(loop: OperatorFamily, window: SpectralWindow,
         raise ValueError("need at least 2 initial samples")
     # the raw sampler: calling a circle family wraps t = 1 back to 0
     base = loop.sampler(0.0)
-    scale = max(_opnorm(base), 1.0)
-    if _opnorm(loop.sampler(1.0) - base) > 1e-12 * scale:
+    values, vectors = eigendecompose(base)
+    # ||base|| is its largest |eigenvalue|; the Frobenius norm bounds
+    # the operator norm of the defect from above
+    scale = max(float(np.abs(values).max()), 1.0)
+    if np.linalg.norm(loop.sampler(1.0) - base) > 1e-12 * scale:
         raise TransportError("loop is not closed: samples at t=0 and t=1 differ")
 
     ts = list(np.linspace(0.0, 1.0, initial_samples + 1))
-    cache = {}
+    cache = {ts[0]: _window_frame(values, vectors, window, ts[0])}
 
-    def at(t: float):
+    def at(t: float) -> np.ndarray:
         if t not in cache:
-            cache[t] = _window_frame(loop(t), window, t)
+            cache[t] = _window_frame(*eigendecompose(loop(t)), window, t)
         return cache[t]
 
-    while True:
-        bad = [i for i in range(len(ts) - 1)
-               if projector_distance(at(ts[i])[0], at(ts[i + 1])[0]) >= MAX_PROJECTOR_STEP]
-        if not bad:
-            break
-        if len(ts) + len(bad) > 100_000:
+    # breadth-first worklist: each pass checks only the intervals the
+    # previous pass created, left to right
+    pending = list(zip(ts[:-1], ts[1:]))
+    while pending:
+        bad = [(a, b) for a, b in pending
+               if _frame_distance(at(a), at(b)) >= MAX_PROJECTOR_STEP]
+        if bad and len(ts) + len(bad) > 100_000:
             raise TransportError(
                 "refinement exceeded 100000 samples; "
                 "window subspace moves too fast somewhere on the loop"
             )
-        for i in reversed(bad):
-            bisect.insort(ts, 0.5 * (ts[i] + ts[i + 1]))
+        pending = []
+        for a, b in bad:
+            mid = 0.5 * (a + b)
+            ts.append(mid)
+            pending += [(a, mid), (mid, b)]
+    ts.sort()
 
-    p0, f0 = at(ts[0])
+    f0 = at(ts[0])
     if initial_frame is not None:
-        f0 = np.asarray(initial_frame)
-        if f0.shape != (base.shape[0], window.count):
+        given = np.asarray(initial_frame)
+        if given.shape != (base.shape[0], window.count):
             raise ValueError(f"initial frame must have shape {(base.shape[0], window.count)}")
-        if _opnorm(f0.conj().T @ f0 - np.eye(window.count)) > 1e-10:
+        if np.linalg.norm(given.conj().T @ given - np.eye(window.count), 2) > 1e-10:
             raise ValueError("initial frame is not orthonormal")
-        if _opnorm(p0 @ f0 - f0) > 1e-8:
+        if _frame_distance(f0, given) > 1e-8:
             raise ValueError("initial frame does not span the window subspace")
+        f0 = given
     frames = [f0]
     for t in ts[1:]:
-        frames.append(_polar_align(at(t)[0], frames[-1]))
+        frames.append(_polar_align(at(t), frames[-1]))
 
     a = frames[0].conj().T @ frames[-1]
     det = np.linalg.det(a)
@@ -198,9 +230,9 @@ def sign_stability(loop_a: OperatorFamily, loop_b: OperatorFamily,
     grid = np.linspace(0.0, 1.0, n_samples + 1)
     worst = 0.0
     for t in grid:
-        pa, _ = _window_frame(loop_a(t), window, t)
-        pb, _ = _window_frame(loop_b(t), window, t)
-        worst = max(worst, projector_distance(pa, pb))
+        fa = _window_frame(*eigendecompose(loop_a(t)), window, t)
+        fb = _window_frame(*eigendecompose(loop_b(t)), window, t)
+        worst = max(worst, _frame_distance(fa, fb))
     criterion_met = worst < 1.0
     _, ret_a = transport(loop_a, window)
     note = ""

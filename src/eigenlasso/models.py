@@ -150,7 +150,7 @@ class CircleDiracModel:
         values = np.concatenate([-pos[::-1], [0.0] if self.delta == 0.0 else [], pos])
         return values
 
-    def numerical_spectrum(self, tol: float = 1e-10) -> np.ndarray:
+    def numerical_spectrum(self) -> np.ndarray:
         """Spectrum recovered from the matrix by the squared-sorted route.
 
         Squares the antisymmetric matrix, takes paired square roots, and
@@ -160,13 +160,13 @@ class CircleDiracModel:
         a = self.antisymmetric
         squared = a.T @ a  # = -a @ a, positive semidefinite
         mags = np.sqrt(np.clip(np.linalg.eigvalsh(squared), 0.0, None))
-        scale = max(float(mags.max(initial=0.0)), 1.0)
-        zeros = mags[mags <= tol * scale]
-        pos = np.sort(mags[mags > tol * scale])
+        cutoff = 1e-10 * max(float(mags.max(initial=0.0)), 1.0)
+        zeros = mags[mags <= cutoff]
+        pos = np.sort(mags[mags > cutoff])
         if pos.shape[0] % 2 != 0:
             raise RuntimeError("nonzero squared eigenvalues failed to pair up")
         pairs = pos.reshape(-1, 2)
-        if pairs.shape[0] and float(np.max(pairs[:, 1] - pairs[:, 0])) > tol * scale:
+        if pairs.shape[0] and float(np.max(pairs[:, 1] - pairs[:, 0])) > cutoff:
             raise RuntimeError("paired square roots disagree beyond tolerance")
         omega = pairs.mean(axis=1)
         values = np.concatenate([-omega[::-1], np.zeros(zeros.shape[0]), omega])

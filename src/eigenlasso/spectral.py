@@ -55,15 +55,18 @@ def eigendecompose(op) -> Tuple[np.ndarray, np.ndarray]:
 
     The factorization is validated before being returned: residual
     norm against 1e-11 times the operator norm, and frame
-    orthonormality to 1e-12.
+    orthonormality to 1e-12.  Both are measured in the Frobenius norm,
+    an upper bound on the operator norm, so neither check is looser
+    than its operator-norm statement; the operator norm of a Hermitian
+    matrix is its largest |eigenvalue|.
     """
     a = as_matrix(op)
     values, vectors = np.linalg.eigh(a)
-    scale = max(_opnorm(a), 1e-300)
-    residual = _opnorm(a @ vectors - vectors * values)
+    scale = max(float(np.abs(values).max(initial=0.0)), 1e-300)
+    residual = float(np.linalg.norm(a @ vectors - vectors * values))
     if residual > 1e-11 * scale:
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} too large")
-    ortho = _opnorm(vectors.conj().T @ vectors - np.eye(a.shape[0]))
+    ortho = float(np.linalg.norm(vectors.conj().T @ vectors - np.eye(a.shape[0])))
     if ortho > 1e-12:
         raise RuntimeError(f"eigenvector frame not orthonormal ({ortho:.3e})")
     return values, vectors

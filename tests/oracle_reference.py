@@ -2,9 +2,9 @@
 
 Everything here is deliberately brute force and shares no code with
 the package internals: overlap-determinant holonomy signs, an
-entrywise antilinear commutant solve, literal spectra, and closed-form
-samples.  When a package result and a reference disagree, the package
-is wrong.
+all-pairs projector refinement grid, an entrywise antilinear commutant
+solve, literal spectra, and closed-form samples.  When a package
+result and a reference disagree, the package is wrong.
 """
 
 import numpy as np
@@ -31,6 +31,29 @@ def wilson_sign(sampler, lower, upper, n_samples=10_000):
             raise RuntimeError("overlap nearly singular; sampling too coarse")
         sign *= np.sign(d)
     return int(sign)
+
+
+def refined_grid(family, lower, upper, initial_samples, max_step=0.5):
+    """Transport sample grid by all-pairs refinement on full projectors.
+
+    Assembles the n x n window projector at every sample, re-checks
+    every consecutive pair with the SVD operator norm on each pass, and
+    bisects each pair at distance >= max_step, until a pass finds none.
+    """
+    def projector(t):
+        values, vectors = np.linalg.eigh(family(t))
+        v = vectors[:, (values > lower) & (values < upper)]
+        return v @ v.conj().T
+
+    ts = list(np.linspace(0.0, 1.0, initial_samples + 1))
+    while True:
+        projectors = [projector(t) for t in ts]
+        bad = [i for i in range(len(ts) - 1)
+               if np.linalg.norm(projectors[i] - projectors[i + 1], 2) >= max_step]
+        if not bad:
+            return np.array(ts)
+        for i in reversed(bad):
+            ts.insert(i + 1, 0.5 * (ts[i] + ts[i + 1]))
 
 
 def brute_force_structure_map(generators):

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from eigenlasso import holonomy
 from eigenlasso.holonomy import (
     TransportError,
     concatenate_loops,
@@ -13,12 +14,13 @@ from eigenlasso.holonomy import (
 from eigenlasso.models import (
     OperatorFamily,
     SymmetricOperator,
+    make_block_rotation_loop,
     make_fullturn_loop,
     make_halfturn_loop,
     make_spin_loop,
 )
-from eigenlasso.spectral import SpectralWindow, spectral_projector_eig
-from oracle_reference import wilson_sign
+from eigenlasso.spectral import SpectralWindow, projector_distance, spectral_projector_eig
+from oracle_reference import refined_grid, wilson_sign
 
 
 def test_halfturn_simple_window_flips():
@@ -211,3 +213,64 @@ def test_stability_reports_distant_loops_without_asserting():
     assert report.sign_a == -1
     assert report.sign_b == 1
     assert report.signs_equal is False
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("angle", [1e-9, 0.3, 0.5 * np.pi - 1e-9])
+def test_frame_distance_matches_projector_distance(k, dtype, angle):
+    rng = np.random.default_rng(k)
+    n = 8
+    g = rng.standard_normal((n, n))
+    if dtype is complex:
+        g = g + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(g)
+    # principal angles angle * j / k, j = 1..k, in a random gauge
+    angles = angle * np.arange(1, k + 1) / k
+    f = q[:, :k]
+    rotated = q[:, :k] * np.cos(angles) + q[:, k:2 * k] * np.sin(angles)
+    gauge, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    rotated = rotated @ gauge
+    reference = projector_distance(f @ f.conj().T, rotated @ rotated.conj().T)
+    assert abs(holonomy._frame_distance(f, rotated) - reference) <= 1e-12
+    assert abs(reference - np.sin(angle)) <= 1e-12
+
+
+def rotated_base(n, seed=0):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    base = q @ np.diag(np.arange(1.0, n + 1.0)) @ q.T
+    return 0.5 * (base + base.T)
+
+
+# (turns, count, initial_samples); chosen so that no checked distance sits
+# at MAX_PROJECTOR_STEP exactly (for k = 1 the step is |sin| of the
+# rotation angle, so e.g. turns 0.5 from 3 samples halves onto sin(pi/6))
+GRID_CASES = [(0.5, 1, 4), (1.0, 2, 3), (1.5, 2, 5), (1.5, 1, 7),
+              (2.0, 2, 9), (2.5, 3, 16), (3.0, 1, 5), (3.0, 3, 7)]
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("turns,count,initial_samples", GRID_CASES)
+def test_refined_grid_matches_all_pairs_reference(n, turns, count, initial_samples):
+    family = make_block_rotation_loop(rotated_base(n), turns).family()
+    window = SpectralWindow(0.5, count + 0.5, count=count)
+    path, _ = transport(family, window, initial_samples=initial_samples)
+    expected = refined_grid(family, window.lower, window.upper, initial_samples)
+    np.testing.assert_array_equal(path.parameters, expected)
+
+
+@pytest.mark.parametrize("turns,count,initial_samples", GRID_CASES)
+def test_each_interval_is_checked_once(monkeypatch, turns, count, initial_samples):
+    calls = []
+    distance = holonomy._frame_distance
+
+    def counted(f, g):
+        calls.append(None)
+        return distance(f, g)
+
+    monkeypatch.setattr(holonomy, "_frame_distance", counted)
+    family = make_block_rotation_loop(rotated_base(8), turns).family()
+    window = SpectralWindow(0.5, count + 0.5, count=count)
+    path, _ = transport(family, window, initial_samples=initial_samples)
+    # initial intervals plus two per split, and each split adds one sample
+    assert len(calls) == 2 * path.n_samples - initial_samples - 2
