@@ -100,16 +100,6 @@ class CriterionResult:
         }
 
 
-def _result(index: int, title: str, t0: float, budget: Optional[float],
-            ok: bool, detail: str) -> CriterionResult:
-    runtime = time.perf_counter() - t0
-    if budget is not None and runtime >= budget:
-        ok = False
-        detail += f"; runtime {runtime:.2f}s exceeded budget {budget:g}s"
-    return CriterionResult(index=index, title=title, passed=ok,
-                           runtime_s=runtime, budget_s=budget, detail=detail)
-
-
 # ---------------------------------------------------------------------------
 # shared model builders (also used by the CLI)
 # ---------------------------------------------------------------------------
@@ -149,8 +139,7 @@ def _window_for_count(k: int) -> SpectralWindow:
 # criteria
 # ---------------------------------------------------------------------------
 
-def _criterion_1(pins: Mapping) -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_1(pins: Mapping) -> Tuple[bool, str]:
     tol = pins["clifford_residual"]
     worst_algebra = 0.0
     worst_lift = 0.0
@@ -174,12 +163,10 @@ def _criterion_1(pins: Mapping) -> CriterionResult:
               f"{worst_lift:.2e} (tol {tol:g})")
     if eps_failures:
         detail += "; " + "; ".join(eps_failures)
-    return _result(1, "Clifford generators, full-turn lifts, structure parities",
-                   t0, pins["clifford_budget_s"], ok, detail)
+    return ok, detail
 
 
-def _criterion_2(pins: Mapping) -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_2(pins: Mapping) -> Tuple[bool, str]:
     tol = pins["circle_match"]
     worst = 0.0
     problems = []
@@ -212,16 +199,14 @@ def _criterion_2(pins: Mapping) -> CriterionResult:
     detail = f"max spectrum deviation {worst:.2e} (tol {tol:g})"
     if problems:
         detail += "; " + "; ".join(problems)
-    return _result(2, "Circle model spectra, symmetry, counting exponent",
-                   t0, pins["circle_budget_s"], ok, detail)
+    return ok, detail
 
 
 def _spin_base_8() -> SymmetricOperator:
     return SymmetricOperator(np.diag(np.arange(1.0, 9.0)))
 
 
-def _criterion_3(pins: Mapping) -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_3(pins: Mapping) -> Tuple[bool, str]:
     tol = pins["isospectral"]
     n_samples = int(pins["isospectral_samples"])
     loops = [
@@ -238,11 +223,10 @@ def _criterion_3(pins: Mapping) -> CriterionResult:
             worst = max(worst, float(np.abs(values - base_values).max()))
     ok = worst <= tol
     detail = f"max sorted-spectrum drift {worst:.2e} over {n_samples} samples (tol {tol:g})"
-    return _result(3, "Isospectrality along equivariant loops", t0, None, ok, detail)
+    return ok, detail
 
 
-def _criterion_4(pins: Mapping) -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_4(pins: Mapping) -> Tuple[bool, str]:
     d4 = np.diag([1.0, 2.0, 3.0, 4.0])
     loops = [
         ("halfturn", make_halfturn_loop(d4)),
@@ -270,12 +254,10 @@ def _criterion_4(pins: Mapping) -> CriterionResult:
     ok = not failures
     detail = "all 12 parity/count combinations match; refinement never flips a sign" \
         if ok else "; ".join(failures)
-    return _result(4, "Return signs match the parity/count prediction",
-                   t0, pins["sign_budget_s"], ok, detail)
+    return ok, detail
 
 
-def _criterion_5(pins: Mapping) -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_5(pins: Mapping) -> Tuple[bool, str]:
     d2 = np.diag([1.0, 2.0])
     odd = make_halfturn_loop(d2).family()
     even = make_fullturn_loop(d2).family()
@@ -293,11 +275,10 @@ def _criterion_5(pins: Mapping) -> CriterionResult:
     ok = not failures
     detail = "concatenated signs multiply: odd*odd=+1, odd*even=-1, even*even=+1" \
         if ok else "; ".join(failures)
-    return _result(5, "Sign multiplicativity under loop concatenation", t0, None, ok, detail)
+    return ok, detail
 
 
-def _criterion_6(pins: Mapping) -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_6(pins: Mapping) -> Tuple[bool, str]:
     loop_a = make_halfturn_loop(np.diag([1.0, 2.0])).family()
     w = SpectralWindow(0.5, 1.5, 1)
     gap = 1.0  # distance from the window eigenvalue to the rest of the spectrum
@@ -324,11 +305,10 @@ def _criterion_6(pins: Mapping) -> CriterionResult:
               f"max subspace distance {worst_distance:.3f}; sign -1 preserved")
     if failures:
         detail = "; ".join(failures)
-    return _result(6, "Sign stability under quarter-gap perturbations", t0, None, ok, detail)
+    return ok, detail
 
 
-def _criterion_7(pins: Mapping) -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_7(pins: Mapping) -> Tuple[bool, str]:
     tol = pins["projector_cross"]
     nodes = int(pins["projector_nodes"])
     n_ops = int(pins["projector_ops"])
@@ -370,11 +350,10 @@ def _criterion_7(pins: Mapping) -> CriterionResult:
               f"{nodes} nodes (tol {tol:g}); convergence {err_path}")
     if failures:
         detail += "; " + "; ".join(failures)
-    return _result(7, "Contour and eigenvector projectors cross-validate", t0, None, ok, detail)
+    return ok, detail
 
 
-def _criterion_8(pins: Mapping) -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_8(pins: Mapping) -> Tuple[bool, str]:
     tol = pins["minmax_achievability"]
     trials = int(pins["minmax_subspaces"])
     failures = []
@@ -432,12 +411,10 @@ def _criterion_8(pins: Mapping) -> CriterionResult:
               f"{instances}-instance distance sweep clean")
     if failures:
         detail = "; ".join(failures)
-    return _result(8, "Min-max certificates and Rayleigh distance bound",
-                   t0, pins["variational_budget_s"], ok, detail)
+    return ok, detail
 
 
-def _criterion_9(pins: Mapping) -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_9(pins: Mapping) -> Tuple[bool, str]:
     failures = []
     parts = []
 
@@ -504,12 +481,10 @@ def _criterion_9(pins: Mapping) -> CriterionResult:
             failures.append(f"negative control best gap {exc.best_gap:.2e} not above {floor:g}")
     ok = not failures
     detail = "; ".join(parts) if ok else "; ".join(failures)
-    return _result(9, "Degeneracy search end to end, with negative control",
-                   t0, pins["lasso_budget_s"], ok, detail)
+    return ok, detail
 
 
-def _criterion_10(pins: Mapping) -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion_10(pins: Mapping) -> Tuple[bool, str]:
     spec = [-1.0, 0.5, 1.0, 3.0]
     cases = [
         ("identical", spectral_close(spec, spec, 0.0, 2.0, 1e-12), True),
@@ -522,20 +497,25 @@ def _criterion_10(pins: Mapping) -> CriterionResult:
     ok = not failures
     detail = "truth table: identical/within/beyond/count-mismatch all correct" \
         if ok else "; ".join(failures)
-    return _result(10, "Windowed spectral closeness truth table", t0, None, ok, detail)
+    return ok, detail
 
 
-CRITERIA: List[Tuple[int, str, Callable[[Mapping], CriterionResult]]] = [
-    (1, "Clifford generators, full-turn lifts, structure parities", _criterion_1),
-    (2, "Circle model spectra, symmetry, counting exponent", _criterion_2),
-    (3, "Isospectrality along equivariant loops", _criterion_3),
-    (4, "Return signs match the parity/count prediction", _criterion_4),
-    (5, "Sign multiplicativity under loop concatenation", _criterion_5),
-    (6, "Sign stability under quarter-gap perturbations", _criterion_6),
-    (7, "Contour and eigenvector projectors cross-validate", _criterion_7),
-    (8, "Min-max certificates and Rayleigh distance bound", _criterion_8),
-    (9, "Degeneracy search end to end, with negative control", _criterion_9),
-    (10, "Windowed spectral closeness truth table", _criterion_10),
+# (index, title, name of its runtime budget in PINNED or None, experiment);
+# an experiment returns (passed, detail)
+CRITERIA: List[Tuple[int, str, Optional[str], Callable[[Mapping], Tuple[bool, str]]]] = [
+    (1, "Clifford generators, full-turn lifts, structure parities", "clifford_budget_s",
+     _criterion_1),
+    (2, "Circle model spectra, symmetry, counting exponent", "circle_budget_s", _criterion_2),
+    (3, "Isospectrality along equivariant loops", None, _criterion_3),
+    (4, "Return signs match the parity/count prediction", "sign_budget_s", _criterion_4),
+    (5, "Sign multiplicativity under loop concatenation", None, _criterion_5),
+    (6, "Sign stability under quarter-gap perturbations", None, _criterion_6),
+    (7, "Contour and eigenvector projectors cross-validate", None, _criterion_7),
+    (8, "Min-max certificates and Rayleigh distance bound", "variational_budget_s",
+     _criterion_8),
+    (9, "Degeneracy search end to end, with negative control", "lasso_budget_s",
+     _criterion_9),
+    (10, "Windowed spectral closeness truth table", None, _criterion_10),
 ]
 
 
@@ -546,21 +526,28 @@ def run_one(index: int, overrides: Optional[Mapping] = None) -> CriterionResult:
         if unknown:
             raise KeyError(f"unknown pinned names: {sorted(unknown)}")
         pins.update(overrides)
-    for idx, title, fn in CRITERIA:
+    for idx, title, budget_pin, fn in CRITERIA:
         if idx == index:
-            t0 = time.perf_counter()
-            try:
-                return fn(pins)
-            except Exception as exc:  # a crashed experiment is a failed row
-                return CriterionResult(
-                    index=idx, title=title, passed=False,
-                    runtime_s=time.perf_counter() - t0, budget_s=None,
-                    detail=f"error: {exc!r}",
-                )
-    raise KeyError(f"no criterion {index}")
+            break
+    else:
+        raise KeyError(f"no criterion {index}")
+    t0 = time.perf_counter()
+    try:
+        ok, detail = fn(pins)
+    except Exception as exc:  # a crashed experiment is a failed row
+        return CriterionResult(index=idx, title=title, passed=False,
+                               runtime_s=time.perf_counter() - t0, budget_s=None,
+                               detail=f"error: {exc!r}")
+    runtime = time.perf_counter() - t0
+    budget = pins[budget_pin] if budget_pin else None
+    if budget is not None and runtime >= budget:
+        ok = False
+        detail += f"; runtime {runtime:.2f}s exceeded budget {budget:g}s"
+    return CriterionResult(index=idx, title=title, passed=ok,
+                           runtime_s=runtime, budget_s=budget, detail=detail)
 
 
 def run_all(indices: Optional[Sequence[int]] = None,
             overrides: Optional[Mapping] = None) -> List[CriterionResult]:
-    wanted = list(indices) if indices else [idx for idx, _, _ in CRITERIA]
+    wanted = list(indices) if indices else [idx for idx, _, _, _ in CRITERIA]
     return [run_one(i, overrides) for i in wanted]

@@ -125,9 +125,8 @@ def _build_disc(spec: dict, path: str, seed_override: Optional[int]):
         center = _build_operator(center, f"{path}center.", seed_override)
     elif not isinstance(center, str):
         raise _fail(f"{path}center", "expected 'mean', 'base', or an operator spec")
-    n_average = int(spec.get("n_average", 64))
     try:
-        return make_orbit_disc(boundary, center=center, n_average=n_average)
+        return make_orbit_disc(boundary, center=center)
     except ValueError as exc:
         raise _fail(f"{path}center", str(exc)) from exc
 
@@ -305,8 +304,7 @@ def _cmd_holonomy(cfg: dict, args) -> int:
     run = _Run("holonomy", cfg, args)
     loop = _build_loop(_get(cfg, "loop", "", dict), "loop.", args.seed)
     window = _build_window(_get(cfg, "window", "", dict), "window.")
-    initial = int(cfg.get("transport", {}).get("initial_samples", 16))
-    path, ret = transport(loop, window, initial_samples=initial)
+    path, ret = transport(loop, window)
     k = window.count
     dim = path.frames[0].shape[0]
     header = "t," + ",".join(f"f{a}{b}" for a in range(dim) for b in range(k))
@@ -338,11 +336,9 @@ def _cmd_lasso_scan(cfg: dict, args) -> int:
     n_r = int(grid_spec.get("n_r", 16))
     n_theta = int(grid_spec.get("n_theta", 24))
     refine_tol = float(cfg.get("tolerances", {}).get("refine", 1e-8))
-    do_refine = bool(cfg.get("refine", True))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        scan = scan_disc(disc, window, grid=(n_r, n_theta),
-                         check_boundary_sign=bool(cfg.get("check_boundary_sign", True)))
+        scan = scan_disc(disc, window, grid=(n_r, n_theta))
     run.warnings.extend(str(w.message) for w in caught)
     rows = [(float(r), float(t), float(scan.gap_map[i, j]))
             for i, r in enumerate(scan.r_values)
@@ -356,29 +352,26 @@ def _cmd_lasso_scan(cfg: dict, args) -> int:
     observed = {
         "boundary_sign": scan.boundary_sign,
         "scan_min_gap": scan.min_gap,
-        "certificate": None,
         "gap": None,
         "r": None,
-        "best_gap": None,
     }
-    if do_refine:
-        try:
-            cert = refine(disc, window, scan.best, tol=refine_tol,
-                          step=(1.0 / n_r, 1.0 / n_theta))
-            results["certificate"] = {
-                "r": cert.r, "theta": cert.theta,
-                "lambda_a": cert.lambda_a, "lambda_b": cert.lambda_b,
-                "gap": cert.gap, "mean": cert.mean,
-                "residual_a": cert.residual_a, "residual_b": cert.residual_b,
-                "pair_index": cert.pair_index, "tol": cert.tol,
-            }
-            observed.update(certificate=True, gap=cert.gap, r=cert.r, best_gap=cert.gap)
-        except DegeneracyNotFound as exc:
-            results["not_found"] = {
-                "best_r": exc.best_point[0], "best_theta": exc.best_point[1],
-                "best_gap": exc.best_gap, "levels": exc.levels,
-            }
-            observed.update(certificate=False, best_gap=exc.best_gap)
+    try:
+        cert = refine(disc, window, scan.best, tol=refine_tol,
+                      step=(1.0 / n_r, 1.0 / n_theta))
+        results["certificate"] = {
+            "r": cert.r, "theta": cert.theta,
+            "lambda_a": cert.lambda_a, "lambda_b": cert.lambda_b,
+            "gap": cert.gap, "mean": cert.mean,
+            "residual_a": cert.residual_a, "residual_b": cert.residual_b,
+            "pair_index": cert.pair_index, "tol": cert.tol,
+        }
+        observed.update(certificate=True, gap=cert.gap, r=cert.r, best_gap=cert.gap)
+    except DegeneracyNotFound as exc:
+        results["not_found"] = {
+            "best_r": exc.best_point[0], "best_theta": exc.best_point[1],
+            "best_gap": exc.best_gap, "levels": exc.levels,
+        }
+        observed.update(certificate=False, best_gap=exc.best_gap)
     return run.finish(results, observed)
 
 

@@ -17,11 +17,10 @@ and P_G F = G (G^H F).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ._linalg import _opnorm
 from .models import OperatorFamily
 from .spectral import SpectralWindow, eigendecompose
 
@@ -75,19 +74,27 @@ class ReturnMatrix:
 
 def _window_frame(values: np.ndarray, vectors: np.ndarray, window: SpectralWindow,
                   t: float) -> np.ndarray:
-    """In-window orthonormal frame from one sample's eigendecomposition."""
+    """In-window orthonormal frame from one sample's eigendecomposition.
+
+    A column-major copy: a view would keep the sample's whole n x n
+    eigenvector matrix alive in the transport cache.
+    """
     try:
-        window.validate_endpoints(values)
+        held = window.indices(values)
     except ValueError as exc:
         raise TransportError(f"at t={t:.6g}: {exc}", parameter=t) from exc
-    mask = window.contains(values)
-    k = int(np.count_nonzero(mask))
-    if k != window.count:
-        raise TransportError(
-            f"at t={t:.6g}: window holds {k} eigenvalues, expected {window.count}",
-            parameter=t,
-        )
-    return vectors[:, mask]
+    return vectors[:, held].copy(order="F")
+
+
+def _differ(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> bool:
+    """Whether two samples differ by more than 1e-12 ||a||.
+
+    ``values`` are a's eigenvalues: ||a|| is their largest magnitude
+    (floored at 1).  The Frobenius norm of a - b bounds its operator
+    norm from above, so the test is no looser than an operator-norm one.
+    """
+    scale = max(float(np.abs(values).max()), 1.0)
+    return a.shape != b.shape or float(np.linalg.norm(a - b)) > 1e-12 * scale
 
 
 def _frame_distance(f: np.ndarray, g: np.ndarray) -> float:
@@ -138,10 +145,7 @@ def transport(loop: OperatorFamily, window: SpectralWindow,
     # the raw sampler: calling a circle family wraps t = 1 back to 0
     base = loop.sampler(0.0)
     values, vectors = eigendecompose(base)
-    # ||base|| is its largest |eigenvalue|; the Frobenius norm bounds
-    # the operator norm of the defect from above
-    scale = max(float(np.abs(values).max()), 1.0)
-    if np.linalg.norm(loop.sampler(1.0) - base) > 1e-12 * scale:
+    if _differ(base, loop.sampler(1.0), values):
         raise TransportError("loop is not closed: samples at t=0 and t=1 differ")
 
     ts = list(np.linspace(0.0, 1.0, initial_samples + 1))
@@ -267,11 +271,11 @@ def concatenate_loops(loop1: OperatorFamily, loop2: OperatorFamily) -> OperatorF
     rather than assumed here.
     """
     b1, b2 = loop1(0.0), loop2(0.0)
-    scale = max(_opnorm(b1), 1.0)
-    if b1.shape != b2.shape or _opnorm(b1 - b2) > 1e-12 * scale:
+    values = np.linalg.eigvalsh(b1)
+    if _differ(b1, b2, values):
         raise ValueError("loops must share their basepoint operator")
     for name, lp in (("first", loop1), ("second", loop2)):
-        if _opnorm(lp.sampler(1.0) - lp.sampler(0.0)) > 1e-12 * scale:
+        if _differ(lp.sampler(0.0), lp.sampler(1.0), values):
             raise ValueError(f"{name} loop is not closed")
 
     def sampler(t: float) -> np.ndarray:

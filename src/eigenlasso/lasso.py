@@ -73,20 +73,18 @@ class DiscFamily:
 
 
 def make_orbit_disc(loop: Union[EquivariantLoopModel, OperatorFamily],
-                    center: Union[str, np.ndarray, SymmetricOperator] = "mean",
-                    n_average: int = 64) -> DiscFamily:
+                    center: Union[str, np.ndarray, SymmetricOperator] = "mean") -> DiscFamily:
     """Disc filling a loop, centered at its mean or base operator.
 
-    ``center`` may be "mean" (average of ``n_average`` uniform boundary
-    samples; exact for trigonometric polynomial loops of degree below
-    n_average/2), "base" (the boundary basepoint), or an explicit
-    operator.
+    ``center`` may be "mean" (average of 64 uniform boundary samples;
+    exact for trigonometric polynomial loops of degree below 32), "base"
+    (the boundary basepoint), or an explicit operator.
     """
     family = loop.family() if isinstance(loop, EquivariantLoopModel) else loop
     if isinstance(center, str):
         if center == "mean":
-            samples = [family(j / n_average) for j in range(n_average)]
-            c = SymmetricOperator(sum(samples) / n_average)
+            samples = [family(j / 64) for j in range(64)]
+            c = SymmetricOperator(sum(samples) / 64)
         elif center == "base":
             c = SymmetricOperator(family(0.0))
         else:
@@ -103,34 +101,34 @@ def make_orbit_disc(loop: Union[EquivariantLoopModel, OperatorFamily],
 # ---------------------------------------------------------------------------
 
 def _anchor_index(disc: DiscFamily, window: SpectralWindow) -> int:
-    """Number of eigenvalues at or below the window at the basepoint.
+    """First index of the window's range at the basepoint.
 
     Also validates that the window is admissible there: the anchor is
     meaningless if the boundary does not start inside the good region.
     """
     values = np.linalg.eigvalsh(disc.boundary(0.0))
-    window.validate_endpoints(values)
-    inside = window.count_inside(values)
-    if inside != window.count:
-        raise ValueError(
-            f"window holds {inside} eigenvalues at the boundary basepoint, "
-            f"expected {window.count}"
-        )
-    return int(np.count_nonzero(values <= window.lower))
+    try:
+        return window.indices(values).start
+    except ValueError as exc:
+        raise ValueError(f"at the boundary basepoint: {exc}") from exc
+
+
+def _guard_pairs(anchor: int, count: int, n: int) -> range:
+    """Lower indices p of the consecutive pairs (p, p + 1) to watch.
+
+    The pairs run from the one straddling the window's lower end to the
+    one straddling its upper end, clipped to the n eigenvalues: the
+    window content plus its two guard gaps.
+    """
+    return range(max(anchor, 1) - 1, min(anchor + count, n - 1))
 
 
 def _index_gaps(values: np.ndarray, anchor: int, count: int) -> float:
-    """Minimal consecutive gap over the anchored index range.
-
-    Covers the pairs (anchor-1, anchor) through (anchor+count-1,
-    anchor+count), clipped to the spectrum; these are the window
-    content plus its two guard gaps.
-    """
-    n = values.shape[-1]
-    lo = max(anchor - 1, 0)
-    hi = min(anchor + count, n - 1)
-    if hi <= lo:
+    """Minimal consecutive gap over the anchored guard pairs."""
+    pairs = _guard_pairs(anchor, count, values.shape[-1])
+    if not pairs:
         return np.inf
+    lo, hi = pairs.start, pairs.stop
     diffs = values[..., lo + 1:hi + 1] - values[..., lo:hi]
     return diffs.min(axis=-1)
 
@@ -241,10 +239,7 @@ def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
                     r: float, theta: float, tol: float) -> DegeneracyCertificate:
     h = disc.operator_at(r, theta)
     values, vectors = eigendecompose(h)
-    n = values.size
-    lo = max(anchor - 1, 0)
-    hi = min(anchor + window.count, n - 1)
-    pairs = range(lo, hi)
+    pairs = _guard_pairs(anchor, window.count, values.size)
     i = min(pairs, key=lambda p: values[p + 1] - values[p])
     lam_a, lam_b = float(values[i]), float(values[i + 1])
     mean = 0.5 * (lam_a + lam_b)

@@ -72,9 +72,6 @@ class SymmetricOperator:
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.matrix) or float(np.abs(np.imag(self.matrix)).max()) == 0.0
 
-    def norm(self) -> float:
-        return _opnorm(self.matrix)
-
 
 @dataclass(frozen=True)
 class OperatorFamily:

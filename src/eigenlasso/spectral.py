@@ -94,15 +94,12 @@ class SpectralWindow:
     def radius(self) -> float:
         return 0.5 * (self.upper - self.lower)
 
-    def contains(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values)
-        return (values > self.lower) & (values < self.upper)
+    def _range(self, values: np.ndarray) -> slice:
+        """Index range of the eigenvalues strictly inside, in ascending ``values``.
 
-    def count_inside(self, values: np.ndarray) -> int:
-        return int(np.count_nonzero(self.contains(values)))
-
-    def validate_endpoints(self, values: np.ndarray):
-        """Raise if either endpoint sits within ENDPOINT_MARGIN of an eigenvalue."""
+        Raises if either endpoint sits within ENDPOINT_MARGIN of an
+        eigenvalue: membership is undefined there.
+        """
         values = np.asarray(values)
         for name, edge in (("lower", self.lower), ("upper", self.upper)):
             dist = float(np.abs(values - edge).min(initial=np.inf))
@@ -110,6 +107,22 @@ class SpectralWindow:
                 raise ValueError(
                     f"window {name} endpoint {edge} is within {dist:.3e} of an eigenvalue"
                 )
+        start = int(np.searchsorted(values, self.lower, side="right"))
+        stop = int(np.searchsorted(values, self.upper, side="left"))
+        return slice(start, stop)
+
+    def indices(self, values: np.ndarray) -> slice:
+        """The window's eigenvalue indices in ascending ``values``.
+
+        The one window-membership rule: both endpoints clear of the
+        spectrum, and exactly ``count`` eigenvalues strictly inside.
+        Raises ValueError otherwise.
+        """
+        held = self._range(values)
+        k = held.stop - held.start
+        if k != self.count:
+            raise ValueError(f"window holds {k} eigenvalues, expected {self.count}")
+        return held
 
 
 def cluster_groups(sorted_values: np.ndarray, tol: float) -> list:
@@ -131,7 +144,7 @@ class WindowMembership:
     """Verdict of the window predicate with its individual reasons."""
 
     admissible: bool
-    count_inside: int
+    n_in_window: int
     expected_count: int
     count_ok: bool
     gap_below: float
@@ -154,12 +167,11 @@ def window_membership(op, window: SpectralWindow) -> WindowMembership:
     then invalid for this operator).
     """
     values = np.linalg.eigvalsh(as_matrix(op))
-    window.validate_endpoints(values)
+    held = window._range(values)
     tol = CLUSTER_RTOL * _scale(values)
 
-    mask = window.contains(values)
-    inside = values[mask]
-    n_below = int(np.count_nonzero(values <= window.lower))
+    inside = values[held]
+    n_below = held.start
     count_in = inside.size
     count_ok = count_in == window.count
 
@@ -179,7 +191,7 @@ def window_membership(op, window: SpectralWindow) -> WindowMembership:
     gap_above_ok = gap_above > tol
     return WindowMembership(
         admissible=count_ok and gap_below_ok and gap_above_ok and has_odd,
-        count_inside=count_in,
+        n_in_window=count_in,
         expected_count=window.count,
         count_ok=count_ok,
         gap_below=gap_below,
@@ -199,8 +211,7 @@ def spectral_projector_eig(op, window: SpectralWindow) -> np.ndarray:
     """Window projector assembled from eigenvectors."""
     a = as_matrix(op)
     values, vectors = eigendecompose(a)
-    window.validate_endpoints(values)
-    v_in = vectors[:, window.contains(values)]
+    v_in = vectors[:, window.indices(values)]
     p = v_in @ v_in.conj().T
     if _opnorm(p @ p - p) > PROJECTOR_TOL:
         raise RuntimeError("projector is not idempotent within tolerance")
@@ -422,18 +433,15 @@ def spectral_close(spec_a, spec_b, lower: float, upper: float, eps: float) -> bo
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not lower < upper:
-        raise ValueError("need lower < upper")
-    a = np.sort(np.asarray(spec_a, dtype=float).ravel())
-    b = np.sort(np.asarray(spec_b, dtype=float).ravel())
-    for name, spec in (("first", a), ("second", b)):
-        for edge in (lower, upper):
-            if spec.size and float(np.abs(spec - edge).min()) < ENDPOINT_MARGIN:
-                raise ValueError(
-                    f"endpoint {edge} is within {ENDPOINT_MARGIN:.0e} of the {name} spectrum"
-                )
-    ina = a[(a > lower) & (a < upper)]
-    inb = b[(b > lower) & (b < upper)]
+    window = SpectralWindow(lower, upper)
+    inside = []
+    for name, spec in (("first", spec_a), ("second", spec_b)):
+        values = np.sort(np.asarray(spec, dtype=float).ravel())
+        try:
+            inside.append(values[window._range(values)])
+        except ValueError as exc:
+            raise ValueError(f"{name} spectrum: {exc}") from exc
+    ina, inb = inside
     if ina.size != inb.size:
         return False
     if ina.size == 0:

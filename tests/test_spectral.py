@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eigenlasso.models import OperatorFamily, SymmetricOperator, make_circle_dirac
@@ -45,7 +45,8 @@ def test_window_basic_geometry():
     w = SpectralWindow(0.5, 2.5, count=2)
     assert w.center == pytest.approx(1.5)
     assert w.radius == pytest.approx(1.0)
-    assert w.contains(1.0) and not w.contains(3.0)
+    values = np.array([0.0, 1.0, 2.0, 3.0])
+    assert values[w.indices(values)].tolist() == [1.0, 2.0]
     with pytest.raises(ValueError):
         SpectralWindow(2.0, 1.0)
     with pytest.raises(ValueError):
@@ -56,7 +57,7 @@ def test_membership_accepts_admissible_config():
     op = SymmetricOperator(np.diag([0.0, 1.0, 2.0, 5.0]))
     report = window_membership(op, SpectralWindow(0.5, 2.5, count=2))
     assert report.admissible
-    assert report.count_inside == 2
+    assert report.n_in_window == 2
     # gaps run from the extreme inside values to the nearest outside ones
     assert report.gap_below == pytest.approx(1.0)
     assert report.gap_above == pytest.approx(3.0)
@@ -89,6 +90,14 @@ def test_eig_projector_selects_window():
     op = SymmetricOperator(np.diag([1.0, 2.0, 3.0]))
     p = spectral_projector_eig(op, SpectralWindow(1.5, 2.5))
     np.testing.assert_allclose(p, np.diag([0.0, 1.0, 0.0]), atol=1e-14)
+
+
+def test_eig_projector_refuses_count_mismatch():
+    # the count-2 window holds only the eigenvalue 1; a rank-1 projector
+    # would silently stand in for a rank-2 one
+    op = SymmetricOperator(np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="window holds 1 eigenvalues, expected 2"):
+        spectral_projector_eig(op, SpectralWindow(0.5, 1.5, count=2))
 
 
 def test_eig_projector_handles_multiplicity():
@@ -262,6 +271,23 @@ def test_spectral_close_is_symmetric(seed, eps):
     if np.min(np.abs(np.concatenate([a, b])[:, None] - [lower, upper])) < 1e-6:
         return
     assert spectral_close(a, b, lower, upper, eps) == spectral_close(b, a, lower, upper, eps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12),
+       lower=st.floats(-11.0, 11.0), width=st.floats(1e-3, 22.0),
+       count_offset=st.integers(-1, 1))
+def test_indices_select_the_open_window(values, lower, width, count_offset):
+    values = np.sort(np.array(values))
+    upper = lower + width
+    assume(np.abs(values[:, None] - [lower, upper]).min() >= 1e-6)
+    selected = values[(values > lower) & (values < upper)]
+    w = SpectralWindow(lower, upper, max(selected.size + count_offset, 1))
+    if w.count == selected.size:
+        np.testing.assert_array_equal(values[w.indices(values)], selected)
+    else:
+        with pytest.raises(ValueError, match="window holds"):
+            w.indices(values)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
