@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 import time
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import acceptance
 from .models import (
+    CircleDiracModel,
     SymmetricOperator,
     make_circle_dirac,
     make_fullturn_loop,
@@ -44,91 +46,146 @@ def _fail(field: str, reason: str) -> ConfigError:
     return ConfigError(f"{field}: {reason}")
 
 
-def _get(cfg: dict, field: str, path: str, kind=None, required: bool = True, default=None):
-    if field not in cfg:
-        if required:
-            raise _fail(f"{path}{field}", "required field is missing")
-        return default
-    value = cfg[field]
-    if kind is not None and not isinstance(value, kind):
-        names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-        raise _fail(f"{path}{field}", f"expected {names}, got {type(value).__name__}")
-    return value
-
-
 # ---------------------------------------------------------------------------
-# builders from config fragments
+# config schema
 # ---------------------------------------------------------------------------
+#
+# A schema type is a leaf (int, float, str, bool), a one-element list [T] for a
+# JSON list of T, an _Object, a _Kinds union, or an _Either of these.
+# Object fields map a name to (type, default); _REQUIRED marks a field
+# without a default and None one that is simply absent.
 
-def _build_operator(spec: dict, path: str, seed_override: Optional[int]) -> SymmetricOperator:
-    kind = _get(spec, "kind", path, str)
-    if kind == "diag":
-        values = _get(spec, "values", path, list)
-        return SymmetricOperator(np.diag(np.asarray(values, dtype=float)))
-    if kind == "matrix":
-        entries = _get(spec, "entries", path, list)
-        try:
-            return SymmetricOperator(np.asarray(entries, dtype=float))
-        except ValueError as exc:
-            raise _fail(f"{path}entries", str(exc)) from exc
-    if kind == "odd_base":
-        clusters = _get(spec, "cluster_values", path, list)
-        epsilon = float(_get(spec, "epsilon", path, (int, float)))
-        seed = seed_override if seed_override is not None else spec.get("seed")
-        if seed is None:
-            raise _fail(f"{path}seed", "a seed is required for randomized constructions")
-        try:
-            return make_odd_multiplicity_base(clusters, epsilon, int(seed))
-        except ValueError as exc:
-            raise _fail(f"{path}epsilon", str(exc)) from exc
-    raise _fail(f"{path}kind", f"unknown operator kind {kind!r}")
+_REQUIRED = object()
+_LEAVES = {int: int, float: (int, float), str: str, bool: bool}
+_NAMES = {int: "int", float: "number", str: "string", bool: "bool", list: "list",
+          dict: "object", type(None): "null"}
 
 
-def _build_loop(spec: dict, path: str, seed_override: Optional[int]):
-    kind = _get(spec, "kind", path, str)
-    if kind in ("halfturn", "fullturn"):
-        base = _build_operator(_get(spec, "base", path, dict), f"{path}base.", seed_override)
-        maker = make_halfturn_loop if kind == "halfturn" else make_fullturn_loop
-        try:
-            return maker(base).family()
-        except ValueError as exc:
-            raise _fail(f"{path}base", str(exc)) from exc
-    if kind == "spin":
-        m = int(_get(spec, "m", path, int))
-        turns = int(spec.get("turns", 1))
-        base = _build_operator(_get(spec, "base", path, dict), f"{path}base.", seed_override)
-        try:
-            return make_spin_loop(m, base, turns=turns).family()
-        except ValueError as exc:
-            raise _fail(f"{path}kind", str(exc)) from exc
-    if kind == "conical":
-        return acceptance.make_conical_boundary()
-    if kind == "commuting":
-        return acceptance.make_commuting_loop(float(spec.get("amplitude", 0.3)))
-    raise _fail(f"{path}kind", f"unknown loop kind {kind!r}")
+class _Object:
+    """A JSON object with fixed fields; ``build`` turns the checked fields into a value."""
+
+    def __init__(self, build=None, **fields):
+        self.build = build
+        self.fields = fields
 
 
-def _build_window(spec: dict, path: str) -> SpectralWindow:
-    lower = float(_get(spec, "lower", path, (int, float)))
-    upper = float(_get(spec, "upper", path, (int, float)))
-    count = int(spec.get("count", 1))
+class _Kinds(dict):
+    """A union tagged by the object's ``kind`` field: tag -> _Object."""
+
+
+class _Either(tuple):
+    """Alternatives told apart by JSON type, e.g. a string or an object."""
+
+
+def _name(kind) -> str:
+    if isinstance(kind, _Either):
+        return " or ".join(_name(k) for k in kind)
+    if isinstance(kind, list):
+        return "list"
+    return _NAMES[kind] if isinstance(kind, type) else "object"
+
+
+def _shape_ok(kind, value) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    if isinstance(kind, list):
+        return isinstance(value, list)
+    return isinstance(value, _LEAVES[kind] if isinstance(kind, type) else dict)
+
+
+def _join(path: str, field: str) -> str:
+    return f"{path}.{field}" if path else field
+
+
+def _check(kind, value, path: str, seed: Optional[int] = None):
+    """Check one config value against its schema type, fill defaults and build it.
+
+    ``seed``, when given, replaces every ``seed`` field (the --seed flag).
+    """
+    if isinstance(kind, _Either):
+        kind = next((k for k in kind if _shape_ok(k, value)), kind)
+    if not _shape_ok(kind, value):
+        raise _fail(path or "config", f"expected {_name(kind)}, got {_NAMES[type(value)]}")
+    if isinstance(kind, list):
+        return [_check(kind[0], v, f"{path}[{i}]", seed) for i, v in enumerate(value)]
+    if isinstance(kind, type):
+        return float(value) if kind is float else value
+    if isinstance(kind, _Kinds):
+        if "kind" not in value:
+            raise _fail(_join(path, "kind"), "required field is missing")
+        tag = _check(str, value["kind"], _join(path, "kind"))
+        if tag not in kind:
+            raise _fail(_join(path, "kind"),
+                        f"unknown kind {tag!r}; expected one of {', '.join(kind)}")
+        value = {k: v for k, v in value.items() if k != "kind"}
+        kind = kind[tag]
+    for field in value:
+        if field not in kind.fields:
+            raise _fail(_join(path, field), "unknown field")
+    args = {}
+    for field, (sub_kind, default) in kind.fields.items():
+        sub = _join(path, field)
+        if field == "seed" and seed is not None:
+            args[field] = seed
+        elif field in value:
+            args[field] = _check(sub_kind, value[field], sub, seed)
+        elif default is _REQUIRED:
+            raise _fail(sub, "required field is missing")
+        else:
+            args[field] = None if default is None else _check(sub_kind, default, sub, seed)
+    if kind.build is None:
+        return args
     try:
-        return SpectralWindow(lower, upper, count)
+        return kind.build(**args)
     except ValueError as exc:
-        raise _fail(f"{path}lower/upper/count", str(exc)) from exc
+        raise _fail(path or "config", str(exc)) from exc
 
 
-def _build_disc(spec: dict, path: str, seed_override: Optional[int]):
-    boundary = _build_loop(_get(spec, "boundary", path, dict), f"{path}boundary.", seed_override)
-    center = spec.get("center", "mean")
-    if isinstance(center, dict):
-        center = _build_operator(center, f"{path}center.", seed_override)
-    elif not isinstance(center, str):
-        raise _fail(f"{path}center", "expected 'mean', 'base', or an operator spec")
-    try:
-        return make_orbit_disc(boundary, center=center)
-    except ValueError as exc:
-        raise _fail(f"{path}center", str(exc)) from exc
+_OPERATOR = _Kinds(
+    diag=_Object(lambda values: SymmetricOperator(np.diag(np.asarray(values, dtype=float))),
+                 values=([float], _REQUIRED)),
+    matrix=_Object(lambda entries: SymmetricOperator(np.asarray(entries, dtype=float)),
+                   entries=([[float]], _REQUIRED)),
+    odd_base=_Object(make_odd_multiplicity_base, cluster_values=([float], _REQUIRED),
+                     epsilon=(float, _REQUIRED), seed=(int, _REQUIRED)),
+)
+_CIRCLE = _Object(make_circle_dirac, n_max=(int, _REQUIRED), delta=(float, _REQUIRED))
+_BASE = (_OPERATOR, _REQUIRED)
+_LOOP = _Kinds(
+    halfturn=_Object(lambda base: make_halfturn_loop(base).family(), base=_BASE),
+    fullturn=_Object(lambda base: make_fullturn_loop(base).family(), base=_BASE),
+    spin=_Object(lambda m, turns, base: make_spin_loop(m, base, turns=turns).family(),
+                 m=(int, _REQUIRED), turns=(int, 1), base=_BASE),
+    conical=_Object(acceptance.make_conical_boundary),
+    commuting=_Object(acceptance.make_commuting_loop, amplitude=(float, 0.3)),
+)
+_WINDOW = _Object(SpectralWindow, lower=(float, _REQUIRED), upper=(float, _REQUIRED),
+                  count=(int, 1))
+_DISC = _Object(lambda boundary, center: make_orbit_disc(boundary, center=center),
+                boundary=(_LOOP, _REQUIRED), center=(_Either((str, _OPERATOR)), "mean"))
+
+
+def _track_grid(samples: int) -> np.ndarray:
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    return np.linspace(0.0, 1.0, samples + 1)
+
+
+_OPS = {"le": operator.le, "ge": operator.ge, "eq": operator.eq}
+
+
+def _schema(name: str) -> _Object:
+    """Top-level schema of an experiment: its own fields plus the shared
+    ``experiment``, ``output`` and ``expectations`` (``<metric>_le``,
+    ``_ge`` or ``_eq`` for each observed metric, typed like the metric)."""
+    _, metrics, fields = _EXPERIMENTS[name]
+    checks = {f"{m}_{op}": (kind, None) for m, kind in metrics.items() for op in _OPS}
+    return _Object(
+        experiment=(str, None),
+        output=(_Object(dir=(str, None), prefix=(str, name.replace("-", "_"))), {}),
+        expectations=(_Object(**checks), {}),
+        **fields,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -167,64 +224,43 @@ def _write_csv(path: str, header: str, rows):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _evaluate_expectations(spec: dict, observed: dict):
-    checks = []
-    all_ok = True
-    for key in sorted(spec):
-        expected = spec[key]
-        for suffix in ("_le", "_ge", "_eq"):
-            if key.endswith(suffix):
-                metric = key[: -len(suffix)]
-                break
-        else:
-            raise _fail(f"expectations.{key}", "must end with _le, _ge, or _eq")
-        if metric not in observed:
-            raise _fail(f"expectations.{key}",
-                        f"unknown metric; available: {', '.join(sorted(observed))}")
-        value = observed[metric]
-        if value is None:
-            ok = False
-        elif suffix == "_le":
-            ok = value <= expected
-        elif suffix == "_ge":
-            ok = value >= expected
-        else:
-            ok = value == expected
-        checks.append({"check": key, "expected": expected, "observed": value, "ok": ok})
-        all_ok = all_ok and ok
-    return checks, all_ok
-
-
 class _Run:
     """Shared plumbing for one experiment invocation."""
 
     def __init__(self, name: str, cfg: dict, args):
-        declared = cfg.get("experiment")
-        if declared is not None and declared != name:
+        self.started = time.perf_counter()
+        declared = cfg.get("experiment", name)
+        if declared != name:
             raise _fail("experiment", f"config declares {declared!r} but subcommand is {name}")
+        self.spec = _check(_schema(name), cfg, "", args.seed)
         self.name = name
         self.cfg = cfg
         self.seed_override = args.seed
-        out = args.out or os.environ.get("EIGENLASSO_OUT") \
-            or cfg.get("output", {}).get("dir") or "."
-        os.makedirs(out, exist_ok=True)
-        self.out = out
-        self.prefix = cfg.get("output", {}).get("prefix", name.replace("-", "_"))
-        self.started = time.perf_counter()
+        self.out = (args.out or os.environ.get("EIGENLASSO_OUT")
+                    or self.spec["output"]["dir"] or ".")
+        os.makedirs(self.out, exist_ok=True)
         self.artifacts = {}
         self.warnings = []
 
     def path(self, suffix: str) -> str:
-        return os.path.join(self.out, f"{self.prefix}_{suffix}")
+        return os.path.join(self.out, f"{self.spec['output']['prefix']}_{suffix}")
 
-    def csv(self, suffix: str, header: str, rows) -> str:
-        p = self.path(suffix)
-        _write_csv(p, header, rows)
-        self.artifacts[suffix] = p
-        return p
+    def csv(self, suffix: str, header: str, rows):
+        self.artifacts[suffix] = self.path(suffix)
+        _write_csv(self.artifacts[suffix], header, rows)
 
-    def finish(self, results: dict, observed: dict) -> int:
-        checks, ok = _evaluate_expectations(self.cfg.get("expectations", {}), observed)
+    def finish(self, results: dict, **extra) -> int:
+        """Write the report; the observed metrics come from ``extra``, else ``results``."""
+        merged = {**results, **extra}
+        observed = {m: merged.get(m) for m in _EXPERIMENTS[self.name][1]}
+        bounds = self.spec["expectations"]
+        checks = []
+        for key in sorted(k for k, v in bounds.items() if v is not None):
+            metric, op = key.rsplit("_", 1)
+            value = observed[metric]
+            ok = value is not None and _OPS[op](value, bounds[key])
+            checks.append({"check": key, "expected": bounds[key], "observed": value, "ok": ok})
+        ok = all(c["ok"] for c in checks)
         report = {
             "experiment": self.name,
             "config": self.cfg,
@@ -253,57 +289,34 @@ class _Run:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_spectrum(cfg: dict, args) -> int:
-    run = _Run("spectrum", cfg, args)
-    model_spec = _get(cfg, "model", "", dict)
-    kind = _get(model_spec, "kind", "model.", str)
+def _cmd_spectrum(run: _Run, spec: dict) -> int:
+    model = spec["model"]
     results: dict = {}
-    if kind == "circle":
-        n_max = int(_get(model_spec, "n_max", "model.", int))
-        delta = float(_get(model_spec, "delta", "model.", (int, float)))
-        try:
-            model = make_circle_dirac(n_max, delta)
-        except ValueError as exc:
-            raise _fail("model.n_max/delta", str(exc)) from exc
+    if isinstance(model, CircleDiracModel):
         values = model.numerical_spectrum()
         analytic = np.sort(model.analytic_spectrum())
-        deviation = float(np.abs(values - analytic).max())
-        results["max_deviation"] = deviation
+        results["max_deviation"] = float(np.abs(values - analytic).max())
     else:
-        op = _build_operator(model_spec, "model.", args.seed)
-        values, _ = eigendecompose(op)
-        deviation = None
+        values, _ = eigendecompose(model)
     run.csv("spectrum.csv", "j,t,lambda",
             [(j, 0.0, float(v)) for j, v in enumerate(values)])
     results["values"] = [float(v) for v in values]
-    observed = {"n_values": len(values), "max_deviation": deviation}
-    return run.finish(results, observed)
+    return run.finish(results, n_values=len(values))
 
 
-def _cmd_track(cfg: dict, args) -> int:
-    run = _Run("track", cfg, args)
-    loop = _build_loop(_get(cfg, "loop", "", dict), "loop.", args.seed)
-    samples = int(_get(_get(cfg, "grid", "", dict), "samples", "grid.", int))
-    if samples < 2:
-        raise _fail("grid.samples", "need at least 2 samples")
-    grid = np.linspace(0.0, 1.0, samples + 1)
-    table = enumerate_family(loop, grid)
+def _cmd_track(run: _Run, spec: dict) -> int:
+    grid = spec["grid"]
+    table = enumerate_family(spec["loop"], grid)
     rows = [(j, float(t), float(table.values[i, j]))
             for i, t in enumerate(grid) for j in range(table.values.shape[1])]
     run.csv("track.csv", "j,t,lambda", rows)
     drift = float(np.abs(table.values - table.values[0]).max())
-    observed = {
-        "n_samples": samples + 1,
-        "weyl_defect": table.weyl_defect,
-        "max_drift": drift,
-    }
-    return run.finish({"weyl_defect": table.weyl_defect, "max_drift": drift}, observed)
+    return run.finish({"weyl_defect": table.weyl_defect, "max_drift": drift},
+                      n_samples=len(grid))
 
 
-def _cmd_holonomy(cfg: dict, args) -> int:
-    run = _Run("holonomy", cfg, args)
-    loop = _build_loop(_get(cfg, "loop", "", dict), "loop.", args.seed)
-    window = _build_window(_get(cfg, "window", "", dict), "window.")
+def _cmd_holonomy(run: _Run, spec: dict) -> int:
+    loop, window = spec["loop"], spec["window"]
     path, ret = transport(loop, window)
     k = window.count
     dim = path.frames[0].shape[0]
@@ -319,23 +332,13 @@ def _cmd_holonomy(cfg: dict, args) -> int:
         "predicted_sign": predicted,
         "return_matrix": ret.matrix.tolist(),
     }
-    observed = {
-        "sign": ret.sign,
-        "abs_det": abs(ret.determinant),
-        "n_samples": path.n_samples,
-        "matches_prediction": (ret.sign == predicted) if predicted is not None else None,
-    }
-    return run.finish(results, observed)
+    matches = (ret.sign == predicted) if predicted is not None else None
+    return run.finish(results, abs_det=abs(ret.determinant), matches_prediction=matches)
 
 
-def _cmd_lasso_scan(cfg: dict, args) -> int:
-    run = _Run("lasso-scan", cfg, args)
-    disc = _build_disc(_get(cfg, "disc", "", dict), "disc.", args.seed)
-    window = _build_window(_get(cfg, "window", "", dict), "window.")
-    grid_spec = cfg.get("grid", {})
-    n_r = int(grid_spec.get("n_r", 16))
-    n_theta = int(grid_spec.get("n_theta", 24))
-    refine_tol = float(cfg.get("tolerances", {}).get("refine", 1e-8))
+def _cmd_lasso_scan(run: _Run, spec: dict) -> int:
+    disc, window = spec["disc"], spec["window"]
+    n_r, n_theta = spec["grid"]["n_r"], spec["grid"]["n_theta"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         scan = scan_disc(disc, window, grid=(n_r, n_theta))
@@ -349,14 +352,8 @@ def _cmd_lasso_scan(cfg: dict, args) -> int:
         "anchor": scan.anchor,
         "scan_min_gap": scan.min_gap,
     }
-    observed = {
-        "boundary_sign": scan.boundary_sign,
-        "scan_min_gap": scan.min_gap,
-        "gap": None,
-        "r": None,
-    }
     try:
-        cert = refine(disc, window, scan.best, tol=refine_tol,
+        cert = refine(disc, window, scan.best, tol=spec["tolerances"]["refine"],
                       step=(1.0 / n_r, 1.0 / n_theta))
         results["certificate"] = {
             "r": cert.r, "theta": cert.theta,
@@ -365,25 +362,18 @@ def _cmd_lasso_scan(cfg: dict, args) -> int:
             "residual_a": cert.residual_a, "residual_b": cert.residual_b,
             "pair_index": cert.pair_index, "tol": cert.tol,
         }
-        observed.update(certificate=True, gap=cert.gap, r=cert.r, best_gap=cert.gap)
+        return run.finish(results, certificate=True, gap=cert.gap, r=cert.r, best_gap=cert.gap)
     except DegeneracyNotFound as exc:
         results["not_found"] = {
             "best_r": exc.best_point[0], "best_theta": exc.best_point[1],
             "best_gap": exc.best_gap, "levels": exc.levels,
         }
-        observed.update(certificate=False, best_gap=exc.best_gap)
-    return run.finish(results, observed)
+        return run.finish(results, certificate=False, best_gap=exc.best_gap)
 
 
-def _cmd_properties(cfg: dict, args) -> int:
-    run = _Run("properties", cfg, args)
-    model_spec = _get(cfg, "model", "", dict)
-    if _get(model_spec, "kind", "model.", str) != "circle":
-        raise _fail("model.kind", "properties currently supports the circle model only")
-    n_max = int(_get(model_spec, "n_max", "model.", int))
-    delta = float(_get(model_spec, "delta", "model.", (int, float)))
-    model = make_circle_dirac(n_max, delta)
-    radius = float(cfg.get("radius", n_max - 1))
+def _cmd_properties(run: _Run, spec: dict) -> int:
+    model = spec["model"]
+    radius = spec["radius"] if spec["radius"] is not None else float(model.n_max - 1)
     report = verify_dirac_properties(model.numerical_spectrum(), m=1, radius=radius)
     results = {
         "symmetry_applicable": report.symmetry_applicable,
@@ -394,13 +384,7 @@ def _cmd_properties(cfg: dict, args) -> int:
         "max_abs_value": report.max_abs_value,
         "n_in_window": report.n_in_window,
     }
-    observed = {
-        "symmetry_ok": report.symmetry_ok,
-        "counting_exponent": report.counting_exponent,
-        "max_abs_value": report.max_abs_value,
-        "n_in_window": report.n_in_window,
-    }
-    return run.finish(results, observed)
+    return run.finish(results)
 
 
 def _cmd_reproduce_all(args) -> int:
@@ -441,12 +425,24 @@ def _cmd_reproduce_all(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "track": _cmd_track,
-    "holonomy": _cmd_holonomy,
-    "lasso-scan": _cmd_lasso_scan,
-    "properties": _cmd_properties,
+# name -> (command, observed metrics with their types, config fields)
+_EXPERIMENTS = {
+    "spectrum": (_cmd_spectrum, {"n_values": int, "max_deviation": float},
+                 {"model": (_Kinds(circle=_CIRCLE, **_OPERATOR), _REQUIRED)}),
+    "track": (_cmd_track, {"n_samples": int, "weyl_defect": float, "max_drift": float},
+              {"loop": (_LOOP, _REQUIRED),
+               "grid": (_Object(_track_grid, samples=(int, _REQUIRED)), _REQUIRED)}),
+    "holonomy": (_cmd_holonomy, {"sign": int, "abs_det": float, "n_samples": int,
+                                 "matches_prediction": bool},
+                 {"loop": (_LOOP, _REQUIRED), "window": (_WINDOW, _REQUIRED)}),
+    "lasso-scan": (_cmd_lasso_scan, {"boundary_sign": int, "scan_min_gap": float, "gap": float,
+                                     "r": float, "certificate": bool, "best_gap": float},
+                   {"disc": (_DISC, _REQUIRED), "window": (_WINDOW, _REQUIRED),
+                    "grid": (_Object(n_r=(int, 16), n_theta=(int, 24)), {}),
+                    "tolerances": (_Object(refine=(float, 1e-8)), {})}),
+    "properties": (_cmd_properties, {"symmetry_ok": bool, "counting_exponent": float,
+                                     "max_abs_value": float, "n_in_window": int},
+                   {"model": (_Kinds(circle=_CIRCLE), _REQUIRED), "radius": (float, None)}),
 }
 
 
@@ -457,7 +453,7 @@ def _parser() -> argparse.ArgumentParser:
                     "and disc scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         _common_flags(p)
@@ -486,7 +482,8 @@ def main(argv=None) -> int:
                 raise _fail("config", f"invalid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise _fail("config", "top level must be a JSON object")
-        return _COMMANDS[args.command](cfg, args)
+        run = _Run(args.command, cfg, args)
+        return _EXPERIMENTS[args.command][0](run, run.spec)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

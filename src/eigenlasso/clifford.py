@@ -214,7 +214,7 @@ def _kernel_vector_dense(rep: CliffordRep) -> np.ndarray:
         rows.append(np.hstack([a, b]))
         rows.append(np.hstack([c, d]))
     system = np.vstack(rows)
-    _, s, vt = np.linalg.svd(system, full_matrices=True)
+    _, s, vt = np.linalg.svd(system, full_matrices=False)
     # the kernel is the complex line through C, i.e. two real dimensions
     if s[-2] > 1e-6 * s[0]:
         raise RuntimeError(

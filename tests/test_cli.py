@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eigenlasso import cli
 
@@ -56,16 +62,67 @@ def test_holonomy_expectation_failure_exits_2(tmp_path, capsys):
     assert "[FAILED] sign_eq" in capsys.readouterr().out
 
 
-def test_malformed_window_exits_1_and_names_the_field(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "loop": HALFTURN_LOOP,
-        "window": {"lower": 2.0, "upper": 1.0, "count": 1},
-    })
-    code = cli.main(["holonomy", "--config", cfg, "--out", str(tmp_path)])
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+def shipped(name, **changes):
+    cfg = json.loads((CONFIGS / name).read_text())
+    cfg.update(changes)
+    return cfg
+
+
+def negative_control_with_removed_fields():
+    cfg = shipped("lasso_negative_control.json", refine=False, check_boundary_sign=False)
+    cfg["disc"]["n_average"] = 8
+    return cfg
+
+
+SPIN_THREE_TURNS = {"kind": "spin", "m": 7, "turns": 3,
+                    "base": {"kind": "odd_base", "cluster_values": [3.5] * 8,
+                             "epsilon": 0.1, "seed": 1}}
+
+
+# each names the field at fault; at the parent each one exited 0, named
+# another field or none, or failed with a bare Python error
+BAD_CONFIGS = {
+    "window-bounds": (
+        "holonomy", {"loop": HALFTURN_LOOP, "window": {"lower": 2.0, "upper": 1.0}},
+        "window: window needs lower < upper"),
+    "removed-fields": (
+        "lasso-scan", negative_control_with_removed_fields(), "refine: unknown field"),
+    "grid-string": (
+        "lasso-scan", shipped("lasso_conical.json", grid={"n_r": "16", "n_theta": 24}),
+        "grid.n_r: expected int, got string"),
+    "count-bool": (
+        "holonomy", {"loop": HALFTURN_LOOP, "window": {**UNIT_WINDOW, "count": True}},
+        "window.count: expected int, got bool"),
+    "spin-turns": (
+        "holonomy", {"loop": SPIN_THREE_TURNS, "window": UNIT_WINDOW},
+        "loop: turns must be 1 (odd loop) or 2 (even loop)"),
+    "empty-clusters": (
+        "spectrum",
+        {"model": {"kind": "odd_base", "cluster_values": [], "epsilon": 0.1, "seed": 1}},
+        "model: cluster_values must be nonempty"),
+    "circle-delta": (
+        "properties", {"model": {"kind": "circle", "n_max": 8, "delta": 0.3}},
+        "model: delta must be 0 or 0.5"),
+    "expectation-string": (
+        "lasso-scan", shipped("lasso_conical.json", expectations={"gap_le": "x"}),
+        "expectations.gap_le: expected number, got string"),
+    "output-string": (
+        "holonomy", shipped("holonomy_halfturn.json", output="x"),
+        "output: expected object, got string"),
+}
+
+
+@pytest.mark.parametrize("command, payload, expected", BAD_CONFIGS.values(),
+                         ids=BAD_CONFIGS)
+def test_malformed_window_exits_1_and_names_the_field(tmp_path, capsys, command, payload,
+                                                      expected):
+    cfg = write_config(tmp_path, payload)
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "config error" in err
-    assert "window" in err
+    assert capsys.readouterr().err.startswith(f"config error: {expected}")
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):
@@ -189,7 +246,7 @@ def test_experiment_name_mismatch_is_rejected(tmp_path, capsys):
     assert "experiment" in capsys.readouterr().err
 
 
-SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+SHIPPED_CONFIGS = sorted(CONFIGS.glob("*.json"))
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -237,3 +294,129 @@ def test_reproduce_all_rejects_unknown_override(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == 1
     assert "no_such_pin" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# schema-driven property test
+# ---------------------------------------------------------------------------
+
+# Values that keep generated runs small and valid: every operator pool holds
+# exactly one eigenvalue in (0.5, 1.5), which is where the window sits.
+FIELD_VALUES = {
+    "values": st.sampled_from([[1.0, 2.0], [1.0, 2.0, 3.0]]),
+    "entries": st.sampled_from([[[1.0, 0.0], [0.0, 2.0]], [[1.0, 0.2], [0.2, 2.0]]]),
+    "cluster_values": st.sampled_from([[1.0, 2.0], [1.0, 2.0, 3.0]]),
+    "epsilon": st.sampled_from([0.0, 0.1]),
+    "seed": st.integers(0, 3),
+    "n_max": st.integers(1, 8),
+    "delta": st.sampled_from([0, 0.5]),
+    "m": st.sampled_from([6, 7]),
+    "turns": st.sampled_from([1, 2]),
+    "amplitude": st.floats(0.1, 0.4),
+    "lower": st.just(0.5),
+    "upper": st.just(1.5),
+    "count": st.just(1),
+    "center": st.sampled_from(["mean", "base"]),
+    "samples": st.integers(2, 8),
+    "n_r": st.integers(1, 3),
+    "n_theta": st.integers(3, 6),
+    "refine": st.sampled_from([1e-3, 1e-8]),
+    "radius": st.floats(0.0, 8.0),
+    "prefix": st.just("run"),
+    "dir": st.just("unused"),
+}
+LEAF_VALUES = {int: st.integers(-2, 2), float: st.floats(-1.0, 1.0), bool: st.booleans(),
+               str: st.just("x")}
+JUNK = [None, True, "x", 0.25, 7, [], [1.0], {}, {"kind": "diag"}]
+
+
+def schema_values(kind, field=None):
+    """Strategy for valid values of a cli schema type."""
+    if isinstance(kind, cli._Either):
+        return st.one_of([schema_values(k, field) for k in kind])
+    if field in FIELD_VALUES and not isinstance(kind, (cli._Object, cli._Kinds)):
+        return FIELD_VALUES[field]
+    if isinstance(kind, list):
+        return st.lists(schema_values(kind[0]), min_size=1, max_size=3)
+    if isinstance(kind, type):
+        return LEAF_VALUES[kind]
+    if isinstance(kind, cli._Kinds):
+        return st.one_of([schema_values(variant).map(lambda v, tag=tag: {"kind": tag, **v})
+                          for tag, variant in kind.items()])
+    required = {f: schema_values(k, f) for f, (k, d) in kind.fields.items() if d is cli._REQUIRED}
+    optional = {f: schema_values(k, f) for f, (k, d) in kind.fields.items()
+                if d is not cli._REQUIRED}
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+def schema_paths(kind, path=""):
+    """Every field path a config error may name, for one schema type."""
+    if isinstance(kind, cli._Either):
+        return set().union(*(schema_paths(k, path) for k in kind))
+    if isinstance(kind, list):
+        return schema_paths(kind[0], path)
+    if isinstance(kind, type):
+        return set()
+    if isinstance(kind, cli._Kinds):
+        return {f"{path}.kind"}.union(*(schema_paths(v, path) for v in kind.values()))
+    paths = {path or "config"}
+    for field, (sub_kind, _) in kind.fields.items():
+        sub = f"{path}.{field}" if path else field
+        paths |= {sub} | schema_paths(sub_kind, sub)
+    return paths
+
+
+def objects_in(value):
+    """Every JSON object inside a config, the config itself first."""
+    if isinstance(value, list):
+        return [obj for v in value for obj in objects_in(v)]
+    if isinstance(value, dict):
+        return [value] + [obj for v in value.values() for obj in objects_in(v)]
+    return []
+
+
+@st.composite
+def configs(draw):
+    """A valid config of some experiment, or one corruption of it."""
+    name = draw(st.sampled_from(sorted(cli._EXPERIMENTS)))
+    cfg = draw(schema_values(cli._schema(name)))
+    if "experiment" in cfg:
+        cfg["experiment"] = name
+    target = draw(st.sampled_from(objects_in(cfg)))
+    how = draw(st.sampled_from(["valid", "replace", "delete", "unknown field"]))
+    if how == "unknown field":
+        target["bogus"] = 1
+    elif how != "valid" and target:
+        field = draw(st.sampled_from(sorted(target)))
+        if how == "delete":
+            del target[field]
+        else:
+            target[field] = draw(st.sampled_from(JUNK))
+    return name, cfg, how
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_every_config_runs_or_names_the_field_at_fault(case):
+    name, payload, how = case
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "config.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([name, "--config", path, "--out", out])
+    assert code in (0, 1, 2)
+    if how == "unknown field":
+        assert code == 1 and err.getvalue().startswith("config error: ")
+    if code == 1:
+        message = err.getvalue()
+        if message.startswith("config error: "):
+            field, reason = message[len("config error: "):].split(": ", 1)
+            field = re.sub(r"\[\d+\]", "", field)
+            if reason.startswith("unknown field"):
+                field = field.rpartition(".")[0] or "config"
+            assert field in schema_paths(cli._schema(name)), message
+        else:
+            assert message.startswith("error: TransportError: "), message
