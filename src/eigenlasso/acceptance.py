@@ -20,6 +20,7 @@ from .clifford import EPSILON_BY_DIMENSION, build_clifford, find_structure_map, 
 from .models import (
     OperatorFamily,
     SymmetricOperator,
+    _stack_chunks,
     make_circle_dirac,
     make_fullturn_loop,
     make_halfturn_loop,
@@ -218,8 +219,8 @@ def _criterion_3(pins: Mapping) -> Tuple[bool, str]:
     for _, loop in loops:
         family = loop.family()
         base_values = np.linalg.eigvalsh(family(0.0))
-        for j in range(n_samples):
-            values = np.linalg.eigvalsh(family(j / n_samples))
+        for mats in _stack_chunks(family, np.arange(n_samples) / n_samples):
+            values = np.linalg.eigvalsh(mats)
             worst = max(worst, float(np.abs(values - base_values).max()))
     ok = worst <= tol
     detail = f"max sorted-spectrum drift {worst:.2e} over {n_samples} samples (tol {tol:g})"

@@ -171,6 +171,18 @@ def _track_grid(samples: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, samples + 1)
 
 
+def _scan_grid(n_r: int, n_theta: int) -> dict:
+    if n_r < 1 or n_theta < 3:
+        raise ValueError(f"need n_r >= 1 and n_theta >= 3, got n_r={n_r}, n_theta={n_theta}")
+    return {"n_r": n_r, "n_theta": n_theta}
+
+
+def _tolerances(refine: float) -> dict:
+    if not refine > 0:
+        raise ValueError(f"refine must be positive, got {refine}")
+    return {"refine": refine}
+
+
 _OPS = {"le": operator.le, "ge": operator.ge, "eq": operator.eq}
 
 
@@ -438,8 +450,8 @@ _EXPERIMENTS = {
     "lasso-scan": (_cmd_lasso_scan, {"boundary_sign": int, "scan_min_gap": float, "gap": float,
                                      "r": float, "certificate": bool, "best_gap": float},
                    {"disc": (_DISC, _REQUIRED), "window": (_WINDOW, _REQUIRED),
-                    "grid": (_Object(n_r=(int, 16), n_theta=(int, 24)), {}),
-                    "tolerances": (_Object(refine=(float, 1e-8)), {})}),
+                    "grid": (_Object(_scan_grid, n_r=(int, 16), n_theta=(int, 24)), {}),
+                    "tolerances": (_Object(_tolerances, refine=(float, 1e-8)), {})}),
     "properties": (_cmd_properties, {"symmetry_ok": bool, "counting_exponent": float,
                                      "max_abs_value": float, "n_in_window": int},
                    {"model": (_Kinds(circle=_CIRCLE), _REQUIRED), "radius": (float, None)}),

@@ -22,7 +22,13 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .models import EquivariantLoopModel, OperatorFamily, SymmetricOperator, as_matrix
+from .models import (
+    EquivariantLoopModel,
+    OperatorFamily,
+    SymmetricOperator,
+    _stack_chunks,
+    as_matrix,
+)
 from .spectral import SpectralWindow, cluster_groups, eigendecompose
 from .holonomy import transport
 
@@ -65,12 +71,6 @@ class DiscFamily:
         c = self.center.matrix
         return c + r * (self.boundary(theta) - c)
 
-    def stack(self, rs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """All operators H(r_i, theta_j) as one (len(rs), len(thetas), n, n) array."""
-        c = self.center.matrix
-        ring = np.stack([self.boundary(t) - c for t in thetas])
-        return c + rs[:, None, None, None] * ring[None, :, :, :]
-
 
 def make_orbit_disc(loop: Union[EquivariantLoopModel, OperatorFamily],
                     center: Union[str, np.ndarray, SymmetricOperator] = "mean") -> DiscFamily:
@@ -83,8 +83,10 @@ def make_orbit_disc(loop: Union[EquivariantLoopModel, OperatorFamily],
     family = loop.family() if isinstance(loop, EquivariantLoopModel) else loop
     if isinstance(center, str):
         if center == "mean":
-            samples = [family(j / 64) for j in range(64)]
-            c = SymmetricOperator(sum(samples) / 64)
+            total = 0  # summed sample by sample, in order
+            for chunk in _stack_chunks(family, np.arange(64) / 64):
+                total = sum(chunk, total)
+            c = SymmetricOperator(total / 64)
         elif center == "base":
             c = SymmetricOperator(family(0.0))
         else:
@@ -180,8 +182,11 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
             )
     rs = (np.arange(n_r) + 1.0) / n_r
     thetas = np.arange(n_theta) / n_theta
-    ops = disc.stack(rs, thetas)
-    values = np.linalg.eigvalsh(ops)
+    # the boundary ring is sampled once; one radius at a time keeps a
+    # single (n_theta, n, n) stack of disc operators alive
+    c = disc.center.matrix
+    ring = disc.boundary.stack(thetas) - c
+    values = np.stack([np.linalg.eigvalsh(c + r * ring) for r in rs])
     gap_map = _index_gaps(values, anchor, window.count)
     order = np.argsort(gap_map, axis=None, kind="stable")
     ii, jj = np.unravel_index(order, gap_map.shape)

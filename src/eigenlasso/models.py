@@ -11,7 +11,7 @@ rho(1) = +I; odd loops are the sign-carrying ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .clifford import build_clifford, find_structure_map, lift_rotation, real_fo
 
 __all__ = [
     "SYMMETRY_RTOL",
+    "STACK_BYTES",
     "SymmetricOperator",
     "OperatorFamily",
     "CircleDiracModel",
@@ -34,6 +35,12 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-13
+
+# grids of samples are built and factored in stacks of at most this many
+# bytes.  At small n a stack still holds hundreds of matrices; at n >= 64
+# batching saves little, and a 2 MiB budget raised the peak memory of a
+# run of n = 64-256 transports from 55.6 to 62.4 MB
+STACK_BYTES = 1 << 19
 
 
 def as_matrix(op) -> np.ndarray:
@@ -80,12 +87,18 @@ class OperatorFamily:
     ``domain`` is "interval" or "circle".  Circle families wrap their
     parameter modulo 1, which makes closure exact: family(1.0) returns
     bit for bit the same matrix as family(0.0).
+
+    ``stacker``, when given, maps a 1-D array of (already wrapped)
+    parameters to the (N, n, n) stack of their samples in one call, and
+    ``sampler`` is its one-element case; families built by this package
+    supply it.  Without it, ``stack`` stacks ``sampler`` calls.
     """
 
     domain: str
     sampler: Callable[[float], np.ndarray]
     parity: Optional[str] = None  # "odd" / "even" for equivariant loops
     name: str = ""
+    stacker: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.domain not in ("interval", "circle"):
@@ -98,19 +111,49 @@ class OperatorFamily:
             t = float(t) % 1.0
         return self.sampler(float(t))
 
+    def stack(self, ts) -> np.ndarray:
+        """The samples at every parameter in ``ts``, as one (N, n, n) array.
+
+        Bit for bit ``np.stack([self(t) for t in ts])``.
+        """
+        ts = np.asarray(ts, dtype=float).ravel()
+        if self.domain == "circle":
+            ts = ts % 1.0
+        if self.stacker is not None:
+            return self.stacker(ts)
+        return np.stack([self.sampler(t) for t in ts.tolist()])
+
     def rebased(self, shift: float) -> "OperatorFamily":
         """The same circle loop started at parameter ``shift``."""
         if self.domain != "circle":
             raise ValueError("rebasing is only defined for circle families")
         base = self
+        return _stacked_loop(lambda ts: base.stack(ts + shift), self.parity,
+                             f"{self.name}@{shift:g}" if self.name else "")
 
-        def sampler(t: float) -> np.ndarray:
-            return base((t + shift) % 1.0)
 
-        return OperatorFamily(
-            domain="circle", sampler=sampler, parity=self.parity,
-            name=f"{self.name}@{shift:g}" if self.name else "",
-        )
+def _stacked_loop(stacker: Callable[[np.ndarray], np.ndarray], parity: Optional[str],
+                  name: str) -> OperatorFamily:
+    """A circle family whose single sample is the one-element case of ``stacker``."""
+    return OperatorFamily(domain="circle", sampler=lambda t: stacker(np.array([t]))[0],
+                          parity=parity, name=name, stacker=stacker)
+
+
+def _stack_chunks(family: OperatorFamily, ts, nbytes: Optional[int] = None
+                  ) -> Iterator[np.ndarray]:
+    """``family.stack`` over consecutive runs of ``ts``, in order.
+
+    Each run holds at most STACK_BYTES of samples, and at least one
+    sample.  ``nbytes`` is the size of one sample when the caller knows
+    it; otherwise the first run is a single sample, which measures it.
+    """
+    ts = np.asarray(ts, dtype=float).ravel()
+    start, step = 0, 1 if nbytes is None else max(1, STACK_BYTES // nbytes)
+    while start < ts.size:
+        chunk = family.stack(ts[start:start + step])
+        yield chunk
+        start += step
+        step = max(1, STACK_BYTES // chunk[0].nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +265,12 @@ class EquivariantLoopModel:
     rho(0) = I and rho(1) = sigma I with sigma in {+1, -1}; the loop is
     odd when sigma = -1.  Conjugation keeps the spectrum constant along
     the loop and transports eigenvectors: if D0 v = lambda v then
-    D(t) (rho(t) v) = lambda (rho(t) v).
+    D(t) (rho(t) v) = lambda (rho(t) v).  ``rotations`` maps a 1-D
+    array of parameters to the (N, n, n) stack of rho(t).
     """
 
     base: SymmetricOperator
-    rotation: Callable[[float], np.ndarray]
+    rotations: Callable[[np.ndarray], np.ndarray]
     sigma: int = field(init=False, default=0)
     parity: str = field(init=False, default="")
 
@@ -235,15 +279,13 @@ class EquivariantLoopModel:
             raise ValueError("equivariant loops require a real symmetric base")
         dim = self.base.dim
         eye = np.eye(dim)
-        r0 = self.rotation(0.0)
+        r0, r1, *inner = self.rotations(np.array([0.0, 1.0, 0.3, 0.7]))
         if _opnorm(r0 - eye) > 1e-12:
             raise ValueError("rotation path must start at the identity")
-        r1 = self.rotation(1.0)
         sigma = 1 if float(np.trace(r1)) > 0 else -1
         if _opnorm(r1 - sigma * eye) > 1e-12:
             raise ValueError("rotation path must end at +I or -I")
-        for t in (0.3, 0.7):
-            r = self.rotation(t)
+        for t, r in zip((0.3, 0.7), inner):
             if _opnorm(r.T @ r - eye) > 1e-12:
                 raise ValueError(f"rotation path is not orthogonal at t={t}")
         object.__setattr__(self, "sigma", sigma)
@@ -253,25 +295,20 @@ class EquivariantLoopModel:
     def dim(self) -> int:
         return self.base.dim
 
+    def stack(self, ts) -> np.ndarray:
+        """D(t) for every t in ``ts`` (wrapped mod 1) as one (N, n, n) array."""
+        r = self.rotations(np.asarray(ts, dtype=float).ravel() % 1.0)
+        return r @ self.base.matrix @ r.swapaxes(-1, -2)
+
     def operator_at(self, t: float) -> np.ndarray:
-        r = self.rotation(float(t) % 1.0)
-        return r @ self.base.matrix @ r.T
+        return self.stack([t])[0]
 
     def transport_vector(self, t: float, v: np.ndarray) -> np.ndarray:
-        return self.rotation(float(t) % 1.0) @ v
+        return self.rotations(np.array([float(t) % 1.0]))[0] @ v
 
     def family(self) -> OperatorFamily:
-        return OperatorFamily(
-            domain="circle",
-            sampler=lambda t: self.operator_at(t),
-            parity=self.parity,
-            name=f"equivariant(dim={self.dim}, parity={self.parity})",
-        )
-
-
-def _rotation_block(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
+        return _stacked_loop(self.stack, self.parity,
+                             f"equivariant(dim={self.dim}, parity={self.parity})")
 
 
 def make_block_rotation_loop(base, turns: float) -> EquivariantLoopModel:
@@ -286,12 +323,20 @@ def make_block_rotation_loop(base, turns: float) -> EquivariantLoopModel:
         raise ValueError("block rotation loops require even dimension")
     if (2.0 * turns) != int(2.0 * turns):
         raise ValueError("turns must be a multiple of one half")
-    half_blocks = d0.dim // 2
+    even = np.arange(0, d0.dim, 2)
 
-    def rotation(t: float) -> np.ndarray:
-        return np.kron(np.eye(half_blocks), _rotation_block(2.0 * np.pi * turns * t))
+    def rotations(ts: np.ndarray) -> np.ndarray:
+        # one [[cos, -sin], [sin, cos]] block per pair of coordinates
+        angles = 2.0 * np.pi * turns * ts
+        c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+        r = np.zeros((ts.size, d0.dim, d0.dim))
+        r[:, even, even] = c
+        r[:, even, even + 1] = -s
+        r[:, even + 1, even] = s
+        r[:, even + 1, even + 1] = c
+        return r
 
-    return EquivariantLoopModel(base=d0, rotation=rotation)
+    return EquivariantLoopModel(base=d0, rotations=rotations)
 
 
 def make_halfturn_loop(base) -> EquivariantLoopModel:
@@ -330,15 +375,19 @@ def make_spin_loop(m: int, base, turns: int = 1) -> EquivariantLoopModel:
     if not d0.is_real:
         raise ValueError("spin loops require a real symmetric base")
     plane = (m - 2, m - 1)
+    basis_h = basis.conj().T
 
-    def rotation(t: float) -> np.ndarray:
-        lift = lift_rotation(rep, plane[0], plane[1], 2.0 * np.pi * turns * t)
-        r = basis.conj().T @ lift @ basis
+    def rotations(ts: np.ndarray) -> np.ndarray:
+        # one lift per t; the real part is a strided view, which the
+        # conjugation multiplies without BLAS, as the per-t route did
+        r = np.empty((ts.size,) + basis.shape[1:] * 2, dtype=complex)
+        for i, t in enumerate(ts.tolist()):
+            r[i] = basis_h @ lift_rotation(rep, plane[0], plane[1], 2.0 * np.pi * turns * t) @ basis
         if float(np.abs(np.imag(r)).max()) > 1e-10:
             raise RuntimeError("lift failed to restrict to the real form")
         return np.real(r)
 
-    return EquivariantLoopModel(base=d0, rotation=rotation)
+    return EquivariantLoopModel(base=d0, rotations=rotations)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ separate on purpose so each can validate the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._linalg import _opnorm
-from .models import OperatorFamily, as_matrix
+from .models import OperatorFamily, SymmetricOperator, _stack_chunks, as_matrix
 
 __all__ = [
     "ENDPOINT_MARGIN",
@@ -53,23 +53,42 @@ def _scale(values: np.ndarray) -> float:
 def eigendecompose(op) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns.
 
-    The factorization is validated before being returned: residual
-    norm against 1e-11 times the operator norm, and frame
+    ``op`` is one matrix or a (..., n, n) stack, factored in one batched
+    call; each matrix gives exactly what it gives alone.  Each
+    factorization is validated before being returned: residual norm
+    against 1e-11 times that matrix's operator norm, and frame
     orthonormality to 1e-12.  Both are measured in the Frobenius norm,
     an upper bound on the operator norm, so neither check is looser
     than its operator-norm statement; the operator norm of a Hermitian
     matrix is its largest |eigenvalue|.
     """
-    a = as_matrix(op)
+    a = op.matrix if isinstance(op, SymmetricOperator) else np.asarray(op)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     values, vectors = np.linalg.eigh(a)
-    scale = max(float(np.abs(values).max(initial=0.0)), 1e-300)
-    residual = float(np.linalg.norm(a @ vectors - vectors * values))
-    if residual > 1e-11 * scale:
-        raise RuntimeError(f"eigendecomposition residual {residual:.3e} too large")
-    ortho = float(np.linalg.norm(vectors.conj().T @ vectors - np.eye(a.shape[0])))
-    if ortho > 1e-12:
-        raise RuntimeError(f"eigenvector frame not orthonormal ({ortho:.3e})")
+    scale = np.maximum(np.abs(values).max(axis=-1, initial=0.0), 1e-300)
+    residual = np.linalg.norm(a @ vectors - vectors * values[..., None, :], axis=(-2, -1))
+    bad = np.flatnonzero(residual > 1e-11 * scale)
+    if bad.size:
+        raise RuntimeError(f"eigendecomposition residual {residual.flat[bad[0]]:.3e} too large")
+    eye = np.eye(a.shape[-1])
+    ortho = np.linalg.norm(vectors.conj().swapaxes(-1, -2) @ vectors - eye, axis=(-2, -1))
+    bad = np.flatnonzero(ortho > 1e-12)
+    if bad.size:
+        raise RuntimeError(f"eigenvector frame not orthonormal ({ortho.flat[bad[0]]:.3e})")
     return values, vectors
+
+
+def _factor_samples(family: OperatorFamily, ts, nbytes: Optional[int] = None
+                    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``eigendecompose(family(t))`` for each t in ``ts``, in order.
+
+    Samples are built and factored a stack at a time (see
+    ``models._stack_chunks``, which ``nbytes`` is passed to): one
+    ``family.stack`` call and one batched eigendecompose per stack.
+    """
+    for chunk in _stack_chunks(family, ts, nbytes):
+        yield from zip(*eigendecompose(chunk))
 
 
 @dataclass(frozen=True)
@@ -292,13 +311,16 @@ def enumerate_family(family: OperatorFamily, parameters: Sequence[float]) -> Enu
         raise ValueError("need a one-dimensional, nonempty parameter grid")
     if np.any(np.diff(params) < 0):
         raise ValueError("parameter grid must be ordered")
-    mats = [family(t) for t in params]
-    values = np.stack([np.linalg.eigvalsh(m) for m in mats])
-    defect = 0.0
-    for i in range(len(mats) - 1):
-        step = _opnorm(mats[i + 1] - mats[i])
-        drift = float(np.abs(values[i + 1] - values[i]).max())
-        defect = max(defect, drift - step)
+    values, steps, last = [], [], None
+    for mats in _stack_chunks(family, params):
+        values.append(np.linalg.eigvalsh(mats))
+        # operator-norm steps between consecutive samples, across chunks too
+        run = mats if last is None else np.concatenate([last[None], mats])
+        steps.append(np.linalg.norm(np.diff(run, axis=0), 2, axis=(-2, -1)))
+        last = mats[-1]
+    values = np.concatenate(values)
+    drift = np.abs(np.diff(values, axis=0)).max(axis=-1)
+    defect = max([0.0] + (drift - np.concatenate(steps)).tolist())
     return EnumeratedFamily(parameters=params, values=values, weyl_defect=defect)
 
 

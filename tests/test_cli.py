@@ -112,6 +112,15 @@ BAD_CONFIGS = {
     "output-string": (
         "holonomy", shipped("holonomy_halfturn.json", output="x"),
         "output: expected object, got string"),
+    "grid-no-radii": (
+        "lasso-scan", shipped("lasso_conical.json", grid={"n_r": 0, "n_theta": 24}),
+        "grid: need n_r >= 1 and n_theta >= 3"),
+    "grid-two-angles": (
+        "lasso-scan", shipped("lasso_conical.json", grid={"n_r": 16, "n_theta": 2}),
+        "grid: need n_r >= 1 and n_theta >= 3"),
+    "refine-zero": (
+        "lasso-scan", shipped("lasso_conical.json", tolerances={"refine": 0.0}),
+        "tolerances: refine must be positive"),
 }
 
 

@@ -12,6 +12,7 @@ from eigenlasso.holonomy import (
     transport,
 )
 from eigenlasso.models import (
+    STACK_BYTES,
     OperatorFamily,
     SymmetricOperator,
     make_block_rotation_loop,
@@ -261,11 +262,11 @@ def test_refined_grid_matches_all_pairs_reference(n, turns, count, initial_sampl
 
 @pytest.mark.parametrize("turns,count,initial_samples", GRID_CASES)
 def test_each_interval_is_checked_once(monkeypatch, turns, count, initial_samples):
-    calls = []
+    pairs = []
     distance = holonomy._frame_distance
 
     def counted(f, g):
-        calls.append(None)
+        pairs.append(f.shape[0])  # a pass checks a (pairs, n, k) stack at once
         return distance(f, g)
 
     monkeypatch.setattr(holonomy, "_frame_distance", counted)
@@ -273,4 +274,24 @@ def test_each_interval_is_checked_once(monkeypatch, turns, count, initial_sample
     window = SpectralWindow(0.5, count + 0.5, count=count)
     path, _ = transport(family, window, initial_samples=initial_samples)
     # initial intervals plus two per split, and each split adds one sample
-    assert len(calls) == 2 * path.n_samples - initial_samples - 2
+    assert sum(pairs) == 2 * path.n_samples - initial_samples - 2
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_transport_stacks_stay_within_the_byte_budget(monkeypatch, n):
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def recorded(a):
+        stacks.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    family = make_block_rotation_loop(rotated_base(n), 1.0).family()
+    # 40 initial samples make a first pass of 1.3 MB at n = 64
+    path, _ = transport(family, SpectralWindow(0.5, 1.5, count=1), initial_samples=40)
+    matrices = [int(np.prod(shape[:-2])) for shape in stacks]
+    assert max(m * n * n * 8 for m in matrices) <= STACK_BYTES
+    # every sample factored once, the basepoint on its own
+    assert sum(matrices) == path.n_samples
+    assert max(matrices) == (STACK_BYTES // (n * n * 8))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from eigenlasso.holonomy import concatenate_loops
 from eigenlasso.models import (
     OperatorFamily,
     SymmetricOperator,
+    make_block_rotation_loop,
     make_circle_dirac,
     make_fullturn_loop,
     make_halfturn_loop,
@@ -179,3 +181,41 @@ def test_rebased_family_shifts_the_start():
     shifted = loop.rebased(0.25)
     np.testing.assert_array_equal(shifted(0.0), loop(0.25))
     np.testing.assert_allclose(shifted(0.9), loop(0.15), atol=1e-14)
+
+
+def _rotated(n, seed=0):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    base = q @ np.diag(np.arange(1.0, n + 1.0)) @ q.T
+    return 0.5 * (base + base.T)
+
+
+def _wobble(t):
+    return np.array([[np.sin(2 * np.pi * t), 0.5], [0.5, 2.0 + np.cos(2 * np.pi * t)]])
+
+
+STACKED_FAMILIES = {
+    "block-n2-half": lambda: make_block_rotation_loop(_rotated(2), 0.5).family(),
+    "block-n8-1.5": lambda: make_block_rotation_loop(_rotated(8), 1.5).family(),
+    "block-n8-3": lambda: make_block_rotation_loop(_rotated(8, seed=1), 3.0).family(),
+    "block-n64-2.5": lambda: make_block_rotation_loop(_rotated(64), 2.5).family(),
+    # kron placed -0.0 off the blocks where the broadcast rotations hold +0.0
+    "block-diagonal-base": lambda: make_halfturn_loop(np.diag(np.arange(1.0, 9.0))).family(),
+    "spin-m7": lambda: make_spin_loop(7, np.diag(np.arange(1.0, 9.0))).family(),
+    "rebased": lambda: make_halfturn_loop(_rotated(4)).family().rebased(0.3),
+    "concatenated": lambda: concatenate_loops(make_halfturn_loop(_rotated(4)).family(),
+                                              make_fullturn_loop(_rotated(4)).family()),
+    "lambda-circle": lambda: OperatorFamily(domain="circle", sampler=_wobble),
+    "lambda-interval": lambda: OperatorFamily(domain="interval", sampler=_wobble),
+    "lambda-rebased": lambda: OperatorFamily(domain="circle", sampler=_wobble).rebased(0.6),
+}
+# t = 1.0 and t > 1 included: circle families wrap both
+STACK_TS = np.concatenate([np.linspace(0.0, 1.0, 13), [0.3, 0.999, 1.0, 1.25, 2.5, 0.5]])
+
+
+@pytest.mark.parametrize("name", STACKED_FAMILIES)
+def test_stack_is_bitwise_the_stacked_samples(name):
+    family = STACKED_FAMILIES[name]()
+    expected = np.stack([family(t) for t in STACK_TS])
+    stacked = family.stack(STACK_TS)
+    assert stacked.dtype == expected.dtype and stacked.shape == expected.shape
+    assert stacked.tobytes() == expected.tobytes()

@@ -34,6 +34,51 @@ def test_eigendecompose_sorts_ascending():
     np.testing.assert_allclose(recon, np.diag([3.0, 1.0, 2.0]), atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_batched_eigendecompose_is_bitwise_the_single_calls(dtype):
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((7, 6, 6)).astype(dtype)
+    if dtype is complex:
+        g = g + 1j * rng.standard_normal((7, 6, 6))
+    stack = g + g.conj().swapaxes(-1, -2)
+    values, vectors = eigendecompose(stack)
+    for a, vals, vecs in zip(stack, values, vectors):
+        one_values, one_vectors = eigendecompose(a)
+        assert vals.tobytes() == one_values.tobytes()
+        assert vecs.tobytes() == one_vectors.tobytes()
+
+
+# (what to corrupt, in which matrix, expected error); matrix 0 has norm
+# 1e6 and matrix 2 norm 1, so an eigenvalue off by 1e-8 passes matrix
+# 0's residual bound and fails matrix 2's own
+BAD_SLICES = [("value", 2, "residual"), ("vector", 2, "not orthonormal"), ("value", 0, None)]
+
+
+@pytest.mark.parametrize("corrupt, index, message", BAD_SLICES)
+def test_batched_eigendecompose_checks_each_matrix(monkeypatch, corrupt, index, message):
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((4, 5, 5))
+    stack = g + g.swapaxes(-1, -2)
+    stack[0] *= 1e6 / np.abs(np.linalg.eigvalsh(stack[0])).max()
+    stack[2] /= np.abs(np.linalg.eigvalsh(stack[2])).max()
+    eigh = np.linalg.eigh
+
+    def corrupted(a):
+        values, vectors = eigh(a)
+        if corrupt == "value":
+            values[index, 0] += 1e-8
+        else:
+            vectors[index, :, 0] *= 1.0 + 1e-9
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    if message is None:
+        eigendecompose(stack)
+    else:
+        with pytest.raises(RuntimeError, match=message):
+            eigendecompose(stack)
+
+
 def test_eigendecompose_offdiagonal():
     values, _ = eigendecompose(SymmetricOperator(np.array([[0.0, 1.0], [1.0, 0.0]])))
     np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-15)
