@@ -33,7 +33,7 @@ from .models import (
 )
 from .spectral import SpectralWindow, eigendecompose, enumerate_family, verify_dirac_properties
 from .holonomy import predicted_sign, transport
-from .lasso import DegeneracyNotFound, make_orbit_disc, refine, scan_disc
+from .lasso import DegeneracyNotFound, _anchor_index, make_orbit_disc, refine, scan_disc
 
 __all__ = ["ConfigError", "main"]
 
@@ -350,6 +350,10 @@ def _cmd_holonomy(run: _Run, spec: dict) -> int:
 
 def _cmd_lasso_scan(run: _Run, spec: dict) -> int:
     disc, window = spec["disc"], spec["window"]
+    try:
+        _anchor_index(disc, window)
+    except ValueError as exc:
+        raise _fail("window", str(exc)) from exc
     n_r, n_theta = spec["grid"]["n_r"], spec["grid"]["n_theta"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -10,10 +10,13 @@ by angle alpha in the plane of two generators lifts to the unitary
     rho(alpha) = cos(alpha/2) I + sin(alpha/2) gamma_i gamma_j,
 
 which is 4*pi-periodic: a full turn returns -I.  Antilinear structure
-maps J(v) = C conj(v) commuting with every generator are recovered by
-solving the commutant equations as a real linear system over the matrix
-entries; the parity J^2 = +I or -I depends only on the ambient
-dimension mod 8.
+maps J(v) = C conj(v) commuting with every generator exist when m mod 8
+is not 1 or 5, with a parity J^2 = +I or -I that depends only on m mod 8
+(Atiyah-Bott-Shapiro).  Up to dim 16 (m <= 9), C is recovered by solving
+the commutant equations as a real linear system over the matrix entries;
+the spin loops' real-form basis is built from that solution, phase
+included, so the solve stays there.  For m = 10, 11, 12, C is a product
+of generators, written down in closed form.
 """
 
 from __future__ import annotations
@@ -223,45 +226,29 @@ def _kernel_vector_dense(rep: CliffordRep) -> np.ndarray:
     return vt[-1]
 
 
-def _kernel_vector_sparse(rep: CliffordRep) -> np.ndarray:
-    # Same system, assembled sparsely; the generators are generalized
-    # permutation matrices so every constraint row has O(1) entries.
-    from scipy import sparse
-    from scipy.sparse.linalg import eigsh
+def _generator_product(rep: CliffordRep) -> np.ndarray:
+    """C in closed form: a product of k = m // 2 generators.
 
-    n = rep.dim
-    eye = sparse.identity(n, format="csr")
-    normal = None
-    for g in rep.generators:
-        gs = sparse.csr_matrix(g)
-        big_g = sparse.csr_matrix(np.conj(g))
-        gr, gi = np.real(gs.toarray()), np.imag(gs.toarray())
-        grs, gis = sparse.csr_matrix(gr), sparse.csr_matrix(gi)
-        big_gr = sparse.csr_matrix(np.real(big_g.toarray()))
-        big_gi = sparse.csr_matrix(np.imag(big_g.toarray()))
-        a = sparse.kron(big_gr.T, eye) - sparse.kron(eye, grs)
-        b = -sparse.kron(big_gi.T, eye) + sparse.kron(eye, gis)
-        c = sparse.kron(big_gi.T, eye) - sparse.kron(eye, gis)
-        d = sparse.kron(big_gr.T, eye) - sparse.kron(eye, grs)
-        block = sparse.bmat([[a, b], [c, d]], format="csr")
-        term = (block.T @ block).tocsr()
-        normal = term if normal is None else normal + term
-    normal = normal.tocsc()
-    size = normal.shape[0]
-    try:
-        vals, vecs = eigsh(normal, k=2, sigma=-1.0, which="LM")
-    except Exception:
-        vals, vecs = eigsh(normal, k=2, which="SA", maxiter=size * 40)
-    order = np.argsort(np.abs(vals))
-    if abs(vals[order[0]]) > 1e-8:
-        raise RuntimeError(
-            f"commutant kernel not found (smallest normal eigenvalue {vals[order[0]]:.3e})"
-        )
-    return vecs[:, order[0]]
+    C conj(gamma) = gamma C asks C to commute with the real generators
+    (even slots) and to anticommute with the imaginary ones.  A generator
+    passes a product of k others with sign (-1)^k, and a product that
+    holds it with sign (-1)^(k-1); so the k real generators work for odd
+    k, and the k imaginary ones for even k.  The extra generator of odd m
+    is imaginary and in neither product, so it needs odd k: there is no
+    map for m mod 8 in {1, 5}.
+    """
+    k = rep.m // 2
+    return reduce(np.matmul, rep.generators[1 - k % 2 : 2 * k : 2])
 
 
 def find_structure_map(rep: CliffordRep) -> StructureMap:
-    """Solve the antilinear commutant equations for a structure map.
+    """Find the antilinear structure map of the representation.
+
+    For dim <= 16 (m <= 9), C spans the kernel of the dense commutant
+    system, found by SVD; that solve stays because `real_form_basis`, and
+    through it every spin loop, depends on the phase it gives C.  For
+    m = 10, 11, 12, C is the closed-form `_generator_product`.  Both go
+    through the same normalisation and checks.
 
     Parameters
     ----------
@@ -278,8 +265,8 @@ def find_structure_map(rep: CliffordRep) -> StructureMap:
     ValueError
         If m mod 8 is 1 or 5 (no solution exists for those classes).
     RuntimeError
-        If the kernel solve fails its residual checks; this signals a
-        construction bug, not an expected condition.
+        If C fails its residual checks; this signals a construction
+        bug, not an expected condition.
     """
     if rep.m % 8 in (1, 5):
         raise ValueError(
@@ -287,13 +274,13 @@ def find_structure_map(rep: CliffordRep) -> StructureMap:
             "when m mod 8 is 1 or 5"
         )
     n = rep.dim
-    if 2 * n * n <= 1024:
+    if n <= 16:
         vec = _kernel_vector_dense(rep)
+        x = vec[: n * n].reshape((n, n), order="F")
+        y = vec[n * n :].reshape((n, n), order="F")
+        c = x + 1j * y
     else:
-        vec = _kernel_vector_sparse(rep)
-    x = vec[: n * n].reshape((n, n), order="F")
-    y = vec[n * n :].reshape((n, n), order="F")
-    c = x + 1j * y
+        c = _generator_product(rep)
     c = c / np.linalg.norm(c)  # unit Frobenius norm kernel element
 
     # J^2 = C conj(C) must be a real multiple of the identity; rescale so

@@ -234,15 +234,16 @@ class StabilityReport:
 
 
 def sign_stability(loop_a: OperatorFamily, loop_b: OperatorFamily,
-                   window: SpectralWindow, n_samples: int = 256) -> StabilityReport:
+                   window: SpectralWindow) -> StabilityReport:
     """Compare window subspaces of two loops and their transported signs.
 
-    When the subspaces stay closer than 1 everywhere, the two
-    eigenbundles are isomorphic, so equal signs are asserted (a
-    mismatch raises).  When the criterion fails the report only states
-    what was computed; nothing is claimed in that regime.
+    The subspaces are compared at 257 evenly spaced points of [0, 1].
+    When they stay closer than 1 everywhere, the two eigenbundles are
+    isomorphic, so equal signs are asserted (a mismatch raises).  When
+    the criterion fails the report only states what was computed;
+    nothing is claimed in that regime.
     """
-    grid = np.linspace(0.0, 1.0, n_samples + 1)
+    grid = np.linspace(0.0, 1.0, 257)
     fa, fb = [], []
     for t, a, b in zip(grid, _factor_samples(loop_a, grid), _factor_samples(loop_b, grid)):
         fa.append(_window_frame(*a, window, t))

@@ -121,6 +121,9 @@ BAD_CONFIGS = {
     "refine-zero": (
         "lasso-scan", shipped("lasso_conical.json", tolerances={"refine": 0.0}),
         "tolerances: refine must be positive"),
+    "window-misses-basepoint": (
+        "lasso-scan", shipped("lasso_conical.json", window={"lower": 1.5, "upper": 2.5}),
+        "window: at the boundary basepoint: window holds 0 eigenvalues, expected 1"),
 }
 
 

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eigenlasso
 from eigenlasso.clifford import (
     EPSILON_BY_DIMENSION,
+    StructureMap,
+    _generator_product,
     build_clifford,
     find_structure_map,
     lift_rotation,
@@ -101,6 +109,38 @@ def test_structure_map_invariants(m):
     n = rep.dim
     np.testing.assert_allclose(c.conj().T @ c, np.eye(n), atol=1e-10)
     np.testing.assert_allclose(c @ c.conj(), smap.epsilon * np.eye(n), atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 7, 8])
+def test_closed_form_and_solved_structure_maps_agree(m):
+    # find_structure_map solves for C up to dim 16 and takes the closed
+    # form above it; here both routes run where the solve does
+    rep = build_clifford(m)
+    solved = find_structure_map(rep)
+    closed = StructureMap(matrix=_generator_product(rep), epsilon=solved.epsilon)
+    # both unitary with Frobenius norm sqrt(n), so equal up to a unit phase
+    # exactly when their overlap has modulus n
+    assert abs(np.vdot(closed.matrix, solved.matrix)) == pytest.approx(rep.dim, abs=1e-10)
+    assert closed.commutant_residual(rep) == 0.0
+    np.testing.assert_allclose(closed.matrix @ closed.matrix.conj(),
+                               solved.epsilon * np.eye(rep.dim), atol=1e-12)
+
+
+def test_structure_maps_and_spin_loops_run_without_scipy():
+    script = (
+        "import sys\n"
+        "from eigenlasso.clifford import build_clifford, find_structure_map\n"
+        "from eigenlasso.models import make_odd_multiplicity_base, make_spin_loop\n"
+        "for m in (2, 3, 4, 6, 7, 8, 10, 11, 12):\n"
+        "    find_structure_map(build_clifford(m))\n"
+        "base = make_odd_multiplicity_base([3.5] * 16, 0.1, seed=1)\n"
+        "make_spin_loop(8, base).family()(0.3)\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(eigenlasso.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_structure_map_matches_brute_force_m2():

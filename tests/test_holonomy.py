@@ -260,7 +260,23 @@ def test_refined_grid_matches_all_pairs_reference(n, turns, count, initial_sampl
     np.testing.assert_array_equal(path.parameters, expected)
 
 
-@pytest.mark.parametrize("turns,count,initial_samples", GRID_CASES)
+# ((turns of the first half, of the second), count, initial_samples): the
+# fast half splits where the slow one does not, so passes split only some
+# of the intervals they check; every checked distance is at least 7e-3
+# away from MAX_PROJECTOR_STEP
+PARTLY_SPLIT_CASES = [((2.0, 0.5), 2, 6), ((2.0, 0.5), 1, 7), ((3.0, 1.0), 1, 5),
+                      ((2.5, 0.5), 3, 7), ((0.5, 2.0), 3, 9)]
+
+
+def block_rotations(n, turns):
+    """Block-rotation loop of rotated_base(n); a pair of turns concatenates two."""
+    base = rotated_base(n)
+    if isinstance(turns, tuple):
+        return concatenate_loops(*(make_block_rotation_loop(base, t).family() for t in turns))
+    return make_block_rotation_loop(base, turns).family()
+
+
+@pytest.mark.parametrize("turns,count,initial_samples", GRID_CASES + PARTLY_SPLIT_CASES)
 def test_each_interval_is_checked_once(monkeypatch, turns, count, initial_samples):
     pairs = []
     distance = holonomy._frame_distance
@@ -270,7 +286,7 @@ def test_each_interval_is_checked_once(monkeypatch, turns, count, initial_sample
         return distance(f, g)
 
     monkeypatch.setattr(holonomy, "_frame_distance", counted)
-    family = make_block_rotation_loop(rotated_base(8), turns).family()
+    family = block_rotations(8, turns)
     window = SpectralWindow(0.5, count + 0.5, count=count)
     path, _ = transport(family, window, initial_samples=initial_samples)
     # initial intervals plus two per split, and each split adds one sample
