@@ -28,7 +28,6 @@ from .models import (
 )
 from .spectral import (
     SpectralWindow,
-    WindowMembership,
     eigendecompose,
     enumerate_family,
     minmax_check,
@@ -38,7 +37,6 @@ from .spectral import (
     spectral_projector_contour,
     spectral_projector_eig,
     verify_dirac_properties,
-    window_membership,
 )
 from .holonomy import (
     FramePath,
@@ -52,7 +50,6 @@ from .lasso import (
     DegeneracyCertificate,
     DegeneracyNotFound,
     DiscFamily,
-    cluster_multiplicity,
     make_orbit_disc,
     refine,
     scan_disc,

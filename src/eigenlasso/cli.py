@@ -219,6 +219,9 @@ def _jsonable(obj):
 
 
 def _write_atomic(path: str, text: str):
+    # the directory is made at the first write, so a run refused before
+    # its first artifact leaves none behind
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
@@ -250,7 +253,6 @@ class _Run:
         self.seed_override = args.seed
         self.out = (args.out or os.environ.get("EIGENLASSO_OUT")
                     or self.spec["output"]["dir"] or ".")
-        os.makedirs(self.out, exist_ok=True)
         self.artifacts = {}
         self.warnings = []
 
@@ -430,7 +432,6 @@ def _cmd_reproduce_all(args) -> int:
     print(f"{n_pass}/{len(results)} criteria passed")
     out = args.out or os.environ.get("EIGENLASSO_OUT")
     if out:
-        os.makedirs(out, exist_ok=True)
         _write_json(os.path.join(out, "reproduce_all.json"),
                     {"results": [r.to_dict() for r in results],
                      "passed": n_pass == len(results)})

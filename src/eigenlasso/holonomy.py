@@ -41,6 +41,10 @@ __all__ = [
 # breakdown distance 1
 MAX_PROJECTOR_STEP = 0.5
 
+# cap on the samples of one transport, initial and refined: memory grows
+# with samples * n * k
+_MAX_SAMPLES = 100_000
+
 
 class TransportError(RuntimeError):
     """Transport could not proceed; carries the offending parameter."""
@@ -131,8 +135,7 @@ def _polar_align(new: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return new @ (u @ vt)
 
 
-def transport(loop: OperatorFamily, window: SpectralWindow,
-              initial_samples: int = 16, initial_frame: Optional[np.ndarray] = None):
+def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int = 16):
     """Drag a window eigenframe once around the loop.
 
     Returns (FramePath, ReturnMatrix).  Sampling is refined adaptively:
@@ -145,14 +148,14 @@ def transport(loop: OperatorFamily, window: SpectralWindow,
     then differ from the one a finer grid gives (for example,
     ``make_block_rotation_loop(diag(1, 2, 3, 4), turns=1.5)`` with
     window (0.5, 1.5) and ``initial_samples=3`` returns +1 where the
-    parity rule says -1).
-
-    ``initial_frame``, when given, replaces the eigendecomposition
-    frame at the basepoint; it must be orthonormal and span the same
-    window subspace.  The sign is independent of this gauge choice.
+    parity rule says -1).  Refinement stops with TransportError beyond
+    100000 samples, and ``initial_samples`` above 100000 is refused
+    before anything is sampled.
     """
     if initial_samples < 2:
         raise ValueError("need at least 2 initial samples")
+    if initial_samples > _MAX_SAMPLES:
+        raise ValueError(f"initial_samples must be at most {_MAX_SAMPLES}, got {initial_samples}")
     # the raw sampler: calling a circle family wraps t = 1 back to 0
     base = loop.sampler(0.0)
     values, vectors = eigendecompose(base)
@@ -173,9 +176,9 @@ def transport(loop: OperatorFamily, window: SpectralWindow,
         distances = _frame_distance(_frame_stack(cache[a] for a, _ in pending),
                                     _frame_stack(cache[b] for _, b in pending))
         bad = [pair for pair, d in zip(pending, distances) if d >= MAX_PROJECTOR_STEP]
-        if bad and len(ts) + len(bad) > 100_000:
+        if bad and len(ts) + len(bad) > _MAX_SAMPLES:
             raise TransportError(
-                "refinement exceeded 100000 samples; "
+                f"refinement exceeded {_MAX_SAMPLES} samples; "
                 "window subspace moves too fast somewhere on the loop"
             )
         pending = []
@@ -185,17 +188,7 @@ def transport(loop: OperatorFamily, window: SpectralWindow,
             pending += [(a, mid), (mid, b)]
     ts.sort()
 
-    f0 = cache[ts[0]]
-    if initial_frame is not None:
-        given = np.asarray(initial_frame)
-        if given.shape != (base.shape[0], window.count):
-            raise ValueError(f"initial frame must have shape {(base.shape[0], window.count)}")
-        if np.linalg.norm(given.conj().T @ given - np.eye(window.count), 2) > 1e-10:
-            raise ValueError("initial frame is not orthonormal")
-        if _frame_distance(f0, given) > 1e-8:
-            raise ValueError("initial frame does not span the window subspace")
-        f0 = given
-    frames = [f0]
+    frames = [cache[ts[0]]]
     for t in ts[1:]:
         frames.append(_polar_align(cache[t], frames[-1]))
 

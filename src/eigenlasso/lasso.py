@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .models import (
     _stack_chunks,
     as_matrix,
 )
-from .spectral import SpectralWindow, cluster_groups, eigendecompose
+from .spectral import SpectralWindow, eigendecompose
 from .holonomy import transport
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "make_orbit_disc",
     "scan_disc",
     "refine",
-    "cluster_multiplicity",
 ]
 
 
@@ -145,7 +144,7 @@ class ScanResult:
     candidates: Tuple[Tuple[float, float, float], ...]  # (gap, r, theta)
     anchor: int
     window: SpectralWindow
-    boundary_sign: Optional[int]
+    boundary_sign: int
 
     @property
     def best(self) -> Tuple[float, float, float]:
@@ -157,8 +156,7 @@ class ScanResult:
 
 
 def scan_disc(disc: DiscFamily, window: SpectralWindow,
-              grid: Tuple[int, int] = (16, 24),
-              check_boundary_sign: bool = True) -> ScanResult:
+              grid: Tuple[int, int] = (16, 24)) -> ScanResult:
     """Evaluate the anchored gap indicator on a polar grid.
 
     The radial grid starts at 1/n_r, not 0: refinement owns the center.
@@ -170,16 +168,13 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
     if n_r < 1 or n_theta < 3:
         raise ValueError("grid must have n_r >= 1 and n_theta >= 3")
     anchor = _anchor_index(disc, window)
-    sign = None
-    if check_boundary_sign:
-        _, ret = transport(disc.boundary, window)
-        sign = ret.sign
-        if sign != -1:
-            warnings.warn(
-                "boundary loop has return sign +1; no degeneracy is forced "
-                "and the scan may find nothing",
-                stacklevel=2,
-            )
+    _, ret = transport(disc.boundary, window)
+    if ret.sign != -1:
+        warnings.warn(
+            "boundary loop has return sign +1; no degeneracy is forced "
+            "and the scan may find nothing",
+            stacklevel=2,
+        )
     rs = (np.arange(n_r) + 1.0) / n_r
     thetas = np.arange(n_theta) / n_theta
     # the boundary ring is sampled once; one radius at a time keeps a
@@ -195,7 +190,7 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
     )
     return ScanResult(r_values=rs, theta_values=thetas, gap_map=gap_map,
                       candidates=candidates, anchor=anchor, window=window,
-                      boundary_sign=sign)
+                      boundary_sign=ret.sign)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +262,12 @@ def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
 
 
 def refine(disc: DiscFamily, window: SpectralWindow,
-           point: Union[Tuple[float, float], Sequence[float]], tol: float,
+           point: Tuple[float, float, float], tol: float,
            step: Optional[Tuple[float, float]] = None) -> DegeneracyCertificate:
     """Shrink the anchored gap below ``tol`` by nested stencil search.
 
+    ``point`` is a (gap, r, theta) candidate of ``scan_disc``, such as
+    ``ScanResult.best``; the search starts at its (r, theta).
     Deterministic 5x5 stencils around the current best point, with the
     stencil radius divided by 4 per level; the radial coordinate is
     clipped to [0, 1] and the angle wraps.  Raises DegeneracyNotFound
@@ -278,9 +275,7 @@ def refine(disc: DiscFamily, window: SpectralWindow,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if len(point) == 3:  # a (gap, r, theta) candidate from scan_disc
-        point = point[1:]
-    r, theta = float(point[0]), float(point[1])
+    _, r, theta = (float(x) for x in point)
     if step is None:
         step = (0.25, 0.25)
     dr, dt = float(step[0]), float(step[1])
@@ -308,10 +303,3 @@ def refine(disc: DiscFamily, window: SpectralWindow,
         return _certificate_at(disc, window, anchor, best_r, best_t, tol)
     raise DegeneracyNotFound((best_r, best_t), best_gap, max_levels)
 
-
-def cluster_multiplicity(spectrum, tol: float) -> list:
-    """Sorted spectrum as (value, multiplicity) pairs at resolution tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    values = np.sort(np.asarray(spectrum, dtype=float).ravel())
-    return [(float(values[a:b].mean()), b - a) for a, b in cluster_groups(values, tol)]

@@ -123,14 +123,6 @@ class OperatorFamily:
             return self.stacker(ts)
         return np.stack([self.sampler(t) for t in ts.tolist()])
 
-    def rebased(self, shift: float) -> "OperatorFamily":
-        """The same circle loop started at parameter ``shift``."""
-        if self.domain != "circle":
-            raise ValueError("rebasing is only defined for circle families")
-        base = self
-        return _stacked_loop(lambda ts: base.stack(ts + shift), self.parity,
-                             f"{self.name}@{shift:g}" if self.name else "")
-
 
 def _stacked_loop(stacker: Callable[[np.ndarray], np.ndarray], parity: Optional[str],
                   name: str) -> OperatorFamily:
@@ -216,15 +208,6 @@ class CircleDiracModel:
         """Hermitian realization i * A in the same trigonometric basis."""
         return SymmetricOperator(1j * self.antisymmetric)
 
-    def family(self) -> OperatorFamily:
-        h = self.operator().matrix
-
-        def sampler(t: float) -> np.ndarray:
-            return h
-
-        return OperatorFamily(domain="interval", sampler=sampler,
-                              name=f"circle(n_max={self.n_max}, delta={self.delta})")
-
 
 def make_circle_dirac(n_max: int, delta: float) -> CircleDiracModel:
     """Build the truncated circle model for offset delta in {0, 1/2}.
@@ -299,12 +282,6 @@ class EquivariantLoopModel:
         """D(t) for every t in ``ts`` (wrapped mod 1) as one (N, n, n) array."""
         r = self.rotations(np.asarray(ts, dtype=float).ravel() % 1.0)
         return r @ self.base.matrix @ r.swapaxes(-1, -2)
-
-    def operator_at(self, t: float) -> np.ndarray:
-        return self.stack([t])[0]
-
-    def transport_vector(self, t: float, v: np.ndarray) -> np.ndarray:
-        return self.rotations(np.array([float(t) % 1.0]))[0] @ v
 
     def family(self) -> OperatorFamily:
         return _stacked_loop(self.stack, self.parity,

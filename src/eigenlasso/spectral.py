@@ -1,11 +1,12 @@
 """Spectral analysis: windows, projectors, and variational bounds.
 
-The window predicate encodes the admissible region for the holonomy
-machinery: exactly ``count`` eigenvalues strictly inside, clean gaps at
-both ends, and at least one odd-multiplicity cluster inside.  Spectral
-projectors come in two independent flavors, one assembled from
-eigenvectors and one from a resolvent contour quadrature; they are kept
-separate on purpose so each can validate the other.
+``SpectralWindow.indices`` is the one window rule the holonomy and
+lasso machinery consult: both endpoints at least ENDPOINT_MARGIN from
+the spectrum, and exactly ``count`` eigenvalues strictly inside; the
+predicted sign reads that count's parity.  Spectral projectors
+come in two independent flavors, one assembled from eigenvectors and
+one from a resolvent contour quadrature; they are kept separate on
+purpose so each can validate the other.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ __all__ = [
     "CLUSTER_RTOL",
     "PROJECTOR_TOL",
     "SpectralWindow",
-    "WindowMembership",
     "EnumeratedFamily",
     "MinMaxReport",
     "RayleighReport",
     "DiracPropertyReport",
     "eigendecompose",
     "enumerate_family",
-    "window_membership",
     "cluster_groups",
     "spectral_projector_eig",
     "spectral_projector_contour",
@@ -148,78 +147,16 @@ def cluster_groups(sorted_values: np.ndarray, tol: float) -> list:
     """Index ranges (start, stop) of clusters in an ascending array.
 
     Greedy left to right: a new cluster starts whenever the gap to the
-    previous value exceeds ``tol``.
+    previous value exceeds ``tol``, which must be positive.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     values = np.asarray(sorted_values)
     if values.size == 0:
         return []
     splits = np.nonzero(np.diff(values) > tol)[0] + 1
     bounds = np.concatenate([[0], splits, [values.size]])
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(bounds.size - 1)]
-
-
-@dataclass(frozen=True)
-class WindowMembership:
-    """Verdict of the window predicate with its individual reasons."""
-
-    admissible: bool
-    n_in_window: int
-    expected_count: int
-    count_ok: bool
-    gap_below: float
-    gap_above: float
-    gap_below_ok: bool
-    gap_above_ok: bool
-    has_odd_cluster: bool
-    clusters: Tuple[Tuple[float, int], ...]
-
-
-def window_membership(op, window: SpectralWindow) -> WindowMembership:
-    """Check window admissibility for one operator.
-
-    Admissible means: exactly ``window.count`` eigenvalues strictly
-    inside, the gaps separating them from the nearest outside
-    eigenvalues both exceed CLUSTER_RTOL * max(1, max |eigenvalue|), the
-    resolution that also groups clusters, and the inside spectrum has at
-    least one odd-multiplicity cluster.
-    Raises if an endpoint collides with an eigenvalue (the window is
-    then invalid for this operator).
-    """
-    values = np.linalg.eigvalsh(as_matrix(op))
-    held = window._range(values)
-    tol = CLUSTER_RTOL * _scale(values)
-
-    inside = values[held]
-    n_below = held.start
-    count_in = inside.size
-    count_ok = count_in == window.count
-
-    gap_below = np.inf
-    gap_above = np.inf
-    if count_in:
-        if n_below > 0:
-            gap_below = float(inside[0] - values[n_below - 1])
-        j_above = n_below + count_in
-        if j_above < values.size:
-            gap_above = float(values[j_above] - inside[-1])
-    clusters = tuple(
-        (float(inside[a:b].mean()), b - a) for a, b in cluster_groups(inside, tol)
-    )
-    has_odd = any(mult % 2 == 1 for _, mult in clusters)
-    gap_below_ok = gap_below > tol
-    gap_above_ok = gap_above > tol
-    return WindowMembership(
-        admissible=count_ok and gap_below_ok and gap_above_ok and has_odd,
-        n_in_window=count_in,
-        expected_count=window.count,
-        count_ok=count_ok,
-        gap_below=gap_below,
-        gap_above=gap_above,
-        gap_below_ok=gap_below_ok,
-        gap_above_ok=gap_above_ok,
-        has_odd_cluster=has_odd,
-        clusters=clusters,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,32 @@ def test_malformed_window_exits_1_and_names_the_field(tmp_path, capsys, command,
     assert capsys.readouterr().err.startswith(f"config error: {expected}")
 
 
+# refused after the config check passed, before any artifact is written
+REFUSED_RUNS = {
+    "window-misses-basepoint": (
+        "lasso-scan", shipped("lasso_conical.json", window={"lower": 1.5, "upper": 2.5}),
+        "config error: window: "),
+    "transport-error": (
+        "holonomy", shipped("holonomy_halfturn.json", window={"lower": 100, "upper": 101}),
+        "error: TransportError: "),
+}
+
+
+@pytest.mark.parametrize("command, payload, expected", REFUSED_RUNS.values(),
+                         ids=REFUSED_RUNS)
+def test_refused_run_creates_no_output_directory(tmp_path, capsys, command, payload,
+                                                 expected):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(expected)
+    assert not out.exists()
+    # an --out directory that already exists is left in place
+    out.mkdir()
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert out.is_dir() and not any(out.iterdir())
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     code = cli.main(["holonomy", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)])

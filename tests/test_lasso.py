@@ -4,7 +4,6 @@ import pytest
 from eigenlasso.lasso import (
     DegeneracyNotFound,
     DiscFamily,
-    cluster_multiplicity,
     make_orbit_disc,
     refine,
     scan_disc,
@@ -14,7 +13,7 @@ from eigenlasso.models import (
     SymmetricOperator,
     make_halfturn_loop,
 )
-from eigenlasso.spectral import SpectralWindow
+from eigenlasso.spectral import SpectralWindow, cluster_groups
 from oracle_reference import conical_gap
 
 
@@ -130,18 +129,13 @@ def test_refine_lands_on_the_conical_point():
     assert cert.residual_b <= 10 * cert.gap + 1e-9
 
 
-def test_refine_accepts_bare_coordinates():
-    disc = make_conical_disc()
-    window = SpectralWindow(0.0, 2.0, count=1)
-    cert = refine(disc, window, (0.2, 0.4), tol=1e-10)
-    assert cert.gap <= 1e-10
-
-
 def test_halfturn_mean_disc_has_central_degeneracy():
     loop = make_halfturn_loop(np.diag([1.0, 2.0]))
     disc = make_orbit_disc(loop, center="mean")
     window = SpectralWindow(0.5, 2.5, count=2)
-    scan = scan_disc(disc, window, grid=(8, 12), check_boundary_sign=False)
+    # the count-2 window's boundary sign is +1
+    with pytest.warns(UserWarning, match="sign \\+1"):
+        scan = scan_disc(disc, window, grid=(8, 12))
     cert = refine(disc, window, scan.best, tol=1e-8)
     assert cert.gap <= 1e-8
     assert cert.mean == pytest.approx(1.5, abs=1e-6)
@@ -150,7 +144,8 @@ def test_halfturn_mean_disc_has_central_degeneracy():
 def test_negative_control_reports_best_point():
     disc = make_commuting_disc(amplitude=0.3)
     window = SpectralWindow(0.5, 1.5, count=1)
-    scan = scan_disc(disc, window, grid=(12, 16), check_boundary_sign=False)
+    with pytest.warns(UserWarning, match="sign \\+1"):
+        scan = scan_disc(disc, window, grid=(12, 16))
     with pytest.raises(DegeneracyNotFound) as exc:
         refine(disc, window, scan.best, tol=1e-10)
     err = exc.value
@@ -165,8 +160,9 @@ def test_negative_control_reports_best_point():
 def test_certificates_are_deterministic():
     disc = make_conical_disc()
     window = SpectralWindow(0.0, 2.0, count=1)
-    a = refine(disc, window, (0.3, 0.1), tol=1e-10)
-    b = refine(disc, window, (0.3, 0.1), tol=1e-10)
+    start = scan_disc(disc, window, grid=(8, 12)).best
+    a = refine(disc, window, start, tol=1e-10)
+    b = refine(disc, window, start, tol=1e-10)
     assert (a.r, a.theta, a.gap, a.lambda_a, a.lambda_b) == \
         (b.r, b.theta, b.gap, b.lambda_a, b.lambda_b)
 
@@ -174,19 +170,14 @@ def test_certificates_are_deterministic():
 # ---------------------------------------------------------------- clustering
 
 def test_cluster_multiplicity_merges_near_ties():
-    groups = cluster_multiplicity(np.array([1.0, 1.0 + 1e-12, 2.0]), tol=1e-9)
-    assert len(groups) == 2
-    assert groups[0][1] == 2
-    assert groups[0][0] == pytest.approx(1.0, abs=1e-9)
-    assert groups[1] == (2.0, 1)
+    assert cluster_groups(np.array([1.0, 1.0 + 1e-12, 2.0]), tol=1e-9) == [(0, 2), (2, 3)]
 
 
 def test_cluster_multiplicity_distinct_and_degenerate():
-    assert [g[1] for g in cluster_multiplicity(np.array([0.0, 1.0, 2.0]), tol=1e-9)] == [1, 1, 1]
-    groups = cluster_multiplicity(np.zeros(3), tol=1e-9)
-    assert groups == [(0.0, 3)]
+    assert cluster_groups(np.array([0.0, 1.0, 2.0]), tol=1e-9) == [(0, 1), (1, 2), (2, 3)]
+    assert cluster_groups(np.zeros(3), tol=1e-9) == [(0, 3)]
 
 
 def test_cluster_multiplicity_rejects_bad_tol():
     with pytest.raises(ValueError):
-        cluster_multiplicity(np.array([1.0, 2.0]), tol=0.0)
+        cluster_groups(np.array([1.0, 2.0]), tol=0.0)

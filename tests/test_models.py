@@ -87,8 +87,8 @@ def test_halfturn_matches_direct_products():
     d0 = np.diag([1.0, 2.0])
     loop = make_halfturn_loop(d0)
     for t in (0.0, 0.25, 0.5, 0.8):
-        np.testing.assert_allclose(loop.operator_at(t), halfturn_sample(d0, t), atol=1e-14)
-    np.testing.assert_allclose(loop.operator_at(0.25),
+        np.testing.assert_allclose(loop.family()(t), halfturn_sample(d0, t), atol=1e-14)
+    np.testing.assert_allclose(loop.family()(0.25),
                                [[1.5, -0.5], [-0.5, 1.5]], atol=1e-14)
 
 
@@ -117,7 +117,7 @@ def test_loops_are_isospectral(loop_maker):
     d0 = np.diag([1.0, 2.0, 3.0, 4.0])
     loop = loop_maker(d0)
     for t in np.linspace(0, 1, 37):
-        np.testing.assert_allclose(np.linalg.eigvalsh(loop.operator_at(t)),
+        np.testing.assert_allclose(np.linalg.eigvalsh(loop.family()(t)),
                                    [1, 2, 3, 4], atol=1e-12)
 
 
@@ -126,8 +126,8 @@ def test_eigenvector_transport_law():
     loop = make_halfturn_loop(d0)
     v = np.eye(4)[:, 2]  # eigenvector of the simple eigenvalue 3
     for t in (0.2, 0.6):
-        moved = loop.transport_vector(t, v)
-        residual = np.linalg.norm(loop.operator_at(t) @ moved - 3.0 * moved)
+        moved = loop.rotations(np.array([t]))[0] @ v
+        residual = np.linalg.norm(loop.family()(t) @ moved - 3.0 * moved)
         assert residual <= 1e-10
 
 
@@ -139,7 +139,7 @@ def test_spin_loop_parity_and_isospectrality(m):
     even = make_spin_loop(m, base, turns=2)
     assert even.parity == "even"
     for t in np.linspace(0, 1, 17):
-        np.testing.assert_allclose(np.linalg.eigvalsh(loop.operator_at(t)),
+        np.testing.assert_allclose(np.linalg.eigvalsh(loop.family()(t)),
                                    np.arange(1.0, 9.0), atol=1e-11)
 
 
@@ -176,13 +176,6 @@ def test_odd_multiplicity_base_zero_epsilon_and_guards():
         make_odd_multiplicity_base([], epsilon=0.1, seed=0)
 
 
-def test_rebased_family_shifts_the_start():
-    loop = make_halfturn_loop(np.diag([1.0, 2.0])).family()
-    shifted = loop.rebased(0.25)
-    np.testing.assert_array_equal(shifted(0.0), loop(0.25))
-    np.testing.assert_allclose(shifted(0.9), loop(0.15), atol=1e-14)
-
-
 def _rotated(n, seed=0):
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     base = q @ np.diag(np.arange(1.0, n + 1.0)) @ q.T
@@ -201,12 +194,10 @@ STACKED_FAMILIES = {
     # kron placed -0.0 off the blocks where the broadcast rotations hold +0.0
     "block-diagonal-base": lambda: make_halfturn_loop(np.diag(np.arange(1.0, 9.0))).family(),
     "spin-m7": lambda: make_spin_loop(7, np.diag(np.arange(1.0, 9.0))).family(),
-    "rebased": lambda: make_halfturn_loop(_rotated(4)).family().rebased(0.3),
     "concatenated": lambda: concatenate_loops(make_halfturn_loop(_rotated(4)).family(),
                                               make_fullturn_loop(_rotated(4)).family()),
     "lambda-circle": lambda: OperatorFamily(domain="circle", sampler=_wobble),
     "lambda-interval": lambda: OperatorFamily(domain="interval", sampler=_wobble),
-    "lambda-rebased": lambda: OperatorFamily(domain="circle", sampler=_wobble).rebased(0.6),
 }
 # t = 1.0 and t > 1 included: circle families wrap both
 STACK_TS = np.concatenate([np.linspace(0.0, 1.0, 13), [0.3, 0.999, 1.0, 1.25, 2.5, 0.5]])
