@@ -11,18 +11,23 @@ reflection; QR with unconstrained diagonal signs could.
 Everything here works on n x k window frames, never on n x n
 projectors: for orthonormal frames F and G of equal rank,
 ||P_F - P_G|| = ||G - F (F^H G)|| = sin of the largest principal angle,
-and P_G F = G (G^H F).
+and P_G F = G (G^H F).  The polar chain runs in closed form: F_i = R_i W_i
+for the raw frames R_i, with W_0 = I and W_{i+1} = Q_i W_i for Q_i the
+polar factor of R_{i+1}^H R_i, as polar(M W) = polar(M) W and sigma(M W) =
+sigma(M) for unitary W.  Grids and signs are bit for bit those of one polar
+step at a time; frames and return matrices agree with it up to round-off.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .models import OperatorFamily, _stacked_loop
-from .spectral import SpectralWindow, _factor_samples, eigendecompose
+from .models import OperatorFamily, _stack_chunks, _stacked_loop
+from .spectral import SpectralWindow, _StackError, eigendecompose
 
 __all__ = [
     "MAX_PROJECTOR_STEP",
@@ -76,18 +81,39 @@ class ReturnMatrix:
     sign: int
 
 
-def _window_frame(values: np.ndarray, vectors: np.ndarray, window: SpectralWindow,
-                  t: float) -> np.ndarray:
-    """In-window orthonormal frame from one sample's eigendecomposition.
-
-    A column-major copy: a view would keep the sample's whole n x n
-    eigenvector matrix alive in the transport cache.
-    """
+@contextmanager
+def _at(ts):
+    """Report a ValueError about entry i of a stack as a TransportError at ts[i]."""
     try:
-        held = window.indices(values)
-    except ValueError as exc:
+        yield
+    except _StackError as exc:
+        t = float(ts[exc.index])
         raise TransportError(f"at t={t:.6g}: {exc}", parameter=t) from exc
-    return vectors[:, held].copy(order="F")
+
+
+def _window_frames(window: SpectralWindow, values, vectors) -> np.ndarray:
+    """In-window frames of factored samples, as a (P, k, n) stack of transposed frames.
+
+    The n x k frames of its ``swapaxes(-1, -2)`` are column-major, the
+    layout that keeps the bits of ``_frame_distance``.
+    """
+    start, _ = window._bounds(values)
+    columns = start[:, None] + np.arange(window.count)
+    return vectors.swapaxes(-1, -2)[np.arange(start.size)[:, None], columns]
+
+
+def _sample_frames(loop: OperatorFamily, window: SpectralWindow, ts, nbytes: Optional[int] = None):
+    """``_window_frames`` at ``ts``, built and factored per ``models._stack_chunks`` run."""
+    stacks = []
+    for chunk in _stack_chunks(loop, ts, nbytes):
+        with _at(ts[sum(map(len, stacks)):]):  # the chunk's own ts start there
+            stacks.append(_window_frames(window, *eigendecompose(chunk)))
+    return np.concatenate(stacks)
+
+
+def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[0], y[0], x[1], y[1], ... along the first axis."""
+    return np.stack([x, y], 1).reshape(-1, *x.shape[1:])
 
 
 def _differ(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> bool:
@@ -112,29 +138,6 @@ def _frame_distance(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.linalg.svd(residual, compute_uv=False).max(axis=-1)
 
 
-def _frame_stack(frames) -> np.ndarray:
-    """(P, n, k) stack of n x k frames, each slice column-major like the frames.
-
-    The layout keeps every product in ``_frame_distance`` the same BLAS
-    call, and so the same bits, as on the single frame.
-    """
-    return np.stack([f.T for f in frames]).swapaxes(-1, -2)
-
-
-def _polar_align(new: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Polar factor of the frame dragged onto the span of ``new``.
-
-    The dragged frame is P_new F = new (new^H F); its polar factor is
-    new (u v^H) from the SVD u s v^H of the k x k overlap.
-    """
-    u, s, vt = np.linalg.svd(new.conj().T @ frame)
-    if float(s.min()) < 0.1:
-        raise TransportError(
-            f"dragged frame nearly rank-deficient (smallest singular value {s.min():.3e})"
-        )
-    return new @ (u @ vt)
-
-
 def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int = 16):
     """Drag a window eigenframe once around the loop.
 
@@ -149,8 +152,8 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
     ``make_block_rotation_loop(diag(1, 2, 3, 4), turns=1.5)`` with
     window (0.5, 1.5) and ``initial_samples=3`` returns +1 where the
     parity rule says -1).  Refinement stops with TransportError beyond
-    100000 samples, and ``initial_samples`` above 100000 is refused
-    before anything is sampled.
+    100000 samples or at an interval whose ends are adjacent floats, and
+    ``initial_samples`` above 100000 is refused before anything is sampled.
     """
     if initial_samples < 2:
         raise ValueError("need at least 2 initial samples")
@@ -158,39 +161,50 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
         raise ValueError(f"initial_samples must be at most {_MAX_SAMPLES}, got {initial_samples}")
     # the raw sampler: calling a circle family wraps t = 1 back to 0
     base = loop.sampler(0.0)
-    values, vectors = eigendecompose(base)
-    if _differ(base, loop.sampler(1.0), values):
-        raise TransportError("loop is not closed: samples at t=0 and t=1 differ")
+    with _at([0.0]):
+        values, vectors = eigendecompose(base)
+        if _differ(base, loop.sampler(1.0), values):
+            raise TransportError("loop is not closed: samples at t=0 and t=1 differ")
+        frames = _window_frames(window, values[None], vectors[None])
 
-    ts = list(np.linspace(0.0, 1.0, initial_samples + 1))
-    cache = {ts[0]: _window_frame(values, vectors, window, ts[0])}
+    # breadth-first worklist: each pass checks the intervals (lo, hi) the last
+    # one created, left to right, and factors the midpoints of those it splits
+    ts = np.linspace(0.0, 1.0, initial_samples + 1)
+    frames = np.concatenate([frames, _sample_frames(loop, window, ts[1:], base.nbytes)])
+    times, stacks = [ts], [frames]
+    lo, hi, f_lo, f_hi = ts[:-1], ts[1:], frames[:-1], frames[1:]
+    while True:
+        far = _frame_distance(f_lo.swapaxes(-1, -2), f_hi.swapaxes(-1, -2)) >= MAX_PROJECTOR_STEP
+        lo, hi, f_lo, f_hi = lo[far], hi[far], f_lo[far], f_hi[far]
+        if not lo.size:
+            break
+        if sum(map(len, times)) + lo.size > _MAX_SAMPLES:
+            raise TransportError(f"refinement exceeded {_MAX_SAMPLES} samples; "
+                                 "window subspace moves too fast somewhere on the loop")
+        mid = 0.5 * (lo + hi)
+        stuck = np.flatnonzero((mid == lo) | (mid == hi))
+        if stuck.size:  # lo and hi are adjacent floats, so no split can ever pass
+            t = float(lo[stuck[0]])
+            raise TransportError(f"at t={t:.6g}: window subspace jumps by at least "
+                                 f"{MAX_PROJECTOR_STEP} between adjacent floats", parameter=t)
+        times.append(mid)
+        stacks.append(_sample_frames(loop, window, mid, base.nbytes))
+        lo, hi = _interleave(lo, mid), _interleave(mid, hi)
+        f_lo, f_hi = _interleave(f_lo, stacks[-1]), _interleave(stacks[-1], f_hi)
+    ts = np.concatenate(times)
+    order = np.argsort(ts, kind="stable")
+    ts, raw = ts[order], np.concatenate(stacks)[order].swapaxes(-1, -2)
 
-    # breadth-first worklist: each pass samples the points the previous
-    # pass created as one stack, then checks only the intervals it
-    # created, left to right
-    pending = list(zip(ts[:-1], ts[1:]))
-    while pending:
-        new = [t for t in dict.fromkeys(t for pair in pending for t in pair) if t not in cache]
-        for t, spectrum in zip(new, _factor_samples(loop, new, base.nbytes)):
-            cache[t] = _window_frame(*spectrum, window, t)
-        distances = _frame_distance(_frame_stack(cache[a] for a, _ in pending),
-                                    _frame_stack(cache[b] for _, b in pending))
-        bad = [pair for pair, d in zip(pending, distances) if d >= MAX_PROJECTOR_STEP]
-        if bad and len(ts) + len(bad) > _MAX_SAMPLES:
-            raise TransportError(
-                f"refinement exceeded {_MAX_SAMPLES} samples; "
-                "window subspace moves too fast somewhere on the loop"
-            )
-        pending = []
-        for a, b in bad:
-            mid = 0.5 * (a + b)
-            ts.append(mid)
-            pending += [(a, mid), (mid, b)]
-    ts.sort()
-
-    frames = [cache[ts[0]]]
-    for t in ts[1:]:
-        frames.append(_polar_align(cache[t], frames[-1]))
+    u, sigma, vh = np.linalg.svd(raw[1:].conj().swapaxes(-1, -2) @ raw[:-1])
+    weak = np.flatnonzero(~(sigma.min(axis=-1) >= 0.1))
+    if weak.size:
+        raise TransportError("dragged frame nearly rank-deficient "
+                             f"(smallest singular value {sigma[weak[0]].min():.3e})")
+    turns = np.concatenate([np.eye(window.count)[None], u @ vh])
+    # the W_i of the module docstring, as prefix products in log2(N) doubling steps
+    for step in [1 << j for j in range((len(turns) - 1).bit_length())]:
+        turns[step:] = turns[step:] @ turns[:-step]
+    frames = raw @ turns
 
     a = frames[0].conj().T @ frames[-1]
     det = np.linalg.det(a)
@@ -202,7 +216,7 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
             f"return matrix is far from orthogonal (|det| = {abs(det):.6f}); "
             "transport is unreliable"
         )
-    path = FramePath(parameters=np.array(ts), frames=tuple(frames), window=window)
+    path = FramePath(parameters=ts, frames=tuple(frames), window=window)
     ret = ReturnMatrix(matrix=a, determinant=det, sign=1 if det > 0 else -1)
     return path, ret
 
@@ -234,14 +248,20 @@ def sign_stability(loop_a: OperatorFamily, loop_b: OperatorFamily,
     When they stay closer than 1 everywhere, the two eigenbundles are
     isomorphic, so equal signs are asserted (a mismatch raises).  When
     the criterion fails the report only states what was computed;
-    nothing is claimed in that regime.
+    nothing is claimed in that regime.  A grid sample that fails the
+    window rule raises TransportError at the smallest such t, loop_a's
+    at equal t.
     """
     grid = np.linspace(0.0, 1.0, 257)
-    fa, fb = [], []
-    for t, a, b in zip(grid, _factor_samples(loop_a, grid), _factor_samples(loop_b, grid)):
-        fa.append(_window_frame(*a, window, t))
-        fb.append(_window_frame(*b, window, t))
-    worst = max([0.0] + _frame_distance(_frame_stack(fa), _frame_stack(fb)).tolist())
+    stacks, leaks = [], []
+    for loop in (loop_a, loop_b):
+        try:
+            stacks.append(_sample_frames(loop, window, grid).swapaxes(-1, -2))
+        except TransportError as exc:
+            leaks.append(exc)
+    if leaks:  # the smallest t first, and loop_a first at equal t
+        raise min(leaks, key=lambda exc: exc.parameter)
+    worst = max([0.0] + _frame_distance(*stacks).tolist())
     criterion_met = worst < 1.0
     _, ret_a = transport(loop_a, window)
     note = ""

@@ -1,18 +1,18 @@
 """Spectral analysis: windows, projectors, and variational bounds.
 
-``SpectralWindow.indices`` is the one window rule the holonomy and
-lasso machinery consult: both endpoints at least ENDPOINT_MARGIN from
-the spectrum, and exactly ``count`` eigenvalues strictly inside; the
-predicted sign reads that count's parity.  Spectral projectors
-come in two independent flavors, one assembled from eigenvectors and
-one from a resolvent contour quadrature; they are kept separate on
-purpose so each can validate the other.
+``SpectralWindow.indices``, on a stack ``_bounds``, is the one window
+rule the holonomy and lasso machinery consult: both endpoints at least
+ENDPOINT_MARGIN from the spectrum, and exactly ``count`` eigenvalues
+strictly inside; the predicted sign reads that count's parity.
+Spectral projectors come in two independent flavors, one assembled
+from eigenvectors and one from a resolvent contour quadrature; they
+are kept separate on purpose so each can validate the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,45 +49,47 @@ def _scale(values: np.ndarray) -> float:
     return max(float(np.abs(values).max(initial=0.0)), 1.0)
 
 
+class _StackError(ValueError):
+    """A ValueError about the entry at flat position ``index`` of a stack."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 def eigendecompose(op) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns.
 
     ``op`` is one matrix or a (..., n, n) stack, factored in one batched
-    call; each matrix gives exactly what it gives alone.  Each
-    factorization is validated before being returned: residual norm
+    call; each matrix gives exactly what it gives alone.  A matrix with a
+    non-finite entry is refused (ValueError naming its stack index).
+    Each factorization is validated before being returned: residual norm
     against 1e-11 times that matrix's operator norm, and frame
     orthonormality to 1e-12.  Both are measured in the Frobenius norm,
     an upper bound on the operator norm, so neither check is looser
     than its operator-norm statement; the operator norm of a Hermitian
-    matrix is its largest |eigenvalue|.
+    matrix is its largest |eigenvalue|.  A NaN fails both checks.
     """
     a = op.matrix if isinstance(op, SymmetricOperator) else np.asarray(op)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        first = int(np.argmin(finite))
+        where = ", ".join(map(str, np.unravel_index(first, finite.shape)))
+        raise _StackError(f"non-finite matrix entries{where and ' at stack index ' + where}", first)
     values, vectors = np.linalg.eigh(a)
     scale = np.maximum(np.abs(values).max(axis=-1, initial=0.0), 1e-300)
     residual = np.linalg.norm(a @ vectors - vectors * values[..., None, :], axis=(-2, -1))
-    bad = np.flatnonzero(residual > 1e-11 * scale)
+    bad = np.flatnonzero(~(residual <= 1e-11 * scale))
     if bad.size:
         raise RuntimeError(f"eigendecomposition residual {residual.flat[bad[0]]:.3e} too large")
     eye = np.eye(a.shape[-1])
     ortho = np.linalg.norm(vectors.conj().swapaxes(-1, -2) @ vectors - eye, axis=(-2, -1))
-    bad = np.flatnonzero(ortho > 1e-12)
+    bad = np.flatnonzero(~(ortho <= 1e-12))
     if bad.size:
         raise RuntimeError(f"eigenvector frame not orthonormal ({ortho.flat[bad[0]]:.3e})")
     return values, vectors
-
-
-def _factor_samples(family: OperatorFamily, ts, nbytes: Optional[int] = None
-                    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """``eigendecompose(family(t))`` for each t in ``ts``, in order.
-
-    Samples are built and factored a stack at a time (see
-    ``models._stack_chunks``, which ``nbytes`` is passed to): one
-    ``family.stack`` call and one batched eigendecompose per stack.
-    """
-    for chunk in _stack_chunks(family, ts, nbytes):
-        yield from zip(*eigendecompose(chunk))
 
 
 @dataclass(frozen=True)
@@ -112,35 +114,40 @@ class SpectralWindow:
     def radius(self) -> float:
         return 0.5 * (self.upper - self.lower)
 
-    def _range(self, values: np.ndarray) -> slice:
-        """Index range of the eigenvalues strictly inside, in ascending ``values``.
+    def _bounds(self, values: np.ndarray, counted: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row index ranges (start, stop) of the window in a (P, n) stack.
 
-        Raises if either endpoint sits within ENDPOINT_MARGIN of an
-        eigenvalue: membership is undefined there.
+        Rows are ascending spectra, so start = #(values <= lower) and stop
+        = #(values < upper) are their searchsorted positions.  The first
+        row with an endpoint within ENDPOINT_MARGIN of an eigenvalue or,
+        when ``counted``, without ``count`` values inside raises a
+        ValueError whose ``index`` is that row.
         """
         values = np.asarray(values)
-        for name, edge in (("lower", self.lower), ("upper", self.upper)):
-            dist = float(np.abs(values - edge).min(initial=np.inf))
-            if dist < ENDPOINT_MARGIN:
-                raise ValueError(
-                    f"window {name} endpoint {edge} is within {dist:.3e} of an eigenvalue"
-                )
-        start = int(np.searchsorted(values, self.lower, side="right"))
-        stop = int(np.searchsorted(values, self.upper, side="left"))
-        return slice(start, stop)
+        edges = (("lower", self.lower), ("upper", self.upper))
+        dist = [np.abs(values - edge).min(axis=-1, initial=np.inf) for _, edge in edges]
+        start, stop = (values <= self.lower).sum(-1), (values < self.upper).sum(-1)
+        near = [d < ENDPOINT_MARGIN for d in dist]
+        failed = near[0] | near[1] | (counted & (stop - start != self.count))
+        if failed.any():
+            row = int(np.argmax(failed))
+            for (name, edge), d, close in zip(edges, dist, near):
+                if close[row]:
+                    raise _StackError(f"window {name} endpoint {edge} is within "
+                                      f"{d[row]:.3e} of an eigenvalue", row)
+            raise _StackError(f"window holds {stop[row] - start[row]} eigenvalues, "
+                              f"expected {self.count}", row)
+        return start, stop
 
     def indices(self, values: np.ndarray) -> slice:
         """The window's eigenvalue indices in ascending ``values``.
 
-        The one window-membership rule: both endpoints clear of the
-        spectrum, and exactly ``count`` eigenvalues strictly inside.
-        Raises ValueError otherwise.
+        The one window-membership rule, on one spectrum: both endpoints
+        clear of the spectrum, and exactly ``count`` eigenvalues strictly
+        inside.  Raises ValueError otherwise.
         """
-        held = self._range(values)
-        k = held.stop - held.start
-        if k != self.count:
-            raise ValueError(f"window holds {k} eigenvalues, expected {self.count}")
-        return held
+        start, stop = self._bounds(np.asarray(values)[None])
+        return slice(int(start[0]), int(stop[0]))
 
 
 def cluster_groups(sorted_values: np.ndarray, tol: float) -> list:
@@ -397,9 +404,10 @@ def spectral_close(spec_a, spec_b, lower: float, upper: float, eps: float) -> bo
     for name, spec in (("first", spec_a), ("second", spec_b)):
         values = np.sort(np.asarray(spec, dtype=float).ravel())
         try:
-            inside.append(values[window._range(values)])
+            start, stop = window._bounds(values[None], counted=False)
         except ValueError as exc:
             raise ValueError(f"{name} spectrum: {exc}") from exc
+        inside.append(values[start[0]:stop[0]])
     ina, inb = inside
     if ina.size != inb.size:
         return False

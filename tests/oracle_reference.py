@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force and shares no code with
 the package internals: overlap-determinant holonomy signs, an
-all-pairs projector refinement grid, an entrywise antilinear commutant
+all-pairs projector refinement grid, a one-step-at-a-time polar frame
+chain, a searchsorted window rule, an entrywise antilinear commutant
 solve, literal spectra, and closed-form samples.  When a package
 result and a reference disagree, the package is wrong.
 """
@@ -54,6 +55,46 @@ def refined_grid(family, lower, upper, initial_samples, max_step=0.5):
             return np.array(ts)
         for i in reversed(bad):
             ts.insert(i + 1, 0.5 * (ts[i] + ts[i + 1]))
+
+
+def sequential_polar_frames(family, lower, upper, parameters):
+    """Window frames dragged along ``parameters`` one polar step at a time.
+
+    The raw frame at each t holds the eigh columns whose eigenvalues lie
+    strictly inside (lower, upper).  Each later raw frame R replaces the
+    previous aligned frame F by the polar factor of R (R^H F): R (u v^H)
+    from the SVD u s v^H of the k x k overlap.  A step whose smallest
+    singular value is below 0.1 is refused.
+    """
+    frames = []
+    for t in parameters:
+        values, vectors = np.linalg.eigh(family(t))
+        new = vectors[:, (values > lower) & (values < upper)]
+        if frames:
+            u, s, vt = np.linalg.svd(new.conj().T @ frames[-1])
+            if s.min() < 0.1:
+                raise RuntimeError("dragged frame nearly rank-deficient")
+            new = new @ (u @ vt)
+        frames.append(new)
+    return frames
+
+
+def window_range(values, lower, upper, count=None):
+    """Index range of the ascending ``values`` strictly inside (lower, upper).
+
+    Raises ValueError, with the package's messages, when an endpoint is
+    within 1e-9 of a value, or when ``count`` is given and the range
+    holds a different number of values.
+    """
+    for name, edge in (("lower", lower), ("upper", upper)):
+        dist = float(np.abs(np.asarray(values) - edge).min(initial=np.inf))
+        if dist < 1e-9:
+            raise ValueError(f"window {name} endpoint {edge} is within {dist:.3e} of an eigenvalue")
+    start = int(np.searchsorted(values, lower, side="right"))
+    stop = int(np.searchsorted(values, upper, side="left"))
+    if count is not None and stop - start != count:
+        raise ValueError(f"window holds {stop - start} eigenvalues, expected {count}")
+    return slice(start, stop)
 
 
 def brute_force_structure_map(generators):

@@ -21,7 +21,7 @@ from eigenlasso.models import (
     make_spin_loop,
 )
 from eigenlasso.spectral import SpectralWindow, projector_distance
-from oracle_reference import refined_grid, wilson_sign
+from oracle_reference import refined_grid, sequential_polar_frames, wilson_sign
 
 
 def test_halfturn_simple_window_flips():
@@ -100,6 +100,67 @@ def test_transport_raises_when_window_leaks():
     assert 0.0 <= exc.value.parameter <= 1.0
 
 
+def rotating_line(turns, leaks=()):
+    """diag(1, 2) turned by 2 pi turns t, and diag(1, 1.2) at the ``leaks``."""
+    def sampler(t):
+        if t in leaks:
+            return np.diag([1.0, 1.2])
+        c, s = np.cos(2.0 * np.pi * turns * t), np.sin(2.0 * np.pi * turns * t)
+        r = np.array([[c, -s], [s, c]])
+        return r @ np.diag([1.0, 2.0]) @ r.T
+
+    return OperatorFamily(domain="circle", sampler=sampler)
+
+
+# (family, initial_samples, first failing t, its window error).  In the
+# first, of the 16 initial samples t = 3/16 is the first past t = 1/6,
+# where 1 + 2 sin^2(pi t) leaves (0.5, 1.5).  In the second, every
+# interval is split on the first two passes, and the third samples
+# 1/8, 3/8, 5/8, 7/8 in that order: the leak at 3/8 comes first
+LEAKS = [
+    (OperatorFamily(domain="circle",
+                    sampler=lambda t: np.diag([1.0 + 2.0 * np.sin(np.pi * t) ** 2, 5.0])),
+     16, 0.1875, "window holds 0 eigenvalues, expected 1"),
+    (rotating_line(1.5, leaks=(0.375, 0.625)), 2, 0.375, "window holds 2 eigenvalues, expected 1"),
+]
+
+
+@pytest.mark.parametrize("family, initial_samples, t, message", LEAKS,
+                         ids=["initial-sample", "refined-sample"])
+def test_window_leak_names_the_first_failing_sample(family, initial_samples, t, message):
+    with pytest.raises(TransportError) as exc:
+        transport(family, SpectralWindow(0.5, 1.5, count=1), initial_samples=initial_samples)
+    assert exc.value.parameter == t
+    assert str(exc.value) == f"at t={t:g}: {message}"
+
+
+@pytest.mark.parametrize("bad", [np.diag([1.0, np.nan]), np.array([[1.0, np.inf], [np.inf, 2.0]])],
+                         ids=["nan", "inf"])
+def test_transport_refuses_non_finite_samples(bad):
+    # finite and closed at t = 0 and 1, non-finite everywhere between
+    fam = OperatorFamily(domain="circle",
+                         sampler=lambda t: np.diag([1.0, 2.0]) if t in (0.0, 1.0) else bad)
+    with pytest.raises(TransportError, match=r"^at t=0\.0625: non-finite") as exc:
+        transport(fam, SpectralWindow(0.5, 1.5, count=1))
+    assert exc.value.parameter == 0.0625
+    with pytest.raises(TransportError, match=r"^at t=0: non-finite") as exc:
+        transport(OperatorFamily(domain="circle", sampler=lambda t: bad),
+                  SpectralWindow(0.5, 1.5, count=1))
+    assert exc.value.parameter == 0.0
+
+
+def test_transport_refuses_a_nearly_rank_deficient_step(monkeypatch):
+    # a step at projector distance sin(theta) leaves the overlap singular
+    # values at least cos(theta); below MAX_PROJECTOR_STEP = 1/2 that is
+    # at least sqrt(3)/2, so the 0.1 refusal cannot fire at the shipped
+    # step.  At 1.01 a quarter turn of the window line passes the distance
+    # check, and its overlap cos(pi/2) is zero
+    monkeypatch.setattr(holonomy, "MAX_PROJECTOR_STEP", 1.01)
+    loop = make_halfturn_loop(np.diag([1.0, 2.0]))
+    with pytest.raises(TransportError, match="dragged frame nearly rank-deficient"):
+        transport(loop.family(), SpectralWindow(0.5, 1.5, count=1), initial_samples=2)
+
+
 def quarter_turn_family():
     # a quarter turn carries diag(1, 2) to diag(2, 1), so t = 1 does not
     # close up; calling the family wraps t = 1 to 0 and would hide that
@@ -116,6 +177,20 @@ def test_transport_rejects_non_closed_sampler_quickly():
     with pytest.raises(TransportError, match="not closed"):
         transport(quarter_turn_family(), SpectralWindow(0.5, 1.5, count=1))
     assert time.perf_counter() - start < 1.0
+
+
+def test_transport_refuses_a_jump_between_adjacent_floats_quickly():
+    # the window line turns a quarter at t = 0.3 and back at t = 0.6: no
+    # split of the interval around either jump ever passes the step check
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    fam = OperatorFamily(domain="circle", sampler=lambda t: np.diag([1.0, 2.0])
+                         if not 0.3 <= t < 0.6 else swap @ np.diag([1.0, 2.0]) @ swap)
+    start = time.perf_counter()
+    with pytest.raises(TransportError, match="jumps by at least 0.5 between adjacent floats") as exc:
+        transport(fam, SpectralWindow(0.5, 1.5, count=1))
+    assert time.perf_counter() - start < 1.0
+    jump = min((0.3, 0.6), key=lambda t: abs(t - exc.value.parameter))
+    assert np.nextafter(exc.value.parameter, 1.0) == jump or exc.value.parameter == jump
 
 
 def test_transport_refuses_too_many_initial_samples_before_sampling():
@@ -207,6 +282,32 @@ def test_stability_reports_distant_loops_without_asserting():
     assert report.sign_a == -1
     assert report.sign_b == 1
     assert report.signs_equal is False
+
+
+def leaking_loop(start, stop, leaked):
+    """diag(1, 5) on the circle, and diag(*leaked) for start <= t < stop."""
+    return OperatorFamily(domain="circle",
+                          sampler=lambda t: np.diag(leaked if start <= t < stop else [1.0, 5.0]))
+
+
+# (where loop_a leaks, where loop_b leaks, expected error); loop_a's
+# eigenvalue leaves the window (0.5, 1.5), loop_b's second one enters it
+STABILITY_LEAKS = [
+    (0.5, 0.25, "at t=0.25: window holds 2 eigenvalues, expected 1"),
+    (0.25, 0.5, "at t=0.25: window holds 0 eigenvalues, expected 1"),
+    (0.25, 0.25, "at t=0.25: window holds 0 eigenvalues, expected 1"),
+]
+
+
+@pytest.mark.parametrize("start_a, start_b, message", STABILITY_LEAKS,
+                         ids=["b-first", "a-first", "equal-t"])
+def test_stability_reports_the_first_leak_on_the_grid(start_a, start_b, message):
+    loop_a = leaking_loop(start_a, start_a + 0.25, [3.0, 5.0])
+    loop_b = leaking_loop(start_b, start_b + 0.25, [1.0, 1.2])
+    with pytest.raises(TransportError) as exc:
+        sign_stability(loop_a, loop_b, SpectralWindow(0.5, 1.5, count=1))
+    assert str(exc.value) == message
+    assert exc.value.parameter == 0.25
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -304,3 +405,44 @@ def test_transport_stacks_stay_within_the_byte_budget(monkeypatch, n):
     # every sample factored once, the basepoint on its own
     assert sum(matrices) == path.n_samples
     assert max(matrices) == (STACK_BYTES // (n * n * 8))
+
+
+def complex_loop(n=6, turns=1.5, seed=2):
+    """A block-rotation loop conjugated by a fixed complex unitary V.
+
+    Complex Hermitian at every t, with the real loop's holonomy: a
+    complex loop in general has a U(k) phase for holonomy, whose
+    determinant is not real.
+    """
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    real = block_rotations(n, turns)
+    return OperatorFamily(domain="circle", sampler=lambda t: v @ real(t) @ v.conj().T)
+
+
+# (loop, count, initial_samples); block rotations are (n, turns)
+POLAR_CASES = [((2, 0.5), 1, 4), ((2, 1.5), 1, 7), ((8, 1.0), 2, 3), ((8, 2.5), 3, 16),
+               ((64, 3.0), 1, 5), ((64, 1.5), 2, 5), ((64, 3.0), 3, 7),
+               ("spin", 1, 16), ("spin", 2, 16), ("spin", 3, 16),
+               ("complex", 1, 16), ("complex", 2, 16), ("complex", 3, 16)]
+
+
+@pytest.mark.parametrize("loop, count, initial_samples", POLAR_CASES,
+                         ids=lambda v: "n%d-turns%g" % v if isinstance(v, tuple) else None)
+def test_polar_chain_matches_the_sequential_oracle(loop, count, initial_samples):
+    if loop == "spin":
+        family = make_spin_loop(7, SymmetricOperator(np.diag(np.arange(1.0, 9.0))), turns=1).family()
+    elif loop == "complex":
+        family = complex_loop()
+    else:
+        family = block_rotations(*loop)
+    window = SpectralWindow(0.5, count + 0.5, count=count)
+    path, ret = transport(family, window, initial_samples=initial_samples)
+    np.testing.assert_array_equal(
+        path.parameters, refined_grid(family, window.lower, window.upper, initial_samples))
+    frames = sequential_polar_frames(family, window.lower, window.upper, path.parameters)
+    assert len(frames) == path.n_samples
+    assert max(float(np.abs(f - g).max()) for f, g in zip(path.frames, frames)) <= 1e-12
+    closing = frames[0].conj().T @ frames[-1]
+    assert float(np.abs(ret.matrix - closing).max()) <= 1e-12
+    assert ret.sign == (1 if np.linalg.det(closing).real > 0 else -1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +23,7 @@ from eigenlasso.spectral import (
     spectral_projector_eig,
     verify_dirac_properties,
 )
+from oracle_reference import window_range
 
 
 def _symmetric(seed, n=6, scale=1.0):
@@ -86,6 +89,18 @@ def test_batched_eigendecompose_checks_each_matrix(monkeypatch, corrupt, index, 
 def test_eigendecompose_offdiagonal():
     values, _ = eigendecompose(SymmetricOperator(np.array([[0.0, 1.0], [1.0, 0.0]])))
     np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-15)
+
+
+NON_FINITE = [np.diag([1.0, np.nan]), np.array([[1.0, np.inf], [np.inf, 2.0]])]
+
+
+@pytest.mark.parametrize("matrix", NON_FINITE, ids=["nan", "inf"])
+def test_eigendecompose_refuses_non_finite_matrices(matrix):
+    # eigh returns NaN factors for these, and NaN passes a "> tol" check
+    with pytest.raises(ValueError, match="non-finite"):
+        eigendecompose(matrix)
+    with pytest.raises(ValueError, match="non-finite .* stack index 2$"):
+        eigendecompose(np.stack([np.eye(2), np.eye(2), matrix, matrix]))
 
 
 # ---------------------------------------------------------------- windows
@@ -308,6 +323,47 @@ def test_indices_select_the_open_window(values, lower, width, count_offset):
     else:
         with pytest.raises(ValueError, match="window holds"):
             w.indices(values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 6), rows=st.integers(1, 5),
+       lower=st.floats(-2.0, 2.0), width=st.floats(1e-3, 4.0), count=st.integers(1, 3))
+def test_stacked_window_rule_is_the_per_row_rule(data, n, rows, lower, width, count):
+    upper = lower + width
+    # values anywhere, or within 2e-9 of an endpoint, so that rows fail on
+    # either endpoint margin as well as on the count
+    near = st.sampled_from([lower, upper]).flatmap(lambda e: st.floats(e - 2e-9, e + 2e-9))
+    row = st.lists(st.one_of(st.floats(-5.0, 5.0), near), min_size=n, max_size=n)
+    stack = np.sort(np.array(data.draw(st.lists(row, min_size=rows, max_size=rows))), axis=-1)
+    w = SpectralWindow(lower, upper, count)
+
+    def reference(counted):
+        """Per-row slices, or (index, message) of the first failing row."""
+        held = []
+        for i, values in enumerate(stack):
+            try:
+                held.append(window_range(values, lower, upper, count if counted else None))
+            except ValueError as exc:
+                return i, str(exc)
+        return held
+
+    for counted in (True, False):
+        expected = reference(counted)
+        if isinstance(expected, list):
+            start, stop = w._bounds(stack, counted)
+            assert list(map(slice, start.tolist(), stop.tolist())) == expected
+        else:
+            with pytest.raises(ValueError) as exc:
+                w._bounds(stack, counted)
+            assert (exc.value.index, str(exc.value)) == expected
+    for values in stack:
+        try:
+            expected = window_range(values, lower, upper, count)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                w.indices(values)
+        else:
+            assert w.indices(values) == expected
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
