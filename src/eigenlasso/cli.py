@@ -343,6 +343,7 @@ def _cmd_holonomy(run: _Run, spec: dict) -> int:
         "sign": ret.sign,
         "determinant": ret.determinant,
         "n_samples": path.n_samples,
+        "certified": ret.certified,
         "predicted_sign": predicted,
         "return_matrix": ret.matrix.tolist(),
     }

@@ -16,6 +16,19 @@ for the raw frames R_i, with W_0 = I and W_{i+1} = Q_i W_i for Q_i the
 polar factor of R_{i+1}^H R_i, as polar(M W) = polar(M) W and sigma(M W) =
 sigma(M) for unitary W.  Grids and signs are bit for bit those of one polar
 step at a time; frames and return matrices agree with it up to round-off.
+
+Consecutive window subspaces on a grid must be closer than
+MAX_PROJECTOR_STEP.  Rotation loops D(t) = exp(t Omega) D0 exp(-t Omega),
+which are the block-rotation and spin loops of ``models``, carry the speed
+s = ||[Omega, P0]|| of their window projector, the same at every t, so
+||P(t) - P(t')|| <= s |t - t'| (Kato, *Perturbation Theory*; Davis and
+Kahan 1970), and a uniform grid of floor(s / MAX_PROJECTOR_STEP) + 1
+intervals keeps every step below it, between samples as well as at them.
+Their transports are certified and sample the grid once.  Families with no
+such bound (plain samplers, the conical and commuting loops,
+concatenations, perturbed loops) are refined adaptively and are not
+certified: a subspace that turns by a half turn between two samples goes
+unseen there.
 """
 
 from __future__ import annotations
@@ -74,11 +87,17 @@ class FramePath:
 
 @dataclass(frozen=True)
 class ReturnMatrix:
-    """Closing matrix A with F_end = F_start A, and its orientation sign."""
+    """Closing matrix A with F_end = F_start A, and its orientation sign.
+
+    ``certified`` is True when the grid came from the family's
+    projector-speed bound, so no window step between samples can exceed
+    MAX_PROJECTOR_STEP.
+    """
 
     matrix: np.ndarray
     determinant: float
     sign: int
+    certified: bool
 
 
 @contextmanager
@@ -138,39 +157,15 @@ def _frame_distance(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.linalg.svd(residual, compute_uv=False).max(axis=-1)
 
 
-def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int = 16):
-    """Drag a window eigenframe once around the loop.
+def _refine(loop: OperatorFamily, window: SpectralWindow, ts: np.ndarray,
+            frames: np.ndarray, nbytes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Split the grid ``ts`` until consecutive window frames pass the step check.
 
-    Returns (FramePath, ReturnMatrix).  Sampling is refined adaptively:
-    each interval between consecutive samples is checked once, and one
-    whose window subspaces are not closer than MAX_PROJECTOR_STEP in
-    operator norm is split at its midpoint, until every interval
-    passes.  That is all that is checked.  Nothing is checked between
-    samples, so a subspace that turns by a half turn or more between
-    two samples that happen to land close goes unseen, and the sign can
-    then differ from the one a finer grid gives (for example,
-    ``make_block_rotation_loop(diag(1, 2, 3, 4), turns=1.5)`` with
-    window (0.5, 1.5) and ``initial_samples=3`` returns +1 where the
-    parity rule says -1).  Refinement stops with TransportError beyond
-    100000 samples or at an interval whose ends are adjacent floats, and
-    ``initial_samples`` above 100000 is refused before anything is sampled.
+    ``frames`` are the transposed window frames at ``ts``.  A breadth-first
+    worklist: each pass checks the intervals (lo, hi) the last one
+    created, left to right, and factors the midpoints of those it
+    splits.  Returns the sorted grid and its frames.
     """
-    if initial_samples < 2:
-        raise ValueError("need at least 2 initial samples")
-    if initial_samples > _MAX_SAMPLES:
-        raise ValueError(f"initial_samples must be at most {_MAX_SAMPLES}, got {initial_samples}")
-    # the raw sampler: calling a circle family wraps t = 1 back to 0
-    base = loop.sampler(0.0)
-    with _at([0.0]):
-        values, vectors = eigendecompose(base)
-        if _differ(base, loop.sampler(1.0), values):
-            raise TransportError("loop is not closed: samples at t=0 and t=1 differ")
-        frames = _window_frames(window, values[None], vectors[None])
-
-    # breadth-first worklist: each pass checks the intervals (lo, hi) the last
-    # one created, left to right, and factors the midpoints of those it splits
-    ts = np.linspace(0.0, 1.0, initial_samples + 1)
-    frames = np.concatenate([frames, _sample_frames(loop, window, ts[1:], base.nbytes)])
     times, stacks = [ts], [frames]
     lo, hi, f_lo, f_hi = ts[:-1], ts[1:], frames[:-1], frames[1:]
     while True:
@@ -188,18 +183,91 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
             raise TransportError(f"at t={t:.6g}: window subspace jumps by at least "
                                  f"{MAX_PROJECTOR_STEP} between adjacent floats", parameter=t)
         times.append(mid)
-        stacks.append(_sample_frames(loop, window, mid, base.nbytes))
+        stacks.append(_sample_frames(loop, window, mid, nbytes))
         lo, hi = _interleave(lo, mid), _interleave(mid, hi)
         f_lo, f_hi = _interleave(f_lo, stacks[-1]), _interleave(stacks[-1], f_hi)
     ts = np.concatenate(times)
     order = np.argsort(ts, kind="stable")
-    ts, raw = ts[order], np.concatenate(stacks)[order].swapaxes(-1, -2)
+    return ts[order], np.concatenate(stacks)[order]
+
+
+def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int = 16):
+    """Drag a window eigenframe once around the loop.
+
+    Returns (FramePath, ReturnMatrix).  Consecutive window subspaces on
+    the grid must be closer than MAX_PROJECTOR_STEP (1/2) in operator
+    norm, so that each polar step keeps the dragged frame's rank.
+
+    A family with a ``projector_speed`` s (every rotation loop
+    exp(t Omega) D0 exp(-t Omega) built by ``models``) is certified: its
+    window projector moves by at most s |t - t'| between any t and t',
+    so ``linspace(0, 1, N + 1)`` with N = max(initial_samples,
+    floor(s / MAX_PROJECTOR_STEP) + 1) keeps every step below 1/2,
+    between samples as well as at them, and the grid is sampled in one
+    pass.  Each step is still checked, at no extra cost: its distance
+    sqrt(1 - sigma_min^2) comes from the smallest singular value of the
+    overlap that the polar step factors, and a step at or above
+    MAX_PROJECTOR_STEP raises TransportError at its start, since the
+    bound then does not hold.  An N beyond 100000 is refused before
+    anything past the basepoint is sampled.
+
+    Any other family is refined adaptively from ``initial_samples``
+    intervals: each interval between consecutive samples is checked once,
+    and one whose window subspaces are not closer than MAX_PROJECTOR_STEP
+    is split at its midpoint, until every interval passes.  Nothing is
+    checked between samples there, so a subspace that turns by a half
+    turn or more between two samples that land close goes unseen.
+    Refinement stops with TransportError beyond 100000 samples or at an
+    interval whose ends are adjacent floats.
+
+    ``initial_samples`` above 100000 is refused before anything is
+    sampled.  A return matrix whose determinant is not real (a complex
+    loop whose window holonomy is a U(k) phase) or not of modulus near 1
+    has no orientation sign, and raises TransportError.
+    """
+    if initial_samples < 2:
+        raise ValueError("need at least 2 initial samples")
+    if initial_samples > _MAX_SAMPLES:
+        raise ValueError(f"initial_samples must be at most {_MAX_SAMPLES}, got {initial_samples}")
+    # the raw sampler: calling a circle family wraps t = 1 back to 0
+    base = loop.sampler(0.0)
+    with _at([0.0]):
+        values, vectors = eigendecompose(base)
+        if _differ(base, loop.sampler(1.0), values):
+            raise TransportError("loop is not closed: samples at t=0 and t=1 differ")
+        frames = _window_frames(window, values[None], vectors[None])
+
+    certified = loop.projector_speed is not None
+    intervals = initial_samples
+    if certified:
+        speed = float(loop.projector_speed(frames[0].swapaxes(-1, -2)))
+        if not speed / MAX_PROJECTOR_STEP < _MAX_SAMPLES:
+            raise TransportError(f"window projector speed {speed:.6g} needs more than "
+                                 f"{_MAX_SAMPLES} intervals of step {MAX_PROJECTOR_STEP}")
+        intervals = max(intervals, int(np.floor(speed / MAX_PROJECTOR_STEP)) + 1)
+    ts = np.linspace(0.0, 1.0, intervals + 1)
+    frames = np.concatenate([frames, _sample_frames(loop, window, ts[1:], base.nbytes)])
+    if not certified:
+        ts, frames = _refine(loop, window, ts, frames, base.nbytes)
+    raw = frames.swapaxes(-1, -2)
 
     u, sigma, vh = np.linalg.svd(raw[1:].conj().swapaxes(-1, -2) @ raw[:-1])
-    weak = np.flatnonzero(~(sigma.min(axis=-1) >= 0.1))
+    smallest = sigma.min(axis=-1)
+    if certified:
+        # sigma are the cosines of the principal angles of a step
+        steps = np.sqrt(np.clip(1.0 - smallest * smallest, 0.0, None))
+        far = np.flatnonzero(~(steps < MAX_PROJECTOR_STEP))
+        if far.size:
+            i = int(far[0])
+            t = float(ts[i])
+            raise TransportError(
+                f"at t={t:.6g}: window subspace moves by {steps[i]:.4f} >= "
+                f"{MAX_PROJECTOR_STEP} to t={float(ts[i + 1]):.6g}, beyond its "
+                f"projector-speed bound of {speed:.6g} per unit t", parameter=t)
+    weak = np.flatnonzero(~(smallest >= 0.1))
     if weak.size:
         raise TransportError("dragged frame nearly rank-deficient "
-                             f"(smallest singular value {sigma[weak[0]].min():.3e})")
+                             f"(smallest singular value {smallest[weak[0]]:.3e})")
     turns = np.concatenate([np.eye(window.count)[None], u @ vh])
     # the W_i of the module docstring, as prefix products in log2(N) doubling steps
     for step in [1 << j for j in range((len(turns) - 1).bit_length())]:
@@ -209,15 +277,19 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
     a = frames[0].conj().T @ frames[-1]
     det = np.linalg.det(a)
     if abs(float(np.imag(det))) > 1e-10:
-        raise RuntimeError("return matrix determinant came out non-real")
+        raise TransportError(
+            f"return matrix determinant {complex(det):.6g} is not real: the window "
+            "holonomy is a unitary phase, not an orthogonal matrix, so the loop has "
+            "no orientation sign")
     det = float(np.real(det))
     if not 0.9 <= abs(det) <= 1.1:
-        raise RuntimeError(
-            f"return matrix is far from orthogonal (|det| = {abs(det):.6f}); "
-            "transport is unreliable"
-        )
+        raise TransportError(
+            f"return matrix is far from orthogonal (|det| = {abs(det):.6f}): the frames "
+            "at t=0 and t=1 do not span one subspace, so its determinant carries "
+            "no orientation sign")
     path = FramePath(parameters=ts, frames=tuple(frames), window=window)
-    ret = ReturnMatrix(matrix=a, determinant=det, sign=1 if det > 0 else -1)
+    ret = ReturnMatrix(matrix=a, determinant=det, sign=1 if det > 0 else -1,
+                       certified=certified)
     return path, ret
 
 

@@ -92,6 +92,12 @@ class OperatorFamily:
     parameters to the (N, n, n) stack of their samples in one call, and
     ``sampler`` is its one-element case; families built by this package
     supply it.  Without it, ``stack`` stacks ``sampler`` calls.
+
+    ``projector_speed``, when given, maps an orthonormal n x k frame F0
+    of a window eigenspace at t = 0 to ||P'(t)||, the speed of that
+    window's projector, which must be the same at every t.  Rotation
+    loops supply it (see ``EquivariantLoopModel``), and ``transport``
+    then takes a grid fine enough for it in one pass.
     """
 
     domain: str
@@ -99,6 +105,7 @@ class OperatorFamily:
     parity: Optional[str] = None  # "odd" / "even" for equivariant loops
     name: str = ""
     stacker: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
+    projector_speed: Optional[Callable[[np.ndarray], float]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.domain not in ("interval", "circle"):
@@ -125,10 +132,12 @@ class OperatorFamily:
 
 
 def _stacked_loop(stacker: Callable[[np.ndarray], np.ndarray], parity: Optional[str],
-                  name: str) -> OperatorFamily:
+                  name: str, projector_speed: Optional[Callable[[np.ndarray], float]] = None
+                  ) -> OperatorFamily:
     """A circle family whose single sample is the one-element case of ``stacker``."""
     return OperatorFamily(domain="circle", sampler=lambda t: stacker(np.array([t]))[0],
-                          parity=parity, name=name, stacker=stacker)
+                          parity=parity, name=name, stacker=stacker,
+                          projector_speed=projector_speed)
 
 
 def _stack_chunks(family: OperatorFamily, ts, nbytes: Optional[int] = None
@@ -250,10 +259,18 @@ class EquivariantLoopModel:
     the loop and transports eigenvectors: if D0 v = lambda v then
     D(t) (rho(t) v) = lambda (rho(t) v).  ``rotations`` maps a 1-D
     array of parameters to the (N, n, n) stack of rho(t).
+
+    ``generator``, when given, applies to an n x k frame the real skew
+    Omega with rho(t) = exp(t Omega).  A window projector then moves as
+    P(t) = rho(t) P0 rho(t)^T with P' = [Omega, P], at the constant speed
+    ||[Omega, P0]|| = ||Omega F0 - F0 (F0^H Omega F0)|| for a frame F0 of
+    P0 (the commutator is block off-diagonal in P0 + (I - P0), and Omega
+    is skew), which ``family()`` passes on as ``projector_speed``.
     """
 
     base: SymmetricOperator
     rotations: Callable[[np.ndarray], np.ndarray]
+    generator: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sigma: int = field(init=False, default=0)
     parity: str = field(init=False, default="")
 
@@ -283,9 +300,14 @@ class EquivariantLoopModel:
         r = self.rotations(np.asarray(ts, dtype=float).ravel() % 1.0)
         return r @ self.base.matrix @ r.swapaxes(-1, -2)
 
+    def _projector_speed(self, frame: np.ndarray) -> float:
+        moved = self.generator(frame)
+        return _opnorm(moved - frame @ (frame.conj().T @ moved))
+
     def family(self) -> OperatorFamily:
         return _stacked_loop(self.stack, self.parity,
-                             f"equivariant(dim={self.dim}, parity={self.parity})")
+                             f"equivariant(dim={self.dim}, parity={self.parity})",
+                             None if self.generator is None else self._projector_speed)
 
 
 def make_block_rotation_loop(base, turns: float) -> EquivariantLoopModel:
@@ -313,7 +335,14 @@ def make_block_rotation_loop(base, turns: float) -> EquivariantLoopModel:
         r[:, even + 1, even + 1] = c
         return r
 
-    return EquivariantLoopModel(base=d0, rotations=rotations)
+    def generator(frame: np.ndarray) -> np.ndarray:
+        # Omega = 2 pi turns J, J applied by index: every block of J is [[0, -1], [1, 0]]
+        out = np.empty_like(frame)
+        out[even] = -frame[even + 1]
+        out[even + 1] = frame[even]
+        return (2.0 * np.pi * turns) * out
+
+    return EquivariantLoopModel(base=d0, rotations=rotations, generator=generator)
 
 
 def make_halfturn_loop(base) -> EquivariantLoopModel:
@@ -334,6 +363,10 @@ def make_spin_loop(m: int, base, turns: int = 1) -> EquivariantLoopModel:
     the rotation in the plane of the last two generators to the real
     form, and conjugates the base operator by the resulting orthogonal
     path.  One rotation turn lifts to -I (odd loop); two turns give +I.
+    The lift at angle 2 pi turns t is cos(pi turns t) I + sin(pi turns t) G
+    with G = gamma_{m-2} gamma_{m-1} and G^2 = -I, so rho(t) = exp(t Omega)
+    for the generator Omega = pi turns K, K = B^H G B real in the real
+    form basis B.
     """
     if m % 8 not in (0, 6, 7):
         raise ValueError(
@@ -353,6 +386,10 @@ def make_spin_loop(m: int, base, turns: int = 1) -> EquivariantLoopModel:
         raise ValueError("spin loops require a real symmetric base")
     plane = (m - 2, m - 1)
     basis_h = basis.conj().T
+    k = basis_h @ rep.generators[plane[0]] @ rep.generators[plane[1]] @ basis
+    if float(np.abs(np.imag(k)).max()) > 1e-10:
+        raise RuntimeError("lift failed to restrict to the real form")
+    k = np.real(k)
 
     def rotations(ts: np.ndarray) -> np.ndarray:
         # one lift per t; the real part is a strided view, which the
@@ -364,7 +401,8 @@ def make_spin_loop(m: int, base, turns: int = 1) -> EquivariantLoopModel:
             raise RuntimeError("lift failed to restrict to the real form")
         return np.real(r)
 
-    return EquivariantLoopModel(base=d0, rotations=rotations)
+    return EquivariantLoopModel(base=d0, rotations=rotations,
+                                generator=lambda frame: (np.pi * turns) * (k @ frame))
 
 
 # ---------------------------------------------------------------------------

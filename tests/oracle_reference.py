@@ -3,8 +3,9 @@
 Everything here is deliberately brute force and shares no code with
 the package internals: overlap-determinant holonomy signs, an
 all-pairs projector refinement grid, a one-step-at-a-time polar frame
-chain, a searchsorted window rule, an entrywise antilinear commutant
-solve, literal spectra, and closed-form samples.  When a package
+chain, a searchsorted window rule, an eigh-based matrix exponential,
+an entrywise antilinear commutant solve, literal spectra, and
+closed-form samples.  When a package
 result and a reference disagree, the package is wrong.
 """
 
@@ -77,6 +78,19 @@ def sequential_polar_frames(family, lower, upper, parameters):
             new = new @ (u @ vt)
         frames.append(new)
     return frames
+
+
+def skew_expm(omega, t):
+    """exp(t omega) for a real skew-symmetric omega, from eigh of i omega.
+
+    i omega is Hermitian, i omega = U diag(mu) U^H, so exp(t omega) =
+    U diag(exp(-i t mu)) U^H, which is real.
+    """
+    mu, u = np.linalg.eigh(1j * np.asarray(omega))
+    r = (u * np.exp(-1j * t * mu)) @ u.conj().T
+    if float(np.abs(r.imag).max()) > 1e-12:
+        raise RuntimeError("exponential of a real skew matrix came out complex")
+    return r.real
 
 
 def window_range(values, lower, upper, count=None):

@@ -41,6 +41,7 @@ def test_holonomy_run_reports_flipped_sign(tmp_path, capsys):
     assert code == 0
     report = read_report(tmp_path, "holonomy")
     assert report["results"]["sign"] == -1
+    assert report["results"]["certified"] is True
     assert report["observed"]["matches_prediction"] is True
     assert report["passed"] is True
     frames = (tmp_path / "holonomy_frames.csv").read_text().splitlines()
@@ -48,6 +49,13 @@ def test_holonomy_run_reports_flipped_sign(tmp_path, capsys):
     assert len(frames) >= 18
     out = capsys.readouterr().out
     assert "[ok] sign_eq" in out
+
+
+def test_holonomy_run_without_a_speed_bound_is_not_certified(tmp_path):
+    cfg = write_config(tmp_path, {"loop": {"kind": "conical"},
+                                  "window": {"lower": -2.0, "upper": 0.0}})
+    assert cli.main(["holonomy", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert read_report(tmp_path, "holonomy")["results"]["certified"] is False
 
 
 def test_holonomy_expectation_failure_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from eigenlasso.holonomy import (
 )
 from eigenlasso.models import (
     STACK_BYTES,
+    EquivariantLoopModel,
     OperatorFamily,
     SymmetricOperator,
     make_block_rotation_loop,
@@ -20,8 +22,13 @@ from eigenlasso.models import (
     make_halfturn_loop,
     make_spin_loop,
 )
-from eigenlasso.spectral import SpectralWindow, projector_distance
-from oracle_reference import refined_grid, sequential_polar_frames, wilson_sign
+from eigenlasso.spectral import SpectralWindow, projector_distance, spectral_projector_eig
+from oracle_reference import refined_grid, sequential_polar_frames, skew_expm, wilson_sign
+
+
+def boundless(family):
+    """The same family without its projector-speed bound, so transport refines it."""
+    return dataclasses.replace(family, projector_speed=None)
 
 
 def test_halfturn_simple_window_flips():
@@ -158,7 +165,7 @@ def test_transport_refuses_a_nearly_rank_deficient_step(monkeypatch):
     monkeypatch.setattr(holonomy, "MAX_PROJECTOR_STEP", 1.01)
     loop = make_halfturn_loop(np.diag([1.0, 2.0]))
     with pytest.raises(TransportError, match="dragged frame nearly rank-deficient"):
-        transport(loop.family(), SpectralWindow(0.5, 1.5, count=1), initial_samples=2)
+        transport(boundless(loop.family()), SpectralWindow(0.5, 1.5, count=1), initial_samples=2)
 
 
 def quarter_turn_family():
@@ -347,7 +354,7 @@ GRID_CASES = [(0.5, 1, 4), (1.0, 2, 3), (1.5, 2, 5), (1.5, 1, 7),
 @pytest.mark.parametrize("n", [8, 64])
 @pytest.mark.parametrize("turns,count,initial_samples", GRID_CASES)
 def test_refined_grid_matches_all_pairs_reference(n, turns, count, initial_samples):
-    family = make_block_rotation_loop(rotated_base(n), turns).family()
+    family = boundless(make_block_rotation_loop(rotated_base(n), turns).family())
     window = SpectralWindow(0.5, count + 0.5, count=count)
     path, _ = transport(family, window, initial_samples=initial_samples)
     expected = refined_grid(family, window.lower, window.upper, initial_samples)
@@ -363,11 +370,14 @@ PARTLY_SPLIT_CASES = [((2.0, 0.5), 2, 6), ((2.0, 0.5), 1, 7), ((3.0, 1.0), 1, 5)
 
 
 def block_rotations(n, turns):
-    """Block-rotation loop of rotated_base(n); a pair of turns concatenates two."""
+    """Block-rotation loop of rotated_base(n), without its projector-speed bound.
+
+    A pair of turns concatenates two.
+    """
     base = rotated_base(n)
     if isinstance(turns, tuple):
         return concatenate_loops(*(make_block_rotation_loop(base, t).family() for t in turns))
-    return make_block_rotation_loop(base, turns).family()
+    return boundless(make_block_rotation_loop(base, turns).family())
 
 
 @pytest.mark.parametrize("turns,count,initial_samples", GRID_CASES + PARTLY_SPLIT_CASES)
@@ -446,3 +456,111 @@ def test_polar_chain_matches_the_sequential_oracle(loop, count, initial_samples)
     closing = frames[0].conj().T @ frames[-1]
     assert float(np.abs(ret.matrix - closing).max()) <= 1e-12
     assert ret.sign == (1 if np.linalg.det(closing).real > 0 else -1)
+
+
+def phase_loop():
+    """Q(t) diag(1..6) Q(t)^H for Q(t) = V diag(exp(2 pi i w t)) V^H.
+
+    A complex loop whose window holonomy is a U(k) phase: its return
+    determinant is not real, so no orientation sign exists.
+    """
+    rng = np.random.default_rng(2)
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    w = np.array([-1.0, 0.0, 1.0, -1.0, 0.0, 1.0])
+    d0 = np.diag(np.arange(1.0, 7.0))
+
+    def sampler(t):
+        q = v @ np.diag(np.exp(2j * np.pi * w * t)) @ v.conj().T
+        return q @ d0 @ q.conj().T
+
+    return OperatorFamily(domain="circle", sampler=sampler)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_transport_refuses_a_non_real_holonomy_phase(count):
+    with pytest.raises(TransportError, match="determinant .* is not real.* no orientation sign"):
+        transport(phase_loop(), SpectralWindow(0.5, count + 0.5, count=count))
+
+
+def spin_loop(m, turns=1):
+    n = 16 if m == 8 else 8
+    return make_spin_loop(m, SymmetricOperator(np.diag(np.arange(1.0, n + 1.0))), turns=turns)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_block_rotation_loop(rotated_base(2), 0.5),
+    lambda: make_block_rotation_loop(rotated_base(8), 1.5),
+    lambda: make_block_rotation_loop(rotated_base(8), 3.0),
+    lambda: spin_loop(6), lambda: spin_loop(7), lambda: spin_loop(8), lambda: spin_loop(7, 2),
+], ids=["rot-n2-0.5", "rot-n8-1.5", "rot-n8-3", "spin-m6", "spin-m7", "spin-m8", "spin-m7-x2"])
+def test_rotation_path_is_the_exponential_of_its_generator(make):
+    loop = make()
+    omega = loop.generator(np.eye(loop.dim))
+    assert float(np.abs(omega + omega.T).max()) <= 1e-12
+    ts = np.linspace(0.0, 1.0, 9)
+    for t, r in zip(ts, loop.rotations(ts)):
+        assert float(np.abs(r - skew_expm(omega, t)).max()) <= 1e-12
+
+
+# (loop, count, initial_samples) on the certified route
+CERTIFIED_CASES = [(lambda: make_block_rotation_loop(rotated_base(8), 2.5), 3, 16),
+                   (lambda: make_block_rotation_loop(rotated_base(8), 3.0), 1, 5),
+                   (lambda: make_block_rotation_loop(rotated_base(64), 1.5), 2, 3),
+                   (lambda: make_block_rotation_loop(np.diag([1.0, 2.0]), 7.0), 1, 6),
+                   (lambda: spin_loop(7), 1, 16), (lambda: spin_loop(7), 3, 16),
+                   (lambda: spin_loop(8, 2), 2, 3)]
+
+
+@pytest.mark.parametrize("make, count, initial_samples", CERTIFIED_CASES)
+def test_certified_steps_and_midpoints_stay_below_the_step(make, count, initial_samples):
+    family = make().family()
+    window = SpectralWindow(0.5, count + 0.5, count=count)
+    path, ret = transport(family, window, initial_samples=initial_samples)
+    assert ret.certified
+    ts = path.parameters
+    np.testing.assert_array_equal(ts, np.linspace(0.0, 1.0, ts.size))
+    # projectors by the independent eigenvector route, at the grid and between
+    ends = [spectral_projector_eig(family(t), window) for t in ts]
+    mids = [spectral_projector_eig(family(t), window) for t in 0.5 * (ts[:-1] + ts[1:])]
+    for a, mid, b in zip(ends, mids, ends[1:]):
+        for p, q in ((a, b), (a, mid), (mid, b)):
+            assert projector_distance(p, q) < holonomy.MAX_PROJECTOR_STEP
+    frames = sequential_polar_frames(family, window.lower, window.upper, ts)
+    assert max(float(np.abs(f - g).max()) for f, g in zip(path.frames, frames)) <= 1e-12
+
+
+# the 1.5-turn reproducer, and n = 2 cases whose refined grids halve onto
+# exact ties at MAX_PROJECTOR_STEP: (base, turns, initial_samples)
+ALIASING_CASES = [([1.0, 2.0, 3.0, 4.0], 1.5, 3), ([1.0, 2.0], 7.0, 6), ([1.0, 2.0], 2.5, 3)]
+
+
+@pytest.mark.parametrize("values, turns, initial_samples", ALIASING_CASES)
+def test_certified_transport_gives_the_parity_sign(values, turns, initial_samples):
+    loop = make_block_rotation_loop(np.diag(values), turns)
+    _, ret = transport(loop.family(), SpectralWindow(0.5, 1.5, count=1),
+                       initial_samples=initial_samples)
+    assert ret.certified
+    assert ret.sign == predicted_sign(loop.parity, 1)
+
+
+def test_bound_free_families_are_not_certified():
+    window = SpectralWindow(0.5, 1.5, count=1)
+    odd = make_halfturn_loop(np.diag([1.0, 2.0])).family()
+    assert transport(odd, window)[1].certified
+    assert not transport(boundless(odd), window)[1].certified
+    assert not transport(concatenate_loops(odd, odd), window)[1].certified
+
+
+@pytest.mark.parametrize("speed, message", [
+    (0.0, r"^at t=0: window subspace moves by 0\.7071 >= 0\.5 to t=0\.25, beyond its "
+          r"projector-speed bound of 0 per unit t$"),
+    (1e6, "needs more than 100000 intervals"),
+    (np.nan, "needs more than 100000 intervals"),
+])
+def test_transport_refuses_a_wrong_projector_speed(monkeypatch, speed, message):
+    # turns 1.5 from 4 samples turns the window line by 3 pi / 4 per step
+    monkeypatch.setattr(EquivariantLoopModel, "_projector_speed", lambda self, frame: speed)
+    loop = make_block_rotation_loop(np.diag([1.0, 2.0]), 1.5)
+    with pytest.raises(TransportError, match=message) as exc:
+        transport(loop.family(), SpectralWindow(0.5, 1.5, count=1), initial_samples=4)
+    assert exc.value.parameter == (0.0 if speed == 0.0 else None)
