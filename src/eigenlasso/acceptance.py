@@ -21,6 +21,7 @@ from .models import (
     OperatorFamily,
     SymmetricOperator,
     _stack_chunks,
+    _stacked_loop,
     make_circle_dirac,
     make_fullturn_loop,
     make_halfturn_loop,
@@ -112,23 +113,25 @@ def make_conical_boundary() -> OperatorFamily:
     cone with its tip at the disc center.
     """
 
-    def sampler(t: float) -> np.ndarray:
-        a = 2.0 * np.pi * t
+    def stacker(ts: np.ndarray) -> np.ndarray:
+        a = 2.0 * np.pi * ts
         c, s = np.cos(a), np.sin(a)
-        return np.array([[c, s], [s, -c]])
+        return np.stack([np.stack([c, s], axis=-1), np.stack([s, -c], axis=-1)], axis=-2)
 
-    return OperatorFamily(domain="circle", sampler=sampler, name="conical")
+    return _stacked_loop(stacker, None, "conical")
 
 
 def make_commuting_loop(amplitude: float = 0.3) -> OperatorFamily:
     """Diagonal loop: all samples commute, so no degeneracy is forced."""
 
-    def sampler(t: float) -> np.ndarray:
-        a = 2.0 * np.pi * t
-        return np.diag([1.0 + amplitude * np.sin(a), 2.0 + amplitude * np.cos(a)])
+    def stacker(ts: np.ndarray) -> np.ndarray:
+        a = 2.0 * np.pi * ts
+        out = np.zeros((ts.size, 2, 2))
+        out[:, 0, 0] = 1.0 + amplitude * np.sin(a)
+        out[:, 1, 1] = 2.0 + amplitude * np.cos(a)
+        return out
 
-    return OperatorFamily(domain="circle", sampler=sampler, parity="even",
-                          name="commuting-diagonal")
+    return _stacked_loop(stacker, "even", "commuting-diagonal")
 
 
 def _window_for_count(k: int) -> SpectralWindow:

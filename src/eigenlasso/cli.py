@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import os
 import sys
@@ -178,8 +179,8 @@ def _scan_grid(n_r: int, n_theta: int) -> dict:
 
 
 def _tolerances(refine: float) -> dict:
-    if not refine > 0:
-        raise ValueError(f"refine must be positive, got {refine}")
+    if not (math.isfinite(refine) and refine > 0):
+        raise _fail("tolerances.refine", f"must be finite and positive, got {refine}")
     return {"refine": refine}
 
 
@@ -380,12 +381,14 @@ def _cmd_lasso_scan(run: _Run, spec: dict) -> int:
             "gap": cert.gap, "mean": cert.mean,
             "residual_a": cert.residual_a, "residual_b": cert.residual_b,
             "pair_index": cert.pair_index, "tol": cert.tol,
+            "levels": cert.levels, "evaluations": cert.evaluations,
         }
         return run.finish(results, certificate=True, gap=cert.gap, r=cert.r, best_gap=cert.gap)
     except DegeneracyNotFound as exc:
         results["not_found"] = {
             "best_r": exc.best_point[0], "best_theta": exc.best_point[1],
             "best_gap": exc.best_gap, "levels": exc.levels,
+            "evaluations": exc.evaluations,
         }
         return run.finish(results, certificate=False, best_gap=exc.best_gap)
 

@@ -6,7 +6,11 @@ eigenvalues around the window must collide.  This module fills the
 loop by linear interpolation toward a center operator (the space of
 symmetric matrices is convex, so the filling is canonical), scans the
 disc for small eigenvalue gaps, and refines promising points into a
-certificate of near-degeneracy.
+certificate of near-degeneracy.  The scan factors one ring of the
+polar grid per batched eigensolve; the refinement is a greedy stencil
+walk whose runs of non-improving points are evaluated speculatively,
+one boundary stack and one batched eigensolve per run, with the same
+points and answer as walking one point at a time.
 
 The gap indicator is anchored by eigenvalue index at the boundary
 basepoint, not by window position: tracking the same sorted indices
@@ -16,6 +20,7 @@ collision and an eigenvalue crossing a window endpoint.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -124,11 +129,12 @@ def _guard_pairs(anchor: int, count: int, n: int) -> range:
     return range(max(anchor, 1) - 1, min(anchor + count, n - 1))
 
 
-def _index_gaps(values: np.ndarray, anchor: int, count: int) -> float:
-    """Minimal consecutive gap over the anchored guard pairs."""
+def _index_gaps(values: np.ndarray, anchor: int, count: int) -> np.ndarray:
+    """Minimal consecutive gap over the anchored guard pairs, per spectrum
+    (inf where there is no pair)."""
     pairs = _guard_pairs(anchor, count, values.shape[-1])
     if not pairs:
-        return np.inf
+        return np.full(values.shape[:-1], np.inf)
     lo, hi = pairs.start, pairs.stop
     diffs = values[..., lo + 1:hi + 1] - values[..., lo:hi]
     return diffs.min(axis=-1)
@@ -199,7 +205,12 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
 
 @dataclass(frozen=True)
 class DegeneracyCertificate:
-    """A disc point where two anchored eigenvalues coincide to tolerance."""
+    """A disc point where two anchored eigenvalues coincide to tolerance.
+
+    ``levels`` counts the stencil levels walked before the gap reached
+    ``tol`` and ``evaluations`` the gap evaluations made on the way,
+    the starting point and speculative ones included.
+    """
 
     r: float
     theta: float
@@ -213,6 +224,8 @@ class DegeneracyCertificate:
     anchor: int
     window: SpectralWindow
     tol: float
+    levels: int
+    evaluations: int
 
     def __post_init__(self):
         if self.gap > self.tol:
@@ -220,12 +233,15 @@ class DegeneracyCertificate:
 
 
 class DegeneracyNotFound(Exception):
-    """Refinement stagnated; carries the best point and gap reached."""
+    """Refinement stagnated; carries the best point and gap reached, the
+    levels walked and the gap evaluations made (as on the certificate)."""
 
-    def __init__(self, best_point: Tuple[float, float], best_gap: float, levels: int):
+    def __init__(self, best_point: Tuple[float, float], best_gap: float, levels: int,
+                 evaluations: int):
         self.best_point = best_point
         self.best_gap = best_gap
         self.levels = levels
+        self.evaluations = evaluations
         super().__init__(
             f"no gap below tolerance after {levels} levels; best gap "
             f"{best_gap:.6e} at (r, theta) = ({best_point[0]:.6g}, {best_point[1]:.6g})"
@@ -233,10 +249,18 @@ class DegeneracyNotFound(Exception):
 
 
 _STENCIL = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+# the 25 stencil offsets in walk order: radial offset outer, angular inner
+_STENCIL_R = np.repeat(_STENCIL, _STENCIL.size)
+_STENCIL_T = np.tile(_STENCIL, _STENCIL.size)
+# largest disc dimension at which the walk evaluates points speculatively;
+# above it eigvalsh dominates each point, and the points a batch drops
+# (42% more on the benchmark's n = 32 and n = 128 discs) cost more than it saves
+_SPECULATE_MAX_DIM = 16
 
 
 def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
-                    r: float, theta: float, tol: float) -> DegeneracyCertificate:
+                    r: float, theta: float, tol: float, levels: int,
+                    evaluations: int) -> DegeneracyCertificate:
     h = disc.operator_at(r, theta)
     values, vectors = eigendecompose(h)
     pairs = _guard_pairs(anchor, window.count, values.size)
@@ -258,6 +282,7 @@ def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
         r=float(r), theta=float(theta), lambda_a=lam_a, lambda_b=lam_b,
         gap=gap, mean=mean, residual_a=res_a, residual_b=res_b,
         pair_index=int(i), anchor=anchor, window=window, tol=tol,
+        levels=levels, evaluations=evaluations,
     )
 
 
@@ -267,39 +292,72 @@ def refine(disc: DiscFamily, window: SpectralWindow,
     """Shrink the anchored gap below ``tol`` by nested stencil search.
 
     ``point`` is a (gap, r, theta) candidate of ``scan_disc``, such as
-    ``ScanResult.best``; the search starts at its (r, theta).
-    Deterministic 5x5 stencils around the current best point, with the
-    stencil radius divided by 4 per level; the radial coordinate is
-    clipped to [0, 1] and the angle wraps.  Raises DegeneracyNotFound
-    when the cap of 40 levels is reached first.
+    ``ScanResult.best``; the search starts at its (r, theta).  Each
+    level walks a deterministic 5x5 stencil (radial offset outer,
+    angular offset inner) around the current best point and moves to
+    every point whose gap is strictly smaller, so later points of the
+    level are offset from the new best; the stencil radius is then
+    divided by 4.  The radial coordinate is clipped to [0, 1] and the
+    angle wraps.  ``tol`` and both ``step`` entries (default 1/4, 1/4)
+    must be finite and positive.  Raises DegeneracyNotFound when the
+    cap of 40 levels is reached first.
+
+    The walk is evaluated speculatively, with the same points,
+    comparisons and answer as one point at a time: the next ``width``
+    points of the level, offset from the current best, are built as one
+    boundary stack and take one batched ``eigvalsh``, and the first one
+    that improves is taken, dropping the rest.  ``width`` starts at 1,
+    doubles up to 25 after each batch that finds no improvement and
+    drops back to 1 after a move.  Discs above ``_SPECULATE_MAX_DIM``
+    keep width 1: there ``eigvalsh`` dominates each point, so batching
+    saves little and the dropped points would cost more.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     _, r, theta = (float(x) for x in point)
     if step is None:
         step = (0.25, 0.25)
     dr, dt = float(step[0]), float(step[1])
+    if not all(math.isfinite(x) and x > 0 for x in (dr, dt)):
+        raise ValueError(f"step entries must be finite and positive, got {tuple(step)}")
     anchor = _anchor_index(disc, window)
+    c = disc.center.matrix
 
-    def gap_at(rr: float, tt: float) -> float:
-        values = np.linalg.eigvalsh(disc.operator_at(rr, tt))
-        return float(_index_gaps(values, anchor, window.count))
+    def gaps_at(rs: list, ts: list) -> list:
+        """Anchored gaps at the points (rs[i], ts[i])."""
+        if len(rs) == 1:  # eigvalsh takes longer on a one-matrix stack
+            values = np.linalg.eigvalsh(disc.operator_at(rs[0], ts[0]))
+            return [float(_index_gaps(values, anchor, window.count))]
+        h = c + np.array(rs)[:, None, None] * (disc.boundary.stack(ts) - c)
+        return _index_gaps(np.linalg.eigvalsh(h), anchor, window.count).tolist()
 
     best_r, best_t = min(max(r, 0.0), 1.0), theta % 1.0
-    best_gap = gap_at(best_r, best_t)
+    best_gap = gaps_at([best_r], [best_t])[0]
+    evaluations = 1
+    max_width = _STENCIL_R.size if disc.dim <= _SPECULATE_MAX_DIM else 1
+    width = 1
     max_levels = 40
     for level in range(max_levels):
         if best_gap <= tol:
-            return _certificate_at(disc, window, anchor, best_r, best_t, tol)
-        for du in _STENCIL:
-            for dv in _STENCIL:
-                rr = min(max(best_r + du * dr, 0.0), 1.0)
-                tt = (best_t + dv * dt) % 1.0
-                g = gap_at(rr, tt)
-                if g < best_gap:
-                    best_gap, best_r, best_t = g, rr, tt
+            return _certificate_at(disc, window, anchor, best_r, best_t, tol,
+                                   level, evaluations)
+        k, rs = 0, None  # k: the next stencil offset of this level
+        while k < _STENCIL_R.size:
+            if rs is None:  # the level's remaining points, offset from the current best
+                rs = np.minimum(np.maximum(best_r + _STENCIL_R[k:] * dr, 0.0), 1.0).tolist()
+                ts = ((best_t + _STENCIL_T[k:] * dt) % 1.0).tolist()
+            gaps = gaps_at(rs[:width], ts[:width])
+            evaluations += len(gaps)
+            for i, g in enumerate(gaps):
+                if g < best_gap:  # move there; the rest of the batch is dropped
+                    best_gap, best_r, best_t = g, rs[i], ts[i]
+                    k, rs, width = k + i + 1, None, 1
+                    break
+            else:
+                k, rs, ts = k + len(gaps), rs[len(gaps):], ts[len(gaps):]
+                width = min(2 * width, max_width)
         dr, dt = dr / 4.0, dt / 4.0
     if best_gap <= tol:
-        return _certificate_at(disc, window, anchor, best_r, best_t, tol)
-    raise DegeneracyNotFound((best_r, best_t), best_gap, max_levels)
-
+        return _certificate_at(disc, window, anchor, best_r, best_t, tol,
+                               max_levels, evaluations)
+    raise DegeneracyNotFound((best_r, best_t), best_gap, max_levels, evaluations)

@@ -128,7 +128,14 @@ BAD_CONFIGS = {
         "grid: need n_r >= 1 and n_theta >= 3"),
     "refine-zero": (
         "lasso-scan", shipped("lasso_conical.json", tolerances={"refine": 0.0}),
-        "tolerances: refine must be positive"),
+        "tolerances.refine: must be finite and positive, got 0.0"),
+    # json reads Infinity and NaN; an infinite tol certified a gap of 0.125
+    "refine-infinite": (
+        "lasso-scan", shipped("lasso_conical.json", tolerances={"refine": float("inf")}),
+        "tolerances.refine: must be finite and positive, got inf"),
+    "refine-nan": (
+        "lasso-scan", shipped("lasso_conical.json", tolerances={"refine": float("nan")}),
+        "tolerances.refine: must be finite and positive, got nan"),
     "window-misses-basepoint": (
         "lasso-scan", shipped("lasso_conical.json", window={"lower": 1.5, "upper": 2.5}),
         "window: at the boundary basepoint: window holds 0 eigenvalues, expected 1"),
@@ -232,7 +239,10 @@ def test_lasso_scan_certifies_the_cone(tmp_path):
     assert lines[0] == "r,theta,min_gap"
     assert len(lines) == 1 + 8 * 12
     report = read_report(tmp_path, "lasso_scan")
-    assert report["results"]["certificate"]["gap"] <= 1e-10
+    cert = report["results"]["certificate"]
+    assert cert["gap"] <= 1e-10
+    # every level walked evaluates its 25 stencil points at least once
+    assert cert["levels"] >= 1 and cert["evaluations"] >= 1 + 25 * cert["levels"]
 
 
 def test_lasso_scan_negative_control_records_floor_and_warning(tmp_path):
@@ -248,6 +258,8 @@ def test_lasso_scan_negative_control_records_floor_and_warning(tmp_path):
     report = read_report(tmp_path, "lasso_scan")
     assert report["observed"]["boundary_sign"] == 1
     assert report["warnings"]
+    not_found = report["results"]["not_found"]
+    assert not_found["levels"] == 40 and not_found["evaluations"] >= 1 + 25 * 40
 
 
 def test_unknown_expectation_metric_exits_1(tmp_path, capsys):

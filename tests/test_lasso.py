@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eigenlasso.acceptance import make_commuting_loop, make_conical_boundary
 from eigenlasso.lasso import (
     DegeneracyNotFound,
     DiscFamily,
@@ -12,9 +16,16 @@ from eigenlasso.models import (
     OperatorFamily,
     SymmetricOperator,
     make_halfturn_loop,
+    make_spin_loop,
 )
 from eigenlasso.spectral import SpectralWindow, cluster_groups
-from oracle_reference import conical_gap
+from oracle_reference import (
+    commuting_sample,
+    conical_gap,
+    conical_sample,
+    sequential_refine,
+    window_range,
+)
 
 
 def make_conical_disc():
@@ -165,6 +176,192 @@ def test_certificates_are_deterministic():
     b = refine(disc, window, start, tol=1e-10)
     assert (a.r, a.theta, a.gap, a.lambda_a, a.lambda_b) == \
         (b.r, b.theta, b.gap, b.lambda_a, b.lambda_b)
+
+
+def test_refine_refuses_non_finite_tolerance():
+    # unchecked, tol=nan walked 40 levels to the tip's exact gap 0.0
+    # and refused it, and tol=inf certified a gap of 1.0
+    disc = make_conical_disc()
+    window = SpectralWindow(0.0, 2.0, count=1)
+    for tol in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            refine(disc, window, (1.0, 0.5, 0.0), tol=tol)
+
+
+def test_refine_refuses_non_finite_or_non_positive_step():
+    disc = make_conical_disc()
+    window = SpectralWindow(0.0, 2.0, count=1)
+    for step in ((math.nan, 0.25), (0.25, math.inf), (0.0, 0.25), (0.25, -0.1)):
+        with pytest.raises(ValueError, match="^step entries must be finite and positive"):
+            refine(disc, window, (1.0, 0.5, 0.0), tol=1e-10, step=step)
+
+
+# ------------------------------------------- speculative walk vs one point at a time
+
+def walk_outcome(disc, window, point, tol, step=None):
+    """refine's answer as (found, r, theta, gap, levels); gap None on a certificate."""
+    try:
+        cert = refine(disc, window, point, tol, step=step)
+    except DegeneracyNotFound as exc:
+        return False, exc.best_point[0], exc.best_point[1], exc.best_gap, exc.levels
+    return True, cert.r, cert.theta, None, cert.levels
+
+
+def assert_walk_is_sequential(disc, window, point, tol, step=None):
+    """refine reaches bit for bit the point and gap of the one-point walk."""
+    anchor = window_range(np.linalg.eigvalsh(disc.boundary(0.0)),
+                          window.lower, window.upper, window.count).start
+    found, r, theta, gap, levels = sequential_refine(disc, anchor, window.count, point, tol,
+                                                     step=step or (0.25, 0.25))
+    got = walk_outcome(disc, window, point, tol, step)
+
+    def hexed(xs):
+        return [x.hex() if isinstance(x, float) else x for x in xs]
+
+    assert hexed(got) == hexed((found, r, theta, None if found else gap, levels))
+    return got
+
+
+def halfturn_disc(n, seed):
+    rng = np.random.default_rng(seed)
+    values = np.cumsum(rng.uniform(0.2, 1.0, n))
+    g = rng.standard_normal((n, n))
+    center = np.diag(values) + 0.3 * (g + g.T) / np.linalg.norm(g + g.T, 2)
+    disc = make_orbit_disc(make_halfturn_loop(np.diag(values)), center=center)
+    k = int(rng.integers(1, n - 1)) if n > 2 else 0
+    lower = values[k] - 0.1 if k == 0 else 0.5 * (values[k - 1] + values[k])
+    return disc, SpectralWindow(lower, 0.5 * (values[k] + values[k + 1]), count=1)
+
+
+def test_walk_matches_sequential_on_the_cone_centred_and_shifted():
+    window = SpectralWindow(0.0, 2.0, count=1)
+    for shift in (0.0, 0.3, -0.41):
+        disc = make_orbit_disc(make_conical_boundary(), center=shift * np.eye(2))
+        found, r, *_ = assert_walk_is_sequential(disc, window, (1.0, 0.37, 0.61), 1e-10,
+                                                 step=(1.0 / 16, 1.0 / 24))
+        assert found and r <= 1e-10
+
+
+def test_walk_matches_sequential_on_the_commuting_control():
+    disc = make_orbit_disc(make_commuting_loop(0.3), center="mean")
+    window = SpectralWindow(0.5, 1.5, count=1)
+    found, r, *_ = assert_walk_is_sequential(disc, window, (1.0, 0.9, 0.3), 1e-3,
+                                             step=(1.0 / 12, 1.0 / 16))
+    # the closest approach, 1 - a sqrt(2), lies on the boundary: r clips at 1
+    assert not found and r == 1.0
+
+
+def test_walk_matches_sequential_on_halfturn_discs():
+    disc, window = halfturn_disc(8, seed=3)
+    assert_walk_is_sequential(disc, window, (1.0, 0.5, 0.25), 1e-8,
+                              step=(1.0 / 16, 1.0 / 24))
+    # above the speculation size every point is evaluated on its own
+    for seed in (4, 6):  # a certificate and a stall
+        disc, window = halfturn_disc(32, seed)
+        assert_walk_is_sequential(disc, window, (1.0, 0.5, 0.75), 1e-8,
+                                  step=(1.0 / 16, 1.0 / 24))
+
+
+def test_walk_matches_sequential_on_the_spin_m7_disc():
+    loop = make_spin_loop(7, np.diag(np.arange(1.0, 9.0))).family()
+    disc = make_orbit_disc(loop, center="mean")
+    window = SpectralWindow(3.5, 4.5, count=1)
+    assert_walk_is_sequential(disc, window, (1.0, 0.4, 0.1), 1e-7,
+                              step=(1.0 / 16, 1.0 / 24))
+
+
+def test_walk_matches_sequential_when_clipping_and_wrapping():
+    disc = make_conical_disc()
+    window = SpectralWindow(0.0, 2.0, count=1)
+    # clipped at r = 0 with theta wrapping below 0 on the first level
+    found, r, theta, _, _ = assert_walk_is_sequential(disc, window, (1.0, 0.05, 0.02), 1e-10)
+    assert found and r == 0.0
+    # clipped at r = 1 with theta wrapping above 1
+    assert_walk_is_sequential(disc, window, (1.0, 0.9, 0.95), 1e-10, step=(0.5, 0.5))
+    # a start outside the disc is clipped and wrapped
+    assert_walk_is_sequential(disc, window, (1.0, 1.7, -0.3), 1e-10)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2 ** 16),
+       r=st.floats(0.0, 1.0), theta=st.floats(-1.0, 2.0),
+       tol=st.sampled_from([1e-3, 1e-8]),
+       step=st.tuples(st.floats(0.01, 0.5), st.floats(0.01, 0.5)))
+def test_walk_matches_sequential_on_small_discs(n, seed, r, theta, tol, step):
+    disc, window = halfturn_disc(n, seed)
+    assert_walk_is_sequential(disc, window, (1.0, r, theta), tol, step=step)
+
+
+def test_walk_counts_levels_and_evaluations():
+    disc, window = halfturn_disc(32, seed=6)
+    with pytest.raises(DegeneracyNotFound) as exc:
+        refine(disc, window, (1.0, 0.5, 0.75), tol=1e-8, step=(1.0 / 16, 1.0 / 24))
+    # one point at a time: the start plus 25 points per level
+    assert (exc.value.levels, exc.value.evaluations) == (40, 1 + 25 * 40)
+    cert = refine(make_conical_disc(), SpectralWindow(0.0, 2.0, count=1),
+                  (1.0, 0.37, 0.61), tol=1e-10)
+    # speculation can only add evaluations to the 25 per level walked
+    assert cert.levels > 0 and cert.evaluations >= 1 + 25 * cert.levels
+
+
+def test_walk_without_guard_pairs_reports_an_infinite_gap():
+    # a 1 x 1 disc has no consecutive pair to watch, in batches too
+    fam = OperatorFamily(domain="circle",
+                         sampler=lambda t: np.array([[1.0 + 0.1 * np.cos(2 * np.pi * t)]]))
+    disc = DiscFamily(center=SymmetricOperator(np.eye(1)), boundary=fam)
+    with pytest.raises(DegeneracyNotFound) as exc:
+        refine(disc, SpectralWindow(0.0, 2.0, count=1), (1.0, 0.5, 0.1), tol=1e-3)
+    assert exc.value.best_gap == np.inf and exc.value.best_point == (0.5, 0.1)
+    assert exc.value.evaluations == 1 + 25 * 40
+
+
+def count_eigvalsh(monkeypatch):
+    """Record the stack depth of every numpy.linalg.eigvalsh call."""
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(1 if np.ndim(a) == 2 else len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_commuting_control_takes_at_most_two_eigvalsh_calls_per_level(monkeypatch):
+    disc = make_orbit_disc(make_commuting_loop(0.3), center="mean")
+    window = SpectralWindow(0.5, 1.5, count=1)
+    with pytest.warns(UserWarning, match="sign \\+1"):
+        start = scan_disc(disc, window, grid=(16, 24)).best
+    calls = count_eigvalsh(monkeypatch)
+    with pytest.raises(DegeneracyNotFound) as exc:
+        refine(disc, window, start, tol=1e-3, step=(1.0 / 16, 1.0 / 24))
+    # the anchor and the start take one call each
+    assert len(calls) - 2 <= 2 * exc.value.levels
+    assert sum(calls) == exc.value.evaluations + 1
+
+
+def test_large_disc_passes_one_matrix_per_call(monkeypatch):
+    disc, window = halfturn_disc(32, seed=6)
+    calls = count_eigvalsh(monkeypatch)
+    with pytest.raises(DegeneracyNotFound):
+        refine(disc, window, (1.0, 0.5, 0.75), tol=1e-8, step=(1.0 / 16, 1.0 / 24))
+    assert set(calls) == {1} and len(calls) == 2 + 25 * 40
+
+
+# ---------------------------------------------------------------- boundary stackers
+
+def test_stackers_equal_the_closed_form_samples():
+    ts = np.concatenate([np.linspace(-2.0, 2.0, 41), [1.0, -1.0, -0.25, 1 - 2 ** -53,
+                                                      -1e-20, 0.1 + 0.2, 7.3]])
+    families = [(make_conical_boundary(), conical_sample)]
+    families += [(make_commuting_loop(a), lambda t, a=a: commuting_sample(t, a))
+                 for a in (0.1, 0.3, 0.37)]
+    for family, sample in families:
+        stacked = family.stack(ts)
+        want = np.stack([sample(t) for t in ts])
+        assert stacked.tobytes() == want.tobytes()
+        assert stacked.tobytes() == np.stack([family(t) for t in ts]).tobytes()
 
 
 # ---------------------------------------------------------------- clustering
