@@ -109,8 +109,16 @@ def _check(kind, value, path: str, seed: Optional[int] = None):
         raise _fail(path or "config", f"expected {_name(kind)}, got {_NAMES[type(value)]}")
     if isinstance(kind, list):
         return [_check(kind[0], v, f"{path}[{i}]", seed) for i, v in enumerate(value)]
+    if kind is float:
+        try:  # json reads Infinity and NaN
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf if value > 0 else -math.inf
+        if not math.isfinite(number):
+            raise _fail(path, f"must be finite, got {number}")
+        return number
     if isinstance(kind, type):
-        return float(value) if kind is float else value
+        return value
     if isinstance(kind, _Kinds):
         if "kind" not in value:
             raise _fail(_join(path, "kind"), "required field is missing")
@@ -179,7 +187,7 @@ def _scan_grid(n_r: int, n_theta: int) -> dict:
 
 
 def _tolerances(refine: float) -> dict:
-    if not (math.isfinite(refine) and refine > 0):
+    if not refine > 0:
         raise _fail("tolerances.refine", f"must be finite and positive, got {refine}")
     return {"refine": refine}
 

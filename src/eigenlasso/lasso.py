@@ -227,10 +227,6 @@ class DegeneracyCertificate:
     levels: int
     evaluations: int
 
-    def __post_init__(self):
-        if self.gap > self.tol:
-            raise RuntimeError(f"certificate gap {self.gap:.3e} exceeds tol {self.tol:.3e}")
-
 
 class DegeneracyNotFound(Exception):
     """Refinement stagnated; carries the best point and gap reached, the
@@ -270,6 +266,8 @@ def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
     res_a = float(np.linalg.norm(h @ vectors[:, i] - mean * vectors[:, i]))
     res_b = float(np.linalg.norm(h @ vectors[:, i + 1] - mean * vectors[:, i + 1]))
     gap = lam_b - lam_a
+    if gap > tol:  # eigvalsh met tol where this eigendecomposition does not
+        raise DegeneracyNotFound((float(r), float(theta)), gap, levels, evaluations)
     # the pair spans a near-invariant plane: residuals can only come
     # from the split itself plus roundoff
     # ||h|| is the largest |eigenvalue| of the symmetric h
@@ -300,7 +298,10 @@ def refine(disc: DiscFamily, window: SpectralWindow,
     divided by 4.  The radial coordinate is clipped to [0, 1] and the
     angle wraps.  ``tol`` and both ``step`` entries (default 1/4, 1/4)
     must be finite and positive.  Raises DegeneracyNotFound when the
-    cap of 40 levels is reached first.
+    cap of 40 levels is reached first, and also when the certificate's
+    eigendecomposition at the walk's best point measures a gap above
+    ``tol``: below the round-off floor (a ``tol`` of 1e-300, say),
+    ``eigvalsh`` can return a gap of 0 that ``eigh`` does not.
 
     The walk is evaluated speculatively, with the same points,
     comparisons and answer as one point at a time: the next ``width``

@@ -3,20 +3,24 @@
 Two kinds of models live here: an exact circle derivative model whose
 spectrum is known in closed form (the oracle, with its two boundary
 condition offsets), and equivariant loops D(t) = rho(t) D0 rho(t)^T
-obtained by conjugating a base operator with a closed path of
-orthogonal matrices.  A loop is odd when rho(1) = -I and even when
-rho(1) = +I; odd loops are the sign-carrying ones.
+obtained by conjugating a base operator with the rotations
+rho(t) = exp(t pi h K) of a complex structure K through h half turns.
+A loop is odd when rho(1) = -I (h odd) and even when rho(1) = +I;
+odd loops are the sign-carrying ones.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from ._linalg import _frozen, _opnorm
-from .clifford import build_clifford, find_structure_map, lift_rotation, real_form_basis
+from .clifford import build_clifford, find_structure_map, real_form_basis
 
 __all__ = [
     "SYMMETRY_RTOL",
@@ -252,16 +256,16 @@ def make_circle_dirac(n_max: int, delta: float) -> CircleDiracModel:
 
 @dataclass(frozen=True)
 class EquivariantLoopModel:
-    """Loop D(t) = rho(t) D0 rho(t)^T for an orthogonal path rho.
+    """Loop D(t) = rho(t) D0 rho(t)^T along rho(t) = exp(t pi h K).
 
-    rho(0) = I and rho(1) = sigma I with sigma in {+1, -1}; the loop is
-    odd when sigma = -1.  Conjugation keeps the spectrum constant along
-    the loop and transports eigenvectors: if D0 v = lambda v then
-    D(t) (rho(t) v) = lambda (rho(t) v).  ``rotations`` maps a 1-D
-    array of parameters to the (N, n, n) stack of rho(t).
+    ``structure`` K is a real complex structure, K^T = -K and K^2 = -I,
+    so rho(t) = cos(pi h t) I + sin(pi h t) K is orthogonal at every t,
+    with rho(0) = I and rho(1) = (-1)^h I for h = ``half_turns``, an
+    integer.  The loop is odd when h is odd.  Conjugation keeps the
+    spectrum constant along the loop and transports eigenvectors: if
+    D0 v = lambda v then D(t) (rho(t) v) = lambda (rho(t) v).
 
-    ``generator``, when given, applies to an n x k frame the real skew
-    Omega with rho(t) = exp(t Omega).  A window projector then moves as
+    The generator is Omega = pi h K.  A window projector moves as
     P(t) = rho(t) P0 rho(t)^T with P' = [Omega, P], at the constant speed
     ||[Omega, P0]|| = ||Omega F0 - F0 (F0^H Omega F0)|| for a frame F0 of
     P0 (the commutator is block off-diagonal in P0 + (I - P0), and Omega
@@ -269,31 +273,43 @@ class EquivariantLoopModel:
     """
 
     base: SymmetricOperator
-    rotations: Callable[[np.ndarray], np.ndarray]
-    generator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    structure: np.ndarray
+    half_turns: int
     sigma: int = field(init=False, default=0)
     parity: str = field(init=False, default="")
 
     def __post_init__(self):
         if not self.base.is_real:
             raise ValueError("equivariant loops require a real symmetric base")
-        dim = self.base.dim
-        eye = np.eye(dim)
-        r0, r1, *inner = self.rotations(np.array([0.0, 1.0, 0.3, 0.7]))
-        if _opnorm(r0 - eye) > 1e-12:
-            raise ValueError("rotation path must start at the identity")
-        sigma = 1 if float(np.trace(r1)) > 0 else -1
-        if _opnorm(r1 - sigma * eye) > 1e-12:
-            raise ValueError("rotation path must end at +I or -I")
-        for t, r in zip((0.3, 0.7), inner):
-            if _opnorm(r.T @ r - eye) > 1e-12:
-                raise ValueError(f"rotation path is not orthogonal at t={t}")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "parity", "odd" if sigma < 0 else "even")
+        h, k = self.half_turns, np.asarray(self.structure)
+        if isinstance(h, bool) or not isinstance(h, numbers.Integral):
+            raise ValueError(f"half_turns must be an integer, got {h!r}")
+        if np.iscomplexobj(k) or k.shape != (self.dim, self.dim):
+            raise ValueError(f"structure must be a real {self.dim} x {self.dim} matrix, "
+                             f"got {k.dtype} of shape {k.shape}")
+        k = _frozen(k.astype(float, copy=False))
+        # in the Frobenius norm, which bounds the operator norm; exact for J
+        if max(np.linalg.norm(k + k.T), np.linalg.norm(k @ k + np.eye(self.dim))) > 1e-12:
+            raise ValueError("structure must be a complex structure: K^T = -K, K^2 = -I")
+        object.__setattr__(self, "structure", k)
+        object.__setattr__(self, "half_turns", int(h))
+        object.__setattr__(self, "sigma", -1 if h % 2 else 1)
+        object.__setattr__(self, "parity", "odd" if h % 2 else "even")
 
     @property
     def dim(self) -> int:
         return self.base.dim
+
+    def rotations(self, ts) -> np.ndarray:
+        """rho(t) for every t in ``ts`` as one (N, n, n) array."""
+        angles = (np.pi * self.half_turns) * np.asarray(ts, dtype=float).ravel()
+        r = np.multiply.outer(np.sin(angles), self.structure)
+        r.reshape(-1, self.dim * self.dim)[:, ::self.dim + 1] += np.cos(angles)[:, None]
+        return r
+
+    def generator(self, frame: np.ndarray) -> np.ndarray:
+        """Omega F = pi h K F for an n x k frame F."""
+        return (np.pi * self.half_turns) * (self.structure @ frame)
 
     def stack(self, ts) -> np.ndarray:
         """D(t) for every t in ``ts`` (wrapped mod 1) as one (N, n, n) array."""
@@ -307,42 +323,35 @@ class EquivariantLoopModel:
     def family(self) -> OperatorFamily:
         return _stacked_loop(self.stack, self.parity,
                              f"equivariant(dim={self.dim}, parity={self.parity})",
-                             None if self.generator is None else self._projector_speed)
+                             self._projector_speed)
+
+
+@functools.lru_cache(maxsize=16)
+def _block_structure(n: int) -> np.ndarray:
+    """J with one [[0, -1], [1, 0]] block per pair of coordinates, shared read-only."""
+    even = np.arange(0, n, 2)
+    k = np.zeros((n, n))
+    k[even, even + 1] = -1.0
+    k[even + 1, even] = 1.0
+    return _frozen(k)
 
 
 def make_block_rotation_loop(base, turns: float) -> EquivariantLoopModel:
     """Conjugation loop by block diagonal planar rotations.
 
-    ``turns`` is the number of full rotations completed at t = 1; a half
-    turn (turns = 0.5) ends at -I and gives an odd loop, integer turns
-    end at +I and give even loops.
+    ``turns`` is the number of full rotations completed at t = 1, a
+    finite multiple of one half; every 2x2 block rotates by 2 pi turns t.
+    A half turn (turns = 0.5) ends at -I and gives an odd loop, integer
+    turns end at +I and give even loops.
     """
     d0 = base if isinstance(base, SymmetricOperator) else SymmetricOperator(as_matrix(base))
     if d0.dim % 2 != 0:
         raise ValueError("block rotation loops require even dimension")
-    if (2.0 * turns) != int(2.0 * turns):
-        raise ValueError("turns must be a multiple of one half")
-    even = np.arange(0, d0.dim, 2)
-
-    def rotations(ts: np.ndarray) -> np.ndarray:
-        # one [[cos, -sin], [sin, cos]] block per pair of coordinates
-        angles = 2.0 * np.pi * turns * ts
-        c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
-        r = np.zeros((ts.size, d0.dim, d0.dim))
-        r[:, even, even] = c
-        r[:, even, even + 1] = -s
-        r[:, even + 1, even] = s
-        r[:, even + 1, even + 1] = c
-        return r
-
-    def generator(frame: np.ndarray) -> np.ndarray:
-        # Omega = 2 pi turns J, J applied by index: every block of J is [[0, -1], [1, 0]]
-        out = np.empty_like(frame)
-        out[even] = -frame[even + 1]
-        out[even + 1] = frame[even]
-        return (2.0 * np.pi * turns) * out
-
-    return EquivariantLoopModel(base=d0, rotations=rotations, generator=generator)
+    half_turns = 2.0 * turns
+    if not (math.isfinite(half_turns) and half_turns == int(half_turns)):
+        raise ValueError(f"turns must be a finite multiple of one half, got {turns}")
+    return EquivariantLoopModel(base=d0, structure=_block_structure(d0.dim),
+                                half_turns=int(half_turns))
 
 
 def make_halfturn_loop(base) -> EquivariantLoopModel:
@@ -359,50 +368,30 @@ def make_spin_loop(m: int, base, turns: int = 1) -> EquivariantLoopModel:
     """Rotation loop lifted through a Clifford representation.
 
     Builds the representation for ambient dimension m (which must admit
-    a real structure, i.e. m mod 8 in {0, 6, 7}), restricts the lift of
-    the rotation in the plane of the last two generators to the real
-    form, and conjugates the base operator by the resulting orthogonal
-    path.  One rotation turn lifts to -I (odd loop); two turns give +I.
-    The lift at angle 2 pi turns t is cos(pi turns t) I + sin(pi turns t) G
-    with G = gamma_{m-2} gamma_{m-1} and G^2 = -I, so rho(t) = exp(t Omega)
-    for the generator Omega = pi turns K, K = B^H G B real in the real
-    form basis B.
+    a real structure, i.e. m mod 8 in {0, 6, 7}) and conjugates the base
+    operator by the lift of the rotation in the plane of the last two
+    generators, restricted to the real form.  The lift at angle
+    2 pi turns t is cos(pi turns t) I + sin(pi turns t) G with
+    G = gamma_{m-2} gamma_{m-1} and G^2 = -I, so in the real form basis B
+    the loop's structure is K = B^H G B, which is real, and its half
+    turns are ``turns``: one rotation turn lifts to -I (odd loop), two
+    give +I.
     """
     if m % 8 not in (0, 6, 7):
-        raise ValueError(
-            f"m={m}: spin loops need a real structure (m mod 8 in {{0, 6, 7}})"
-        )
+        raise ValueError(f"m={m}: spin loops need a real structure (m mod 8 in {{0, 6, 7}})")
     if turns not in (1, 2):
         raise ValueError("turns must be 1 (odd loop) or 2 (even loop)")
     rep = build_clifford(m)
-    smap = find_structure_map(rep)
-    basis = real_form_basis(rep, smap)
+    basis = real_form_basis(rep, find_structure_map(rep))
     d0 = base if isinstance(base, SymmetricOperator) else SymmetricOperator(as_matrix(base))
     if d0.dim != rep.dim:
         raise ValueError(
             f"base dimension {d0.dim} does not match the real form dimension {rep.dim}"
         )
-    if not d0.is_real:
-        raise ValueError("spin loops require a real symmetric base")
-    plane = (m - 2, m - 1)
-    basis_h = basis.conj().T
-    k = basis_h @ rep.generators[plane[0]] @ rep.generators[plane[1]] @ basis
+    k = basis.conj().T @ rep.generators[m - 2] @ rep.generators[m - 1] @ basis
     if float(np.abs(np.imag(k)).max()) > 1e-10:
         raise RuntimeError("lift failed to restrict to the real form")
-    k = np.real(k)
-
-    def rotations(ts: np.ndarray) -> np.ndarray:
-        # one lift per t; the real part is a strided view, which the
-        # conjugation multiplies without BLAS, as the per-t route did
-        r = np.empty((ts.size,) + basis.shape[1:] * 2, dtype=complex)
-        for i, t in enumerate(ts.tolist()):
-            r[i] = basis_h @ lift_rotation(rep, plane[0], plane[1], 2.0 * np.pi * turns * t) @ basis
-        if float(np.abs(np.imag(r)).max()) > 1e-10:
-            raise RuntimeError("lift failed to restrict to the real form")
-        return np.real(r)
-
-    return EquivariantLoopModel(base=d0, rotations=rotations,
-                                generator=lambda frame: (np.pi * turns) * (k @ frame))
+    return EquivariantLoopModel(base=d0, structure=np.real(k), half_turns=turns)
 
 
 # ---------------------------------------------------------------------------

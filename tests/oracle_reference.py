@@ -5,7 +5,8 @@ the package internals: overlap-determinant holonomy signs, an
 all-pairs projector refinement grid, a one-step-at-a-time polar frame
 chain, a searchsorted window rule, an eigh-based matrix exponential,
 an entrywise antilinear commutant solve, literal spectra, closed-form
-samples, and the lasso stencil walk one point at a time.  When a package
+samples, index-built block rotations, spin lifts one t at a time, and
+the lasso stencil walk one point at a time.  When a package
 result and a reference disagree, the package is wrong.
 """
 
@@ -222,3 +223,42 @@ def conical_gap(r):
 # literal circle spectra at truncation 3
 CIRCLE_HALF_SPECTRUM = [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]
 CIRCLE_ZERO_SPECTRUM = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+
+
+def block_rotation_stack(d0, turns, ts):
+    """Block-rotation loop samples rho(t) d0 rho(t)^T, rho built by index.
+
+    Every pair of coordinates (2j, 2j + 1) gets its own block
+    [[cos, -sin], [sin, cos]] at angle 2 pi turns t, written into a
+    zero stack entry by entry; ``ts`` is taken mod 1.
+    """
+    ts = np.asarray(ts, dtype=float).ravel() % 1.0
+    n = d0.shape[0]
+    even = np.arange(0, n, 2)
+    angles = 2.0 * np.pi * turns * ts
+    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    r = np.zeros((ts.size, n, n))
+    r[:, even, even] = c
+    r[:, even, even + 1] = -s
+    r[:, even + 1, even] = s
+    r[:, even + 1, even + 1] = c
+    return r @ d0 @ r.swapaxes(-1, -2)
+
+
+def lifted_spin_rotations(rep, basis, turns, ts):
+    """Spin-loop rotations B^H lift(2 pi turns t) B, one t at a time.
+
+    The lift of the rotation in the plane of the last two generators is
+    cos(a/2) I + sin(a/2) gamma_{m-2} gamma_{m-1}, computed per t in the
+    complex representation and only then restricted to the real form
+    basis B; the imaginary part must vanish.
+    """
+    g = rep.generators[rep.m - 2] @ rep.generators[rep.m - 1]
+    out = []
+    for t in np.asarray(ts, dtype=float).ravel():
+        half = 0.5 * (2.0 * np.pi * turns * t)
+        r = basis.conj().T @ (np.cos(half) * np.eye(rep.dim) + np.sin(half) * g) @ basis
+        if float(np.abs(r.imag).max()) > 1e-10:
+            raise RuntimeError("lift did not restrict to the real form")
+        out.append(r.real)
+    return np.stack(out)

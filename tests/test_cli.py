@@ -6,6 +6,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -132,10 +133,22 @@ BAD_CONFIGS = {
     # json reads Infinity and NaN; an infinite tol certified a gap of 0.125
     "refine-infinite": (
         "lasso-scan", shipped("lasso_conical.json", tolerances={"refine": float("inf")}),
-        "tolerances.refine: must be finite and positive, got inf"),
+        "tolerances.refine: must be finite, got inf"),
     "refine-nan": (
         "lasso-scan", shipped("lasso_conical.json", tolerances={"refine": float("nan")}),
-        "tolerances.refine: must be finite and positive, got nan"),
+        "tolerances.refine: must be finite, got nan"),
+    # an infinite amplitude reached the disc's mean as NaN: "SVD did not converge"
+    "amplitude-infinite": (
+        "lasso-scan", shipped("lasso_negative_control.json",
+                              disc={"boundary": {"kind": "commuting", "amplitude": float("inf")}}),
+        "disc.boundary.amplitude: must be finite, got inf"),
+    "window-lower-nan": (
+        "holonomy", {"loop": HALFTURN_LOOP, "window": {**UNIT_WINDOW, "lower": float("nan")}},
+        "window.lower: must be finite, got nan"),
+    # an integer beyond the float range used to exit with a bare OverflowError
+    "window-upper-huge": (
+        "holonomy", {"loop": HALFTURN_LOOP, "window": {**UNIT_WINDOW, "upper": 10 ** 400}},
+        "window.upper: must be finite, got inf"),
     "window-misses-basepoint": (
         "lasso-scan", shipped("lasso_conical.json", window={"lower": 1.5, "upper": 2.5}),
         "window: at the boundary basepoint: window holds 0 eigenvalues, expected 1"),
@@ -260,6 +273,44 @@ def test_lasso_scan_negative_control_records_floor_and_warning(tmp_path):
     assert report["warnings"]
     not_found = report["results"]["not_found"]
     assert not_found["levels"] == 40 and not_found["evaluations"] >= 1 + 25 * 40
+
+
+def halfturn_disc_config(n, seed):
+    """A lasso-scan config: a half-turn disc of diag(values) with a seeded random center."""
+    rng = np.random.default_rng(seed)
+    values = np.cumsum(rng.uniform(0.2, 1.0, n))
+    g = rng.standard_normal((n, n))
+    center = np.diag(values) + 0.3 * (g + g.T) / np.linalg.norm(g + g.T, 2)
+    k = int(rng.integers(1, n - 1))
+    return {"disc": {"boundary": {"kind": "halfturn",
+                                  "base": {"kind": "diag", "values": values.tolist()}},
+                     "center": {"kind": "matrix", "entries": center.tolist()}},
+            "window": {"lower": 0.5 * (values[k - 1] + values[k]),
+                       "upper": 0.5 * (values[k] + values[k + 1]), "count": 1}}
+
+
+# a tol below round-off: the walk's eigvalsh can reach a gap of 0 where the
+# certificate's eigendecomposition measures 1e-15; both runs used to exit 1
+# with "RuntimeError: certificate gap ... exceeds tol"
+BELOW_FLOOR = {
+    "spin-m7": lambda: shipped("lasso_spin_m7.json", tolerances={"refine": 1e-300},
+                               expectations={}),
+    "halfturn-n32": lambda: {**halfturn_disc_config(32, seed=1),
+                             "tolerances": {"refine": 1e-300}},
+}
+
+
+@pytest.mark.parametrize("name", BELOW_FLOOR)
+def test_tolerance_below_round_off_ends_in_a_certificate_or_not_found(tmp_path, name):
+    cfg = write_config(tmp_path, BELOW_FLOOR[name]())
+    assert cli.main(["lasso-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+    results = json.loads(next(tmp_path.glob("*_report.json")).read_text())["results"]
+    if name == "halfturn-n32":
+        assert "certificate" not in results
+    if "certificate" in results:
+        assert results["certificate"]["gap"] <= 1e-300
+    else:
+        assert results["not_found"]["best_gap"] > 1e-300
 
 
 def test_unknown_expectation_metric_exits_1(tmp_path, capsys):

@@ -564,3 +564,15 @@ def test_transport_refuses_a_wrong_projector_speed(monkeypatch, speed, message):
     with pytest.raises(TransportError, match=message) as exc:
         transport(loop.family(), SpectralWindow(0.5, 1.5, count=1), initial_samples=4)
     assert exc.value.parameter == (0.0 if speed == 0.0 else None)
+
+
+def test_a_rotation_loop_cannot_pair_a_path_with_another_loops_generator():
+    base = SymmetricOperator(np.diag([1.0, 2.0]))
+    # an 8.5-turn rotations callable with a half-turn generator used to be
+    # accepted, and its transport certified +1 from 18 samples
+    with pytest.raises(TypeError):
+        EquivariantLoopModel(base=base, rotations=lambda ts: None, generator=lambda f: f)
+    loop = make_block_rotation_loop(base, 8.5)
+    path, ret = transport(loop.family(), SpectralWindow(0.5, 1.5, count=1), initial_samples=17)
+    # speed 2 pi 8.5 gives floor(17 pi / MAX_PROJECTOR_STEP) + 1 = 107 intervals
+    assert ret.certified and ret.sign == -1 and path.n_samples == 108

@@ -292,6 +292,16 @@ def test_walk_matches_sequential_on_small_discs(n, seed, r, theta, tol, step):
     assert_walk_is_sequential(disc, window, (1.0, r, theta), tol, step=step)
 
 
+def test_refine_below_round_off_raises_not_found():
+    # eigvalsh puts the walk's best gap at 0, the certificate's eigh does not;
+    # this used to escape as "RuntimeError: certificate gap ... exceeds tol"
+    disc, window = halfturn_disc(32, seed=1)
+    scan = scan_disc(disc, window)
+    with pytest.raises(DegeneracyNotFound) as exc:
+        refine(disc, window, scan.best, tol=1e-300, step=(1.0 / 16, 1.0 / 24))
+    assert exc.value.best_gap > 1e-300
+
+
 def test_walk_counts_levels_and_evaluations():
     disc, window = halfturn_disc(32, seed=6)
     with pytest.raises(DegeneracyNotFound) as exc:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from eigenlasso.clifford import build_clifford, find_structure_map, real_form_basis
 from eigenlasso.holonomy import concatenate_loops
 from eigenlasso.models import (
+    EquivariantLoopModel,
     OperatorFamily,
     SymmetricOperator,
     make_block_rotation_loop,
@@ -12,7 +14,13 @@ from eigenlasso.models import (
     make_odd_multiplicity_base,
     make_spin_loop,
 )
-from oracle_reference import CIRCLE_HALF_SPECTRUM, CIRCLE_ZERO_SPECTRUM, halfturn_sample
+from oracle_reference import (
+    CIRCLE_HALF_SPECTRUM,
+    CIRCLE_ZERO_SPECTRUM,
+    block_rotation_stack,
+    halfturn_sample,
+    lifted_spin_rotations,
+)
 
 
 def test_symmetric_operator_rejects_asymmetry():
@@ -151,6 +159,62 @@ def test_spin_loop_guards():
         make_spin_loop(7, np.diag([1.0, 2.0]))  # wrong size for the real form
     with pytest.raises(ValueError):
         make_spin_loop(7, base, turns=3)
+
+
+# t in [0, 1], plus parameters on either side that the loop wraps
+ROTATION_TS = np.concatenate([np.linspace(0.0, 1.0, 11), [-0.3, 1.7]])
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 256])
+def test_block_rotation_stack_is_bitwise_the_index_built_one(n):
+    bases = {"random": _rotated(n), "diagonal": np.diag(np.arange(1.0, n + 1.0)),
+             "odd-cluster": make_odd_multiplicity_base([3.5] * n, 0.1, seed=1).matrix}
+    for name, base in bases.items():
+        for turns in (0.5, 1.0, 1.5, 4.0):
+            stacked = make_block_rotation_loop(base, turns).family().stack(ROTATION_TS)
+            expected = block_rotation_stack(base, turns, ROTATION_TS)
+            assert stacked.tobytes() == expected.tobytes(), (name, turns)
+
+
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_spin_rotations_match_the_per_t_lift(m):
+    rep = build_clifford(m)
+    basis = real_form_basis(rep, find_structure_map(rep))
+    for turns in (1, 2):
+        loop = make_spin_loop(m, np.diag(np.arange(1.0, rep.dim + 1.0)), turns=turns)
+        lifted = lifted_spin_rotations(rep, basis, turns, ROTATION_TS)
+        assert float(np.abs(loop.rotations(ROTATION_TS) - lifted).max()) <= 1e-13
+
+
+_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("structure, half_turns, message", [
+    (np.array([[0.0, -1.0], [0.5, 0.0]]), 1, "complex structure"),
+    (2.0 * _J2, 1, "complex structure"),
+    (1j * _J2, 1, "real 2 x 2 matrix, got complex128"),
+    (np.kron(np.eye(2), _J2), 1, r"real 2 x 2 matrix, got float64 of shape \(4, 4\)"),
+    (_J2, 1.5, "half_turns must be an integer, got 1.5"),
+    (_J2, 1.0, "half_turns must be an integer, got 1.0"),
+    (_J2, True, "half_turns must be an integer, got True"),
+], ids=["not-skew", "square", "complex", "shape", "half-integer", "float", "bool"])
+def test_loop_refuses_a_structure_that_is_not_one(structure, half_turns, message):
+    with pytest.raises(ValueError, match=message):
+        EquivariantLoopModel(base=SymmetricOperator(np.diag([1.0, 2.0])),
+                             structure=structure, half_turns=half_turns)
+
+
+def test_loop_parity_comes_from_its_half_turns():
+    base = SymmetricOperator(np.diag([1.0, 2.0]))
+    for h in (-3, -2, 0, 1, 4, 17):
+        loop = EquivariantLoopModel(base=base, structure=_J2, half_turns=h)
+        assert (loop.parity, loop.sigma) == (("odd", -1) if h % 2 else ("even", 1))
+
+
+@pytest.mark.parametrize("turns", [np.inf, -np.inf, np.nan])
+def test_block_rotation_loop_refuses_non_finite_turns(turns):
+    with pytest.raises(ValueError, match="turns must be a finite multiple of one half"):
+        make_block_rotation_loop(np.diag([1.0, 2.0]), turns)
 
 
 def test_odd_multiplicity_base_splits_cluster():
