@@ -18,17 +18,22 @@ sigma(M) for unitary W.  Grids and signs are bit for bit those of one polar
 step at a time; frames and return matrices agree with it up to round-off.
 
 Consecutive window subspaces on a grid must be closer than
-MAX_PROJECTOR_STEP.  Rotation loops D(t) = exp(t Omega) D0 exp(-t Omega),
-which are the block-rotation and spin loops of ``models``, carry the speed
-s = ||[Omega, P0]|| of their window projector, the same at every t, so
-||P(t) - P(t')|| <= s |t - t'| (Kato, *Perturbation Theory*; Davis and
-Kahan 1970), and a uniform grid of floor(s / MAX_PROJECTOR_STEP) + 1
-intervals keeps every step below it, between samples as well as at them.
-Their transports are certified and sample the grid once.  Families with no
-such bound (plain samplers, the conical and commuting loops,
-concatenations, perturbed loops) are refined adaptively and are not
-certified: a subspace that turns by a half turn between two samples goes
-unseen there.
+MAX_PROJECTOR_STEP.  Rotation loops D(t) = rho(t) D0 rho(t)^T with
+rho(t) = exp(t Omega), which are the block-rotation and spin loops of
+``models``, carry the speed s = ||[Omega, P0]|| of their window
+projector, the same at every t, so ||P(t) - P(t')|| <= s |t - t'| (Kato,
+*Perturbation Theory*; Davis and Kahan 1970), and a uniform grid of
+floor(s / MAX_PROJECTOR_STEP) + 1 intervals keeps every step below it,
+between samples as well as at them.  Their transports are certified and
+sample the grid once.  They are also factored once: rho(t) carries the
+eigenvectors of D0, so (Lambda0, rho(t) V0) is the candidate
+eigendecomposition of every sample, and it passes the same residual and
+orthonormality checks as an ``eigh`` of the sample would, on the sample
+itself.  The frames are those of per-sample ``eigh`` up to round-off.
+Families with no such bound (plain samplers, the conical and commuting
+loops, concatenations, perturbed loops) are refined adaptively, with
+``eigh`` at every sample, and are not certified: a subspace that turns by
+a half turn between two samples goes unseen there.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .models import OperatorFamily, _stack_chunks, _stacked_loop
-from .spectral import SpectralWindow, _StackError, eigendecompose
+from .models import EquivariantLoopModel, OperatorFamily, _stack_chunks, _stacked_loop
+from .spectral import SpectralWindow, _FactorError, _StackError, _validated, eigendecompose
 
 __all__ = [
     "MAX_PROJECTOR_STEP",
@@ -102,10 +107,10 @@ class ReturnMatrix:
 
 @contextmanager
 def _at(ts):
-    """Report a ValueError about entry i of a stack as a TransportError at ts[i]."""
+    """Report an error about entry i of a stack as a TransportError at ts[i]."""
     try:
         yield
-    except _StackError as exc:
+    except (_StackError, _FactorError) as exc:
         t = float(ts[exc.index])
         raise TransportError(f"at t={t:.6g}: {exc}", parameter=t) from exc
 
@@ -121,13 +126,51 @@ def _window_frames(window: SpectralWindow, values, vectors) -> np.ndarray:
     return vectors.swapaxes(-1, -2)[np.arange(start.size)[:, None], columns]
 
 
-def _sample_frames(loop: OperatorFamily, window: SpectralWindow, ts, nbytes: Optional[int] = None):
-    """``_window_frames`` at ``ts``, built and factored per ``models._stack_chunks`` run."""
+def _sample_frames(loop: OperatorFamily, window: SpectralWindow, ts,
+                   nbytes: Optional[int] = None, basepoint=None):
+    """``_window_frames`` at ``ts``, built and factored per ``models._stack_chunks`` run.
+
+    A rotation loop (``loop.equivariant`` set) is factored at t = 0
+    only, and ``_rotated`` carries that ``basepoint`` (values, vectors)
+    to every sample; it is factored here when not given.
+    """
+    model = loop.equivariant
+    if model is not None and basepoint is None:
+        with _at([0.0]):
+            basepoint = eigendecompose(loop.sampler(0.0))
     stacks = []
     for chunk in _stack_chunks(loop, ts, nbytes):
-        with _at(ts[sum(map(len, stacks)):]):  # the chunk's own ts start there
-            stacks.append(_window_frames(window, *eigendecompose(chunk)))
+        run = ts[sum(map(len, stacks)):][:len(chunk)]
+        with _at(run):
+            stacks.append(_window_frames(window, *(
+                eigendecompose(chunk) if model is None
+                else _rotated(model, window, chunk, run, basepoint))))
     return np.concatenate(stacks)
+
+
+def _rotated(model: EquivariantLoopModel, window: SpectralWindow, chunk: np.ndarray,
+             ts: np.ndarray, basepoint):
+    """(values, rho(t) vectors) of ``basepoint`` for the samples ``chunk`` at ``ts``, checked.
+
+    The candidate must pass ``spectral._validated`` on the samples
+    themselves.  Its residual r then bounds every eigenvalue of a sample
+    to within r of the basepoint values (Kahan's residual theorem, with
+    the Frobenius norm above the operator norm), so a window endpoint
+    farther than r from all of them is on the same side of the sample's
+    eigenvalues, and the window count holds; a sample where it is not is
+    refused.
+    """
+    base_values, base_vectors = basepoint
+    clearance = min(float(np.abs(base_values - edge).min()) for edge in (window.lower, window.upper))
+    values, vectors, residual = _validated(chunk, lambda a: (
+        np.broadcast_to(base_values, a.shape[:-1]), model.rotations(ts % 1.0) @ base_vectors))
+    near = np.flatnonzero(~(clearance > residual))
+    if near.size:
+        i = int(near[0])
+        raise _StackError(f"a window endpoint lies {clearance:.3e} from the spectrum, within "
+                          f"the eigendecomposition residual {residual[i]:.3e}, so the window "
+                          "count is not certified", i)
+    return values, vectors
 
 
 def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -198,25 +241,32 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
     the grid must be closer than MAX_PROJECTOR_STEP (1/2) in operator
     norm, so that each polar step keeps the dragged frame's rank.
 
-    A family with a ``projector_speed`` s (every rotation loop
-    exp(t Omega) D0 exp(-t Omega) built by ``models``) is certified: its
-    window projector moves by at most s |t - t'| between any t and t',
-    so ``linspace(0, 1, N + 1)`` with N = max(initial_samples,
+    A rotation loop (a family with ``equivariant`` set: every loop
+    rho(t) D0 rho(t)^T built by ``models``) is certified: its window
+    projector moves at a speed s, so by at most s |t - t'| between any t
+    and t', and ``linspace(0, 1, N + 1)`` with N = max(initial_samples,
     floor(s / MAX_PROJECTOR_STEP) + 1) keeps every step below 1/2,
     between samples as well as at them, and the grid is sampled in one
-    pass.  Each step is still checked, at no extra cost: its distance
-    sqrt(1 - sigma_min^2) comes from the smallest singular value of the
-    overlap that the polar step factors, and a step at or above
-    MAX_PROJECTOR_STEP raises TransportError at its start, since the
-    bound then does not hold.  An N beyond 100000 is refused before
-    anything past the basepoint is sampled.
+    pass.  Only the basepoint is factored by ``eigh``: at every other t
+    the candidate (Lambda0, rho(t) V0) must pass the residual and
+    orthonormality checks of ``eigendecompose`` on the sample D(t), and
+    the window endpoints must lie farther from Lambda0 than that
+    residual, which bounds every eigenvalue of D(t) to within it of
+    Lambda0, so the window count holds at t; a failure raises
+    TransportError at that t.  Each step is still checked, at no extra
+    cost: its distance sqrt(1 - sigma_min^2) comes from the smallest
+    singular value of the overlap that the polar step factors, and a
+    step at or above MAX_PROJECTOR_STEP raises TransportError at its
+    start, since the bound then does not hold.  An N beyond 100000 is
+    refused before anything past the basepoint is sampled.
 
-    Any other family is refined adaptively from ``initial_samples``
-    intervals: each interval between consecutive samples is checked once,
-    and one whose window subspaces are not closer than MAX_PROJECTOR_STEP
-    is split at its midpoint, until every interval passes.  Nothing is
-    checked between samples there, so a subspace that turns by a half
-    turn or more between two samples that land close goes unseen.
+    Any other family is factored by ``eigendecompose`` at every sample
+    and refined adaptively from ``initial_samples`` intervals: each
+    interval between consecutive samples is checked once, and one whose
+    window subspaces are not closer than MAX_PROJECTOR_STEP is split at
+    its midpoint, until every interval passes.  Nothing is checked
+    between samples there, so a subspace that turns by a half turn or
+    more between two samples that land close goes unseen.
     Refinement stops with TransportError beyond 100000 samples or at an
     interval whose ends are adjacent floats.
 
@@ -237,16 +287,17 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
             raise TransportError("loop is not closed: samples at t=0 and t=1 differ")
         frames = _window_frames(window, values[None], vectors[None])
 
-    certified = loop.projector_speed is not None
+    certified = loop.equivariant is not None
     intervals = initial_samples
     if certified:
-        speed = float(loop.projector_speed(frames[0].swapaxes(-1, -2)))
+        speed = float(loop.equivariant._projector_speed(frames[0].swapaxes(-1, -2)))
         if not speed / MAX_PROJECTOR_STEP < _MAX_SAMPLES:
             raise TransportError(f"window projector speed {speed:.6g} needs more than "
                                  f"{_MAX_SAMPLES} intervals of step {MAX_PROJECTOR_STEP}")
         intervals = max(intervals, int(np.floor(speed / MAX_PROJECTOR_STEP)) + 1)
     ts = np.linspace(0.0, 1.0, intervals + 1)
-    frames = np.concatenate([frames, _sample_frames(loop, window, ts[1:], base.nbytes)])
+    frames = np.concatenate([frames, _sample_frames(loop, window, ts[1:], base.nbytes,
+                                                    (values, vectors))])
     if not certified:
         ts, frames = _refine(loop, window, ts, frames, base.nbytes)
     raw = frames.swapaxes(-1, -2)
@@ -322,7 +373,8 @@ def sign_stability(loop_a: OperatorFamily, loop_b: OperatorFamily,
     the criterion fails the report only states what was computed;
     nothing is claimed in that regime.  A grid sample that fails the
     window rule raises TransportError at the smallest such t, loop_a's
-    at equal t.
+    at equal t.  A rotation loop is factored at t = 0 only, as in
+    ``transport``.
     """
     grid = np.linspace(0.0, 1.0, 257)
     stacks, leaks = [], []

@@ -97,11 +97,12 @@ class OperatorFamily:
     ``sampler`` is its one-element case; families built by this package
     supply it.  Without it, ``stack`` stacks ``sampler`` calls.
 
-    ``projector_speed``, when given, maps an orthonormal n x k frame F0
-    of a window eigenspace at t = 0 to ||P'(t)||, the speed of that
-    window's projector, which must be the same at every t.  Rotation
-    loops supply it (see ``EquivariantLoopModel``), and ``transport``
-    then takes a grid fine enough for it in one pass.
+    ``equivariant`` is the ``EquivariantLoopModel`` a rotation loop is
+    sampled from, which ``family()`` sets.  It gives the rotations
+    rho(t) and the constant speed of a window projector, so
+    ``transport`` takes a grid fine enough for that speed in one pass,
+    and carries the eigenvectors of t = 0 along rho(t) in place of
+    factoring every sample.
     """
 
     domain: str
@@ -109,7 +110,7 @@ class OperatorFamily:
     parity: Optional[str] = None  # "odd" / "even" for equivariant loops
     name: str = ""
     stacker: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
-    projector_speed: Optional[Callable[[np.ndarray], float]] = field(default=None, repr=False)
+    equivariant: Optional[EquivariantLoopModel] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.domain not in ("interval", "circle"):
@@ -136,12 +137,11 @@ class OperatorFamily:
 
 
 def _stacked_loop(stacker: Callable[[np.ndarray], np.ndarray], parity: Optional[str],
-                  name: str, projector_speed: Optional[Callable[[np.ndarray], float]] = None
+                  name: str, equivariant: Optional[EquivariantLoopModel] = None
                   ) -> OperatorFamily:
     """A circle family whose single sample is the one-element case of ``stacker``."""
     return OperatorFamily(domain="circle", sampler=lambda t: stacker(np.array([t]))[0],
-                          parity=parity, name=name, stacker=stacker,
-                          projector_speed=projector_speed)
+                          parity=parity, name=name, stacker=stacker, equivariant=equivariant)
 
 
 def _stack_chunks(family: OperatorFamily, ts, nbytes: Optional[int] = None
@@ -269,7 +269,7 @@ class EquivariantLoopModel:
     P(t) = rho(t) P0 rho(t)^T with P' = [Omega, P], at the constant speed
     ||[Omega, P0]|| = ||Omega F0 - F0 (F0^H Omega F0)|| for a frame F0 of
     P0 (the commutator is block off-diagonal in P0 + (I - P0), and Omega
-    is skew), which ``family()`` passes on as ``projector_speed``.
+    is skew), which ``transport`` reads from the family's ``equivariant``.
     """
 
     base: SymmetricOperator
@@ -322,8 +322,7 @@ class EquivariantLoopModel:
 
     def family(self) -> OperatorFamily:
         return _stacked_loop(self.stack, self.parity,
-                             f"equivariant(dim={self.dim}, parity={self.parity})",
-                             self._projector_speed)
+                             f"equivariant(dim={self.dim}, parity={self.parity})", self)
 
 
 @functools.lru_cache(maxsize=16)
@@ -364,6 +363,21 @@ def make_fullturn_loop(base) -> EquivariantLoopModel:
     return make_block_rotation_loop(base, turns=1.0)
 
 
+@functools.lru_cache(maxsize=16)
+def _spin_structure(m: int) -> np.ndarray:
+    """K = B^H gamma_{m-2} gamma_{m-1} B on the real form of m, shared read-only.
+
+    Solved once per m: the representation, its structure map and the
+    real form basis B depend on m only.
+    """
+    rep = build_clifford(m)
+    basis = real_form_basis(rep, find_structure_map(rep))
+    k = basis.conj().T @ rep.generators[m - 2] @ rep.generators[m - 1] @ basis
+    if float(np.abs(np.imag(k)).max()) > 1e-10:
+        raise RuntimeError("lift failed to restrict to the real form")
+    return _frozen(np.real(k))
+
+
 def make_spin_loop(m: int, base, turns: int = 1) -> EquivariantLoopModel:
     """Rotation loop lifted through a Clifford representation.
 
@@ -375,23 +389,19 @@ def make_spin_loop(m: int, base, turns: int = 1) -> EquivariantLoopModel:
     G = gamma_{m-2} gamma_{m-1} and G^2 = -I, so in the real form basis B
     the loop's structure is K = B^H G B, which is real, and its half
     turns are ``turns``: one rotation turn lifts to -I (odd loop), two
-    give +I.
+    give +I.  K is computed once per m and shared by every loop of that m.
     """
     if m % 8 not in (0, 6, 7):
         raise ValueError(f"m={m}: spin loops need a real structure (m mod 8 in {{0, 6, 7}})")
     if turns not in (1, 2):
         raise ValueError("turns must be 1 (odd loop) or 2 (even loop)")
-    rep = build_clifford(m)
-    basis = real_form_basis(rep, find_structure_map(rep))
+    k = _spin_structure(m)
     d0 = base if isinstance(base, SymmetricOperator) else SymmetricOperator(as_matrix(base))
-    if d0.dim != rep.dim:
+    if d0.dim != k.shape[0]:
         raise ValueError(
-            f"base dimension {d0.dim} does not match the real form dimension {rep.dim}"
+            f"base dimension {d0.dim} does not match the real form dimension {k.shape[0]}"
         )
-    k = basis.conj().T @ rep.generators[m - 2] @ rep.generators[m - 1] @ basis
-    if float(np.abs(np.imag(k)).max()) > 1e-10:
-        raise RuntimeError("lift failed to restrict to the real form")
-    return EquivariantLoopModel(base=d0, structure=np.real(k), half_turns=turns)
+    return EquivariantLoopModel(base=d0, structure=k, half_turns=turns)
 
 
 # ---------------------------------------------------------------------------

@@ -57,38 +57,65 @@ class _StackError(ValueError):
         self.index = index
 
 
-def eigendecompose(op) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns.
+class _FactorError(RuntimeError):
+    """A factorization of the entry at flat position ``index`` of a stack failed its check."""
 
-    ``op`` is one matrix or a (..., n, n) stack, factored in one batched
-    call; each matrix gives exactly what it gives alone.  A matrix with a
-    non-finite entry is refused (ValueError naming its stack index).
-    Each factorization is validated before being returned: residual norm
-    against 1e-11 times that matrix's operator norm, and frame
-    orthonormality to 1e-12.  Both are measured in the Frobenius norm,
-    an upper bound on the operator norm, so neither check is looser
-    than its operator-norm statement; the operator norm of a Hermitian
-    matrix is its largest |eigenvalue|.  A NaN fails both checks.
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _validated(a: np.ndarray, factor) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, vectors, residual) of ``factor(a)`` for a (..., n, n) stack ``a``, checked.
+
+    The checks every eigendecomposition here passes, however it was
+    obtained, with ``factor`` mapping the stack to its (values,
+    vectors).  A matrix with a non-finite entry is refused before
+    ``factor`` runs (ValueError naming its stack index).  Then each
+    factorization must have a residual ||A V - V diag(values)|| of at
+    most 1e-11 times its largest |value| (the operator norm of a
+    Hermitian A, up to that residual) and a frame with ||V^H V - I|| at
+    most 1e-12 (RuntimeError naming the first failing entry).  Both are
+    measured in the Frobenius norm, an upper bound on the operator norm,
+    so neither check is looser than its operator-norm statement.
+    Returns the values, the vectors and each matrix's Frobenius
+    residual.
     """
-    a = op.matrix if isinstance(op, SymmetricOperator) else np.asarray(op)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     finite = np.isfinite(a).all(axis=(-2, -1))
     if not finite.all():
         first = int(np.argmin(finite))
         where = ", ".join(map(str, np.unravel_index(first, finite.shape)))
         raise _StackError(f"non-finite matrix entries{where and ' at stack index ' + where}", first)
-    values, vectors = np.linalg.eigh(a)
+    values, vectors = factor(a)
     scale = np.maximum(np.abs(values).max(axis=-1, initial=0.0), 1e-300)
     residual = np.linalg.norm(a @ vectors - vectors * values[..., None, :], axis=(-2, -1))
     bad = np.flatnonzero(~(residual <= 1e-11 * scale))
     if bad.size:
-        raise RuntimeError(f"eigendecomposition residual {residual.flat[bad[0]]:.3e} too large")
+        i = int(bad[0])
+        raise _FactorError(f"eigendecomposition residual {residual.flat[i]:.3e} too large", i)
     eye = np.eye(a.shape[-1])
     ortho = np.linalg.norm(vectors.conj().swapaxes(-1, -2) @ vectors - eye, axis=(-2, -1))
     bad = np.flatnonzero(~(ortho <= 1e-12))
     if bad.size:
-        raise RuntimeError(f"eigenvector frame not orthonormal ({ortho.flat[bad[0]]:.3e})")
+        i = int(bad[0])
+        raise _FactorError(f"eigenvector frame not orthonormal ({ortho.flat[i]:.3e})", i)
+    return values, vectors, residual
+
+
+def eigendecompose(op) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvector columns.
+
+    ``op`` is one matrix or a (..., n, n) stack, factored in one batched
+    ``eigh`` call; each matrix gives exactly what it gives alone.  Every
+    factorization passes ``_validated``'s checks before being returned:
+    non-finite entries refused, residual against 1e-11 times the
+    matrix's operator norm and frame orthonormality to 1e-12, both in
+    the Frobenius norm.
+    """
+    a = op.matrix if isinstance(op, SymmetricOperator) else np.asarray(op)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    values, vectors, _ = _validated(a, np.linalg.eigh)
     return values, vectors
 
 

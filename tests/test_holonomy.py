@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from eigenlasso import holonomy
+from eigenlasso import holonomy, spectral
 from eigenlasso.holonomy import (
     TransportError,
     concatenate_loops,
@@ -27,8 +27,8 @@ from oracle_reference import refined_grid, sequential_polar_frames, skew_expm, w
 
 
 def boundless(family):
-    """The same family without its projector-speed bound, so transport refines it."""
-    return dataclasses.replace(family, projector_speed=None)
+    """The same family without its rotation model, so transport refines it and factors every sample."""
+    return dataclasses.replace(family, equivariant=None)
 
 
 def test_halfturn_simple_window_flips():
@@ -399,22 +399,31 @@ def test_each_interval_is_checked_once(monkeypatch, turns, count, initial_sample
 
 @pytest.mark.parametrize("n", [64, 256])
 def test_transport_stacks_stay_within_the_byte_budget(monkeypatch, n):
-    stacks = []
-    eigh = np.linalg.eigh
+    stacks, factored = [], []
+    validated, eigh = spectral._validated, np.linalg.eigh
 
-    def recorded(a):
+    def recorded(a, factor):
         stacks.append(a.shape)
+        return validated(a, factor)
+
+    def counted(a):
+        factored.append(a.shape)
         return eigh(a)
 
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    # eigendecompose and the rotated samples both go through the one check
+    for module in (spectral, holonomy):
+        monkeypatch.setattr(module, "_validated", recorded)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     family = make_block_rotation_loop(rotated_base(n), 1.0).family()
     # 40 initial samples make a first pass of 1.3 MB at n = 64
     path, _ = transport(family, SpectralWindow(0.5, 1.5, count=1), initial_samples=40)
     matrices = [int(np.prod(shape[:-2])) for shape in stacks]
     assert max(m * n * n * 8 for m in matrices) <= STACK_BYTES
-    # every sample factored once, the basepoint on its own
+    # every sample validated once, the basepoint on its own
     assert sum(matrices) == path.n_samples
     assert max(matrices) == (STACK_BYTES // (n * n * 8))
+    # and only the basepoint factored
+    assert factored == [(n, n)]
 
 
 def complex_loop(n=6, turns=1.5, seed=2):
@@ -576,3 +585,99 @@ def test_a_rotation_loop_cannot_pair_a_path_with_another_loops_generator():
     path, ret = transport(loop.family(), SpectralWindow(0.5, 1.5, count=1), initial_samples=17)
     # speed 2 pi 8.5 gives floor(17 pi / MAX_PROJECTOR_STEP) + 1 = 107 intervals
     assert ret.certified and ret.sign == -1 and path.n_samples == 108
+
+
+def oracle_intervals(loop, window, initial_samples):
+    """The certified grid's interval count, from the basepoint frame of eigh.
+
+    The projector speed ||Omega F0 - F0 (F0^T Omega F0)|| is taken with
+    the loop's generator on the window columns of eigh at t = 0.
+    """
+    values, vectors = np.linalg.eigh(loop.family()(0.0))
+    f0 = vectors[:, (values > window.lower) & (values < window.upper)]
+    moved = loop.generator(f0)
+    speed = np.linalg.norm(moved - f0 @ (f0.T @ moved), 2)
+    return max(initial_samples, int(np.floor(speed / holonomy.MAX_PROJECTOR_STEP)) + 1)
+
+
+# (loop, count, initial_samples) on the rotated-eigenbasis route
+ROTATED_CASES = [((2, 0.5), 1, 16), ((2, 4.0), 1, 3), ((8, 1.5), 2, 16), ((8, 3.0), 3, 5),
+                 ((64, 0.5), 1, 16), ((64, 2.5), 3, 7), ((64, 4.0), 2, 16), ((256, 1.0), 1, 16),
+                 ((256, 2.0), 3, 4)]
+ROTATED_CASES += [(("spin", m, turns), count, 16)
+                  for m in (6, 7, 8) for turns in (1, 2) for count in (1, 3)]
+
+
+@pytest.mark.parametrize("loop, count, initial_samples", ROTATED_CASES,
+                         ids=lambda v: ("n%d-turns%g" % v if len(v) == 2 else "spin-m%d-x%d" % v[1:])
+                         if isinstance(v, tuple) else None)
+def test_rotated_eigenbases_match_the_per_sample_eigh_oracle(loop, count, initial_samples):
+    model = spin_loop(*loop[1:]) if loop[0] == "spin" else \
+        make_block_rotation_loop(rotated_base(loop[0]), loop[1])
+    family = model.family()
+    window = SpectralWindow(0.5, count + 0.5, count=count)
+    path, ret = transport(family, window, initial_samples=initial_samples)
+    assert ret.certified
+    intervals = oracle_intervals(model, window, initial_samples)
+    assert path.parameters.tobytes() == np.linspace(0.0, 1.0, intervals + 1).tobytes()
+    frames = sequential_polar_frames(family, window.lower, window.upper, path.parameters)
+    assert max(float(np.abs(f - g).max()) for f, g in zip(path.frames, frames)) <= 1e-12
+    closing = frames[0].conj().T @ frames[-1]
+    assert float(np.abs(ret.matrix - closing).max()) <= 1e-12
+    assert ret.sign == (1 if np.linalg.det(closing) > 0 else -1)
+    assert ret.sign == predicted_sign(model.parity, count)
+
+
+def test_rotated_samples_are_checked_on_the_samples_themselves():
+    # samples from t = 1/2 on are taken 1e-3 later than rho(t) carries the
+    # basepoint's eigenvectors: rho(t) V0 fails the residual check there
+    model = make_block_rotation_loop(rotated_base(8), 1.5)
+    loop = model.family()
+    offset = dataclasses.replace(
+        loop, stacker=lambda ts: model.stack(np.where(ts >= 0.5, ts + 1e-3, ts)))
+    window = SpectralWindow(0.5, 1.5, count=1)
+    # 32 intervals, more than the speed bound's 19, put t = 1/2 on the grid
+    with pytest.raises(TransportError, match=r"^at t=0\.5: eigendecomposition residual .* too "
+                                             r"large$") as exc:
+        transport(offset, window, initial_samples=32)
+    assert exc.value.parameter == 0.5
+    np.testing.assert_array_equal(transport(loop, window, initial_samples=32)[0].parameters,
+                                  np.arange(33) / 32)
+    # factored sample by sample, the same family is a loop that jumps a little
+    assert not transport(boundless(offset), window, initial_samples=32)[1].certified
+
+
+def test_rotated_samples_refuse_non_finite_entries():
+    model = make_block_rotation_loop(rotated_base(8), 1.5)
+
+    def stacker(ts):
+        samples = model.stack(ts)
+        samples[ts >= 0.25, 3, 3] = np.nan
+        return samples
+
+    loop = dataclasses.replace(model.family(), stacker=stacker)
+    with pytest.raises(TransportError, match=r"^at t=0\.25: non-finite matrix entries") as exc:
+        transport(loop, SpectralWindow(0.5, 1.5, count=1), initial_samples=32)
+    assert exc.value.parameter == 0.25
+
+
+def test_rotated_samples_certify_the_window_count():
+    # the eigenvalue 1e8 makes the accepted residual of a rotated sample
+    # about 5e-8, far above ENDPOINT_MARGIN = 1e-9; an endpoint 5e-9 above
+    # the eigenvalue 1 clears the margin, yet the residual does not bound
+    # that eigenvalue of the sample to one side of it
+    model = make_block_rotation_loop(np.diag([1.0, 2.0, 3.0, 1e8]), 1.5)
+    ts = np.linspace(0.0, 1.0, 20)
+    rotated = model.rotations(ts)
+    residual = np.linalg.norm(model.stack(ts) @ rotated - rotated * [1.0, 2.0, 3.0, 1e8],
+                              axis=(-2, -1))
+    assert 1e-9 < 5e-9 < residual.max() <= 1e-11 * 1e8
+    with pytest.raises(TransportError, match="window count is not certified") as exc:
+        transport(model.family(), SpectralWindow(0.5, 1.0 + 5e-9, count=1))
+    t = exc.value.parameter
+    assert 0.0 < t < 1.0
+    assert np.linalg.norm(model.stack([t])[0] @ model.rotations([t])[0]
+                          - model.rotations([t])[0] * [1.0, 2.0, 3.0, 1e8]) >= 5e-9
+    # an endpoint clear of the residual is accepted
+    _, ret = transport(model.family(), SpectralWindow(0.5, 1.5, count=1))
+    assert ret.certified and ret.sign == -1

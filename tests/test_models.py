@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eigenlasso import models
 from eigenlasso.clifford import build_clifford, find_structure_map, real_form_basis
 from eigenlasso.holonomy import concatenate_loops
 from eigenlasso.models import (
@@ -184,6 +185,25 @@ def test_spin_rotations_match_the_per_t_lift(m):
         loop = make_spin_loop(m, np.diag(np.arange(1.0, rep.dim + 1.0)), turns=turns)
         lifted = lifted_spin_rotations(rep, basis, turns, ROTATION_TS)
         assert float(np.abs(loop.rotations(ROTATION_TS) - lifted).max()) <= 1e-13
+
+
+def test_spin_structure_is_solved_once_per_m(monkeypatch):
+    base = make_odd_multiplicity_base([1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0] * 2, 0.1, seed=3)
+    first = make_spin_loop(8, base)
+    solved = []
+    monkeypatch.setattr(models, "find_structure_map",
+                        lambda rep: solved.append(rep.m) or find_structure_map(rep))
+    second = make_spin_loop(8, base)
+    assert solved == []
+    assert second.structure is first.structure
+    assert second.stack(ROTATION_TS).tobytes() == first.stack(ROTATION_TS).tobytes()
+    # a fresh cache solves m = 8 again, once, to the same bits
+    models._spin_structure.cache_clear()
+    third = make_spin_loop(8, base, turns=2)
+    assert solved == [8]
+    assert third.structure.tobytes() == first.structure.tobytes()
+    make_spin_loop(8, base)
+    assert solved == [8]
 
 
 _J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
