@@ -12,11 +12,9 @@ by angle alpha in the plane of two generators lifts to the unitary
 which is 4*pi-periodic: a full turn returns -I.  Antilinear structure
 maps J(v) = C conj(v) commuting with every generator exist when m mod 8
 is not 1 or 5, with a parity J^2 = +I or -I that depends only on m mod 8
-(Atiyah-Bott-Shapiro).  Up to dim 16 (m <= 9), C is recovered by solving
-the commutant equations as a real linear system over the matrix entries;
-the spin loops' real-form basis is built from that solution, phase
-included, so the solve stays there.  For m = 10, 11, 12, C is a product
-of generators, written down in closed form.
+(Atiyah-Bott-Shapiro).  For every m, C is a product of generators,
+written down in closed form with no solve, and for J^2 = +I the real
+form basis is read off the coordinate pairs that C swaps.
 """
 
 from __future__ import annotations
@@ -183,49 +181,6 @@ class StructureMap:
         )
 
 
-def _commutant_system_blocks(rep: CliffordRep):
-    """Real-linear constraint blocks for C conj(gamma) - gamma C = 0.
-
-    With C = X + iY the constraint splits into two real matrix equations
-    per generator; in vectorized (column-major) form each contributes the
-    2 n^2 x 2 n^2 real block
-
-        [ Gr^T ox I - I ox gr ,  -Gi^T ox I + I ox gi ]
-        [ Gi^T ox I - I ox gi ,   Gr^T ox I - I ox gr ]
-
-    where G = conj(gamma) = Gr + i Gi and gamma = gr + i gi.
-    """
-    n = rep.dim
-    eye = np.eye(n)
-    blocks = []
-    for g in rep.generators:
-        gr, gi = np.real(g), np.imag(g)
-        big_g = np.conj(g)
-        big_gr, big_gi = np.real(big_g), np.imag(big_g)
-        a = np.kron(big_gr.T, eye) - np.kron(eye, gr)
-        b = -np.kron(big_gi.T, eye) + np.kron(eye, gi)
-        c = np.kron(big_gi.T, eye) - np.kron(eye, gi)
-        d = np.kron(big_gr.T, eye) - np.kron(eye, gr)
-        blocks.append((a, b, c, d))
-    return blocks
-
-
-def _kernel_vector_dense(rep: CliffordRep) -> np.ndarray:
-    n = rep.dim
-    rows = []
-    for a, b, c, d in _commutant_system_blocks(rep):
-        rows.append(np.hstack([a, b]))
-        rows.append(np.hstack([c, d]))
-    system = np.vstack(rows)
-    _, s, vt = np.linalg.svd(system, full_matrices=False)
-    # the kernel is the complex line through C, i.e. two real dimensions
-    if s[-2] > 1e-6 * s[0]:
-        raise RuntimeError(
-            f"commutant kernel not found (smallest singular values {s[-2]:.3e}, {s[-1]:.3e})"
-        )
-    return vt[-1]
-
-
 def _generator_product(rep: CliffordRep) -> np.ndarray:
     """C in closed form: a product of k = m // 2 generators.
 
@@ -242,13 +197,13 @@ def _generator_product(rep: CliffordRep) -> np.ndarray:
 
 
 def find_structure_map(rep: CliffordRep) -> StructureMap:
-    """Find the antilinear structure map of the representation.
+    """The antilinear structure map of the representation, in closed form.
 
-    For dim <= 16 (m <= 9), C spans the kernel of the dense commutant
-    system, found by SVD; that solve stays because `real_form_basis`, and
-    through it every spin loop, depends on the phase it gives C.  For
-    m = 10, 11, 12, C is the closed-form `_generator_product`.  Both go
-    through the same normalisation and checks.
+    C is `_generator_product`, taken as is for every m: a product of
+    unitary generators, so a monomial unitary with entries in
+    {0, +-1, +-i}, and there is nothing to solve or normalise.  epsilon
+    is read from C conj(C), and C passes the commutant, unitarity and
+    C conj(C) = epsilon I checks.
 
     Parameters
     ----------
@@ -274,25 +229,9 @@ def find_structure_map(rep: CliffordRep) -> StructureMap:
             "when m mod 8 is 1 or 5"
         )
     n = rep.dim
-    if n <= 16:
-        vec = _kernel_vector_dense(rep)
-        x = vec[: n * n].reshape((n, n), order="F")
-        y = vec[n * n :].reshape((n, n), order="F")
-        c = x + 1j * y
-    else:
-        c = _generator_product(rep)
-    c = c / np.linalg.norm(c)  # unit Frobenius norm kernel element
-
-    # J^2 = C conj(C) must be a real multiple of the identity; rescale so
-    # the multiple becomes exactly +/- 1.
-    square = c @ np.conj(c)
-    mu = float(np.real(np.trace(square)) / n)
-    if abs(mu) < 1e-6:
-        raise RuntimeError(f"structure map square degenerate (mu={mu:.3e})")
-    if _opnorm(square - mu * np.eye(n)) > SOLVER_TOL * max(1.0, abs(mu)):
-        raise RuntimeError("structure map square is not scalar")
-    c = c / np.sqrt(abs(mu))
-    epsilon = 1 if mu > 0 else -1
+    c = _generator_product(rep)
+    square = c @ np.conj(c)  # J^2, which must be +-I
+    epsilon = 1 if np.real(np.trace(square)) > 0 else -1
 
     smap = StructureMap(matrix=_frozen(c), epsilon=epsilon)
     res = smap.commutant_residual(rep)
@@ -300,9 +239,40 @@ def find_structure_map(rep: CliffordRep) -> StructureMap:
         raise RuntimeError(f"commutant residual {res:.3e} exceeds {SOLVER_TOL:.1e}")
     if _opnorm(c.conj().T @ c - np.eye(n)) > 100 * SOLVER_TOL:
         raise RuntimeError("structure map matrix is not unitary")
-    if _opnorm(c @ np.conj(c) - epsilon * np.eye(n)) > 100 * SOLVER_TOL:
+    if _opnorm(square - epsilon * np.eye(n)) > 100 * SOLVER_TOL:
         raise RuntimeError("structure map square differs from epsilon * I")
     return smap
+
+
+def _real_form_pairs(smap: StructureMap) -> np.ndarray:
+    """sqrt(2) times `real_form_basis`, with entries in {0, +-1, +-i}.
+
+    An epsilon = +1 map C is a real signed permutation with C^2 = I and
+    no fixed index, so it pairs the coordinates: C e_a = s e_b and
+    C e_b = s e_a.  Each pair a < b gives the J-fixed columns
+    e_a + s e_b and i (e_a - s e_b), in order of a.  Products of these
+    columns with generators are small integers, which keeps the spin
+    structure exact.
+    """
+    c = smap.matrix
+    n = c.shape[0]
+    image = np.argmax(np.abs(c), axis=0)  # C e_a is a multiple of e_image[a]
+    a = np.flatnonzero(np.arange(n) < image)
+    if 2 * a.size != n:
+        raise RuntimeError("structure map does not pair the coordinates")
+    b = image[a]
+    s = c[b, a]
+    cols = 2 * np.arange(a.size)
+    pairs = np.zeros((n, n), dtype=complex)
+    pairs[a, cols] = 1.0
+    pairs[b, cols] = s
+    pairs[a, cols + 1] = 1j
+    pairs[b, cols + 1] = -1j * s
+    if _opnorm(pairs.conj().T @ pairs - 2.0 * np.eye(n)) > 2 * SOLVER_TOL:
+        raise RuntimeError("real form basis failed orthonormality check")
+    if _opnorm(smap.apply(pairs) - pairs) > 100 * SOLVER_TOL:
+        raise RuntimeError("real form basis columns are not J-fixed")
+    return pairs
 
 
 def real_form_basis(rep: CliffordRep, smap: StructureMap) -> np.ndarray:
@@ -311,23 +281,13 @@ def real_form_basis(rep: CliffordRep, smap: StructureMap) -> np.ndarray:
     Only defined for ``epsilon = +1`` maps, whose fixed set is a real
     form of the representation space: dim complex space = dim real form.
     The returned ``dim x dim`` complex matrix B has J-fixed orthonormal
-    columns, so conjugating a lift by B produces a real orthogonal
-    matrix whenever the lift commutes with J.
+    columns (e_a + s e_b) / sqrt(2) and i (e_a - s e_b) / sqrt(2), one
+    pair for each pair of coordinates that C swaps, so conjugating a
+    lift by B produces a real orthogonal matrix whenever the lift
+    commutes with J.
     """
     if smap.epsilon != +1:
         raise ValueError("real form requires a structure map with epsilon = +1")
-    n = rep.dim
-    eye = np.eye(n, dtype=complex)
-    fixed_u = eye + smap.apply(eye)              # columns e_j + J e_j
-    fixed_w = 1j * (eye - smap.apply(eye))       # columns i (e_j - J e_j)
-    candidates = np.hstack([fixed_u, fixed_w])
-    embedded = np.vstack([np.real(candidates), np.imag(candidates)])
-    u, s, _ = np.linalg.svd(embedded, full_matrices=False)
-    if s[n - 1] <= 1e-8 * s[0] or (s.shape[0] > n and s[n] > 1e-8 * s[0]):
-        raise RuntimeError("fixed subspace does not have full real rank")
-    basis = u[:n, :n] + 1j * u[n:, :n]
-    if _opnorm(basis.conj().T @ basis - np.eye(n)) > SOLVER_TOL:
-        raise RuntimeError("real form basis failed orthonormality check")
-    if _opnorm(smap.apply(basis) - basis) > 100 * SOLVER_TOL:
-        raise RuntimeError("real form basis columns are not J-fixed")
-    return _frozen(basis)
+    if smap.matrix.shape != (rep.dim, rep.dim):
+        raise ValueError("structure map does not act on the representation space")
+    return _frozen(_real_form_pairs(smap) / np.sqrt(2.0))

@@ -7,10 +7,12 @@ loop by linear interpolation toward a center operator (the space of
 symmetric matrices is convex, so the filling is canonical), scans the
 disc for small eigenvalue gaps, and refines promising points into a
 certificate of near-degeneracy.  The scan factors one ring of the
-polar grid per batched eigensolve; the refinement is a greedy stencil
-walk whose runs of non-improving points are evaluated speculatively,
-one boundary stack and one batched eigensolve per run, with the same
-points and answer as walking one point at a time.
+polar grid per batched eigensolve.  The refinement answers a rotation
+loop's disc at its center when the center commutes with the loop's
+structure; otherwise it is a greedy stencil walk whose runs of
+non-improving points are evaluated speculatively, one boundary stack
+and one batched eigensolve per run, with the same points and answer as
+walking one point at a time.
 
 The gap indicator is anchored by eigenvalue index at the boundary
 basepoint, not by window position: tracking the same sorted indices
@@ -312,6 +314,15 @@ def refine(disc: DiscFamily, window: SpectralWindow,
     drops back to 1 after a move.  Discs above ``_SPECULATE_MAX_DIM``
     keep width 1: there ``eigvalsh`` dominates each point, so batching
     saves little and the dropped points would cost more.
+
+    A rotation loop's disc is answered at its center first.  When the
+    boundary has an ``equivariant`` model whose structure K commutes
+    with the center C (||CK - KC||_F <= 1e-12 max(||C||_F, 1), as for
+    the mean of the loop), C is complex-linear for K, so its
+    eigenvalues come in equal pairs, and one pair lies among the
+    anchored guard pairs of any window.  If the anchored gap at r = 0
+    is within ``tol``, the certificate is at (r, theta) = (0, 0) with
+    0 levels and 1 evaluation; otherwise the walk runs as above.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -331,6 +342,13 @@ def refine(disc: DiscFamily, window: SpectralWindow,
             return [float(_index_gaps(values, anchor, window.count))]
         h = c + np.array(rs)[:, None, None] * (disc.boundary.stack(ts) - c)
         return _index_gaps(np.linalg.eigvalsh(h), anchor, window.count).tolist()
+
+    loop = disc.boundary.equivariant
+    if loop is not None:  # a center that commutes with K is degenerate
+        k = loop.structure
+        if np.linalg.norm(c @ k - k @ c) <= 1e-12 * max(np.linalg.norm(c), 1.0):
+            if gaps_at([0.0], [0.0])[0] <= tol:
+                return _certificate_at(disc, window, anchor, 0.0, 0.0, tol, 0, 1)
 
     best_r, best_t = min(max(r, 0.0), 1.0), theta % 1.0
     best_gap = gaps_at([best_r], [best_t])[0]

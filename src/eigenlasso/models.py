@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from ._linalg import _frozen, _opnorm
-from .clifford import build_clifford, find_structure_map, real_form_basis
+from .clifford import _real_form_pairs, build_clifford, find_structure_map
 
 __all__ = [
     "SYMMETRY_RTOL",
@@ -367,12 +367,15 @@ def make_fullturn_loop(base) -> EquivariantLoopModel:
 def _spin_structure(m: int) -> np.ndarray:
     """K = B^H gamma_{m-2} gamma_{m-1} B on the real form of m, shared read-only.
 
-    Solved once per m: the representation, its structure map and the
-    real form basis B depend on m only.
+    Built once per m: the representation, its structure map and the
+    real form basis B depend on m only.  K is formed from the unscaled
+    pair columns sqrt(2) B, whose products with the generators are small
+    integers, so K is an exact signed permutation: K K = -I and
+    K^T = -K hold bit for bit.
     """
     rep = build_clifford(m)
-    basis = real_form_basis(rep, find_structure_map(rep))
-    k = basis.conj().T @ rep.generators[m - 2] @ rep.generators[m - 1] @ basis
+    pairs = _real_form_pairs(find_structure_map(rep))
+    k = pairs.conj().T @ rep.generators[m - 2] @ rep.generators[m - 1] @ pairs / 2.0
     if float(np.abs(np.imag(k)).max()) > 1e-10:
         raise RuntimeError("lift failed to restrict to the real form")
     return _frozen(np.real(k))

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eigenlasso
+from eigenlasso import models
 from eigenlasso.clifford import (
     EPSILON_BY_DIMENSION,
-    StructureMap,
-    _generator_product,
     build_clifford,
     find_structure_map,
     lift_rotation,
@@ -111,21 +110,6 @@ def test_structure_map_invariants(m):
     np.testing.assert_allclose(c @ c.conj(), smap.epsilon * np.eye(n), atol=1e-10)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 6, 7, 8])
-def test_closed_form_and_solved_structure_maps_agree(m):
-    # find_structure_map solves for C up to dim 16 and takes the closed
-    # form above it; here both routes run where the solve does
-    rep = build_clifford(m)
-    solved = find_structure_map(rep)
-    closed = StructureMap(matrix=_generator_product(rep), epsilon=solved.epsilon)
-    # both unitary with Frobenius norm sqrt(n), so equal up to a unit phase
-    # exactly when their overlap has modulus n
-    assert abs(np.vdot(closed.matrix, solved.matrix)) == pytest.approx(rep.dim, abs=1e-10)
-    assert closed.commutant_residual(rep) == 0.0
-    np.testing.assert_allclose(closed.matrix @ closed.matrix.conj(),
-                               solved.epsilon * np.eye(rep.dim), atol=1e-12)
-
-
 def test_structure_maps_and_spin_loops_run_without_scipy():
     script = (
         "import sys\n"
@@ -143,16 +127,29 @@ def test_structure_maps_and_spin_loops_run_without_scipy():
     assert result.returncode == 0, result.stderr
 
 
-def test_structure_map_matches_brute_force_m2():
-    rep = build_clifford(2)
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 7])
+def test_structure_map_matches_brute_force(m):
+    rep = build_clifford(m)
     c_ref, null_dim = brute_force_structure_map(rep.generators)
     assert null_dim == 2  # complex scalar multiples of a single solution
-    assert structure_epsilon(c_ref) == -1
     smap = find_structure_map(rep)
-    assert smap.epsilon == -1
+    assert smap.epsilon == structure_epsilon(c_ref) == EPSILON_BY_DIMENSION[m % 8]
     # same solution line up to phase
     overlap = abs(np.vdot(c_ref, smap.matrix)) / np.linalg.norm(smap.matrix)
     assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_structure_map_and_spin_structure_are_exact(m):
+    rep = build_clifford(m)
+    smap = find_structure_map(rep)
+    c = smap.matrix
+    assert np.array_equal(c @ c.conj(), smap.epsilon * np.eye(rep.dim))
+    k = models._spin_structure(m)
+    assert set(np.unique(k)) <= {-1.0, 0.0, 1.0}
+    assert np.array_equal(np.count_nonzero(k, axis=1), np.ones(rep.dim, dtype=int))
+    assert np.array_equal(k @ k, -np.eye(rep.dim))
+    assert np.array_equal(k.T, -k)
 
 
 def test_structure_map_rejects_complex_type():

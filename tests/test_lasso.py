@@ -16,6 +16,7 @@ from eigenlasso.models import (
     OperatorFamily,
     SymmetricOperator,
     make_halfturn_loop,
+    make_odd_multiplicity_base,
     make_spin_loop,
 )
 from eigenlasso.spectral import SpectralWindow, cluster_groups
@@ -152,6 +153,23 @@ def test_halfturn_mean_disc_has_central_degeneracy():
     assert cert.mean == pytest.approx(1.5, abs=1e-6)
 
 
+def test_mean_centered_spin_disc_is_answered_at_the_center():
+    # the loop's mean commutes with its structure K, so its eigenvalues
+    # come in equal pairs; walked from the scan's best point instead,
+    # this disc stalls at a gap of 2.9e-3
+    base = make_odd_multiplicity_base([3.5] * 8, 0.1, seed=1)
+    values = np.linalg.eigvalsh(base.matrix)
+    disc = make_orbit_disc(make_spin_loop(7, base).family(), center="mean")
+    window = SpectralWindow(0.5 * (values[0] + values[1]), 0.5 * (values[1] + values[2]),
+                            count=1)
+    scan = scan_disc(disc, window)
+    assert scan.boundary_sign == -1
+    cert = refine(disc, window, scan.best, tol=1e-7, step=(1.0 / 16, 1.0 / 24))
+    assert (cert.r, cert.theta, cert.levels, cert.evaluations) == (0.0, 0.0, 0, 1)
+    assert cert.gap <= 1e-7
+    assert cert.residual_a <= 10 * cert.gap + 1e-9
+
+
 def test_negative_control_reports_best_point():
     disc = make_commuting_disc(amplitude=0.3)
     window = SpectralWindow(0.5, 1.5, count=1)
@@ -263,8 +281,9 @@ def test_walk_matches_sequential_on_halfturn_discs():
 
 
 def test_walk_matches_sequential_on_the_spin_m7_disc():
+    # base-centered: a mean center is answered at r = 0 without a walk
     loop = make_spin_loop(7, np.diag(np.arange(1.0, 9.0))).family()
-    disc = make_orbit_disc(loop, center="mean")
+    disc = make_orbit_disc(loop, center="base")
     window = SpectralWindow(3.5, 4.5, count=1)
     assert_walk_is_sequential(disc, window, (1.0, 0.4, 0.1), 1e-7,
                               step=(1.0 / 16, 1.0 / 24))
