@@ -127,8 +127,22 @@ def test_structure_maps_and_spin_loops_run_without_scipy():
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 6, 7])
-def test_structure_map_matches_brute_force(m):
+def test_structure_map_matches_brute_force_m2():
+    rep = build_clifford(2)
+    c_ref, null_dim = brute_force_structure_map(rep.generators)
+    assert null_dim == 2  # complex scalar multiples of a single solution
+    assert structure_epsilon(c_ref) == -1
+    smap = find_structure_map(rep)
+    assert smap.epsilon == -1
+    # same solution line up to phase
+    overlap = abs(np.vdot(c_ref, smap.matrix)) / np.linalg.norm(smap.matrix)
+    assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 7, 8])
+def test_closed_form_and_solved_structure_maps_agree(m):
+    # the closed-form C against the kernel of the commutant system,
+    # solved entry by entry in the oracle
     rep = build_clifford(m)
     c_ref, null_dim = brute_force_structure_map(rep.generators)
     assert null_dim == 2  # complex scalar multiples of a single solution
