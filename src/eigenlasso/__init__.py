@@ -47,12 +47,11 @@ from .holonomy import (
     transport,
 )
 from .lasso import (
+    Answer,
     DegeneracyCertificate,
-    DegeneracyNotFound,
     DiscFamily,
+    answer,
     make_orbit_disc,
-    refine,
-    scan_disc,
 )
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from .spectral import (
     verify_dirac_properties,
 )
 from .holonomy import concatenate_loops, predicted_sign, sign_stability, transport
-from .lasso import DegeneracyNotFound, make_orbit_disc, refine, scan_disc
+from .lasso import answer, make_orbit_disc
 
 __all__ = [
     "PINNED",
@@ -419,70 +419,43 @@ def _criterion_8(pins: Mapping) -> Tuple[bool, str]:
 
 
 def _criterion_9(pins: Mapping) -> Tuple[bool, str]:
-    failures = []
-    parts = []
-
-    # (a) conical: eigenvalues exactly +-r, tip at the center
-    disc = make_orbit_disc(make_conical_boundary(), center=np.zeros((2, 2)))
-    w = SpectralWindow(0.0, 2.0, 1)
-    scan = scan_disc(disc, w, grid=(16, 24))
-    if scan.boundary_sign != -1:
-        failures.append(f"conical boundary sign {scan.boundary_sign}")
-    try:
-        cert = refine(disc, w, scan.best, tol=pins["lasso_conical_tol"],
-                      step=(1.0 / 16, 1.0 / 24))
-        parts.append(f"conical gap {cert.gap:.1e} at r={cert.r:.1e}")
-        if cert.r > 1e-10:
-            failures.append(f"conical certificate away from the tip (r={cert.r:.3e})")
-    except DegeneracyNotFound as exc:
-        failures.append(f"conical refinement failed: {exc}")
-
-    # (b) half-turn orbit disc, smallest odd case
-    loop = make_halfturn_loop(np.diag([1.0, 2.0]))
-    disc = make_orbit_disc(loop, center="mean")
-    w = SpectralWindow(0.5, 1.5, 1)
-    scan = scan_disc(disc, w, grid=(16, 24))
-    if scan.boundary_sign != -1:
-        failures.append(f"half-turn boundary sign {scan.boundary_sign}")
-    try:
-        cert = refine(disc, w, scan.best, tol=pins["lasso_halfturn_tol"],
-                      step=(1.0 / 16, 1.0 / 24))
-        parts.append(f"half-turn gap {cert.gap:.1e}")
-    except DegeneracyNotFound as exc:
-        failures.append(f"half-turn refinement failed: {exc}")
-
-    # (c) spin loop in ambient dimension 7 over a perturbed cluster
     base = make_odd_multiplicity_base([3.5] * 8, epsilon=0.1, seed=1)
-    values = np.linalg.eigvalsh(base.matrix)
-    w = SpectralWindow(0.5 * (values[3] + values[4]), 0.5 * (values[4] + values[5]), 1)
-    loop = make_spin_loop(7, base, turns=1)
-    disc = make_orbit_disc(loop, center="mean")
-    scan = scan_disc(disc, w, grid=(16, 24))
-    if scan.boundary_sign != -1:
-        failures.append(f"spin boundary sign {scan.boundary_sign}")
-    try:
-        cert = refine(disc, w, scan.best, tol=pins["lasso_spin_tol"],
-                      step=(1.0 / 16, 1.0 / 24))
-        parts.append(f"spin m=7 gap {cert.gap:.1e}")
-    except DegeneracyNotFound as exc:
-        failures.append(f"spin refinement failed: {exc}")
-
-    # negative control: commuting boundary, sign +1, nothing to find
-    disc = make_orbit_disc(make_commuting_loop(), center="mean")
-    w = SpectralWindow(0.5, 1.5, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the +1 boundary warning is the point here
-        scan = scan_disc(disc, w, grid=(16, 24))
-    if scan.boundary_sign != 1:
-        failures.append(f"commuting boundary sign {scan.boundary_sign}")
-    floor = pins["lasso_negative_floor"]
-    try:
-        cert = refine(disc, w, scan.best, tol=floor, step=(1.0 / 16, 1.0 / 24))
-        failures.append(f"negative control found a gap {cert.gap:.2e} below {floor:g}")
-    except DegeneracyNotFound as exc:
-        parts.append(f"negative control floor {exc.best_gap:.2f}")
-        if exc.best_gap <= floor:
-            failures.append(f"negative control best gap {exc.best_gap:.2e} not above {floor:g}")
+    v = np.linalg.eigvalsh(base.matrix)
+    # (name, disc, window, tol, boundary sign, certified at the tip r = 0): a cone
+    # (eigenvalues +-r), the smallest half-turn, a spin loop over a perturbed
+    # cluster, and a commuting control with nothing to find above its floor tol
+    rows = [
+        ("conical", make_orbit_disc(make_conical_boundary(), center=np.zeros((2, 2))),
+         SpectralWindow(0.0, 2.0, 1), pins["lasso_conical_tol"], -1, True),
+        ("half-turn", make_orbit_disc(make_halfturn_loop(np.diag([1.0, 2.0])), center="mean"),
+         SpectralWindow(0.5, 1.5, 1), pins["lasso_halfturn_tol"], -1, False),
+        ("spin m=7", make_orbit_disc(make_spin_loop(7, base, turns=1), center="mean"),
+         SpectralWindow(0.5 * (v[3] + v[4]), 0.5 * (v[4] + v[5]), 1), pins["lasso_spin_tol"],
+         -1, False),
+        ("negative control", make_orbit_disc(make_commuting_loop(), center="mean"),
+         SpectralWindow(0.5, 1.5, 1), pins["lasso_negative_floor"], 1, False),
+    ]
+    failures, parts = [], []
+    for name, disc, w, tol, sign, at_tip in rows:
+        with warnings.catch_warnings():  # the control's +1 boundary warning is the point
+            warnings.filterwarnings("ignore", "boundary loop has return sign", UserWarning)
+            found = answer(disc, w, tol=tol)
+        cert, miss = found.certificate, found.not_found
+        if found.scan.boundary_sign != sign:
+            failures.append(f"{name} boundary sign {found.scan.boundary_sign}")
+        if sign == 1:
+            if cert is not None:
+                failures.append(f"{name} found a gap {cert.gap:.2e} below {tol:g}")
+            elif miss.best_gap <= tol:
+                failures.append(f"{name} best gap {miss.best_gap:.2e} not above {tol:g}")
+            else:
+                parts.append(f"{name} floor {miss.best_gap:.2f}")
+        elif cert is None:
+            failures.append(f"{name} refinement failed: {miss}")
+        else:
+            parts.append(f"{name} gap {cert.gap:.1e}" + (f" at r={cert.r:.1e}" if at_tip else ""))
+            if at_tip and cert.r > 1e-10:
+                failures.append(f"{name} certificate away from the tip (r={cert.r:.3e})")
     ok = not failures
     detail = "; ".join(parts) if ok else "; ".join(failures)
     return ok, detail

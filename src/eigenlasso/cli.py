@@ -34,7 +34,7 @@ from .models import (
 )
 from .spectral import SpectralWindow, eigendecompose, enumerate_family, verify_dirac_properties
 from .holonomy import predicted_sign, transport
-from .lasso import DegeneracyNotFound, _anchor_index, make_orbit_disc, refine, scan_disc
+from .lasso import WindowRefused, answer, make_orbit_disc
 
 __all__ = ["ConfigError", "main"]
 
@@ -361,16 +361,16 @@ def _cmd_holonomy(run: _Run, spec: dict) -> int:
 
 
 def _cmd_lasso_scan(run: _Run, spec: dict) -> int:
-    disc, window = spec["disc"], spec["window"]
-    try:
-        _anchor_index(disc, window)
-    except ValueError as exc:
-        raise _fail("window", str(exc)) from exc
-    n_r, n_theta = spec["grid"]["n_r"], spec["grid"]["n_theta"]
+    grid = (spec["grid"]["n_r"], spec["grid"]["n_theta"])
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        scan = scan_disc(disc, window, grid=(n_r, n_theta))
+        warnings.simplefilter("always", UserWarning)  # a RuntimeWarning keeps its filter
+        try:
+            found = answer(spec["disc"], spec["window"], grid,
+                           tol=spec["tolerances"]["refine"])
+        except WindowRefused as exc:
+            raise _fail("window", str(exc)) from exc
     run.warnings.extend(str(w.message) for w in caught)
+    scan, cert, miss = found.scan, found.certificate, found.not_found
     rows = [(float(r), float(t), float(scan.gap_map[i, j]))
             for i, r in enumerate(scan.r_values)
             for j, t in enumerate(scan.theta_values)]
@@ -380,9 +380,7 @@ def _cmd_lasso_scan(run: _Run, spec: dict) -> int:
         "anchor": scan.anchor,
         "scan_min_gap": scan.min_gap,
     }
-    try:
-        cert = refine(disc, window, scan.best, tol=spec["tolerances"]["refine"],
-                      step=(1.0 / n_r, 1.0 / n_theta))
+    if cert is not None:
         results["certificate"] = {
             "r": cert.r, "theta": cert.theta,
             "lambda_a": cert.lambda_a, "lambda_b": cert.lambda_b,
@@ -392,13 +390,11 @@ def _cmd_lasso_scan(run: _Run, spec: dict) -> int:
             "levels": cert.levels, "evaluations": cert.evaluations,
         }
         return run.finish(results, certificate=True, gap=cert.gap, r=cert.r, best_gap=cert.gap)
-    except DegeneracyNotFound as exc:
-        results["not_found"] = {
-            "best_r": exc.best_point[0], "best_theta": exc.best_point[1],
-            "best_gap": exc.best_gap, "levels": exc.levels,
-            "evaluations": exc.evaluations,
-        }
-        return run.finish(results, certificate=False, best_gap=exc.best_gap)
+    results["not_found"] = {
+        "best_r": miss.best_point[0], "best_theta": miss.best_point[1],
+        "best_gap": miss.best_gap, "levels": miss.levels, "evaluations": miss.evaluations,
+    }
+    return run.finish(results, certificate=False, best_gap=miss.best_gap)
 
 
 def _cmd_properties(run: _Run, spec: dict) -> int:

@@ -12,7 +12,8 @@ loop's disc at its center when the center commutes with the loop's
 structure; otherwise it is a greedy stencil walk whose runs of
 non-improving points are evaluated speculatively, one boundary stack
 and one batched eigensolve per run, with the same points and answer as
-walking one point at a time.
+walking one point at a time.  ``answer`` joins the two stages: the
+walk starts at the scan's best point with the grid's spacing.
 
 The gap indicator is anchored by eigenvalue index at the boundary
 basepoint, not by window position: tracking the same sorted indices
@@ -40,10 +41,13 @@ from .spectral import SpectralWindow, eigendecompose
 from .holonomy import transport
 
 __all__ = [
+    "Answer",
     "DiscFamily",
     "ScanResult",
     "DegeneracyCertificate",
     "DegeneracyNotFound",
+    "WindowRefused",
+    "answer",
     "make_orbit_disc",
     "scan_disc",
     "refine",
@@ -108,17 +112,21 @@ def make_orbit_disc(loop: Union[EquivariantLoopModel, OperatorFamily],
 # gap indicator
 # ---------------------------------------------------------------------------
 
+class WindowRefused(ValueError):
+    """The window does not hold its eigenvalues at the boundary basepoint."""
+
+
 def _anchor_index(disc: DiscFamily, window: SpectralWindow) -> int:
     """First index of the window's range at the basepoint.
 
-    Also validates that the window is admissible there: the anchor is
-    meaningless if the boundary does not start inside the good region.
+    Raises WindowRefused unless the window is admissible there: the anchor
+    is meaningless if the boundary does not start inside the good region.
     """
     values = np.linalg.eigvalsh(disc.boundary(0.0))
     try:
         return window.indices(values).start
     except ValueError as exc:
-        raise ValueError(f"at the boundary basepoint: {exc}") from exc
+        raise WindowRefused(f"at the boundary basepoint: {exc}") from exc
 
 
 def _guard_pairs(anchor: int, count: int, n: int) -> range:
@@ -144,23 +152,19 @@ def _index_gaps(values: np.ndarray, anchor: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Gap map over the scan grid plus candidates ranked by ascending gap."""
+    """Gap map over the scan grid and its smallest gap, ``best`` =
+    (gap, r, theta) at the first grid point in row-major order."""
 
     r_values: np.ndarray
     theta_values: np.ndarray
     gap_map: np.ndarray
-    candidates: Tuple[Tuple[float, float, float], ...]  # (gap, r, theta)
+    best: Tuple[float, float, float]
     anchor: int
-    window: SpectralWindow
     boundary_sign: int
 
     @property
-    def best(self) -> Tuple[float, float, float]:
-        return self.candidates[0]
-
-    @property
     def min_gap(self) -> float:
-        return self.candidates[0][0]
+        return self.best[0]
 
 
 def scan_disc(disc: DiscFamily, window: SpectralWindow,
@@ -191,14 +195,10 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
     ring = disc.boundary.stack(thetas) - c
     values = np.stack([np.linalg.eigvalsh(c + r * ring) for r in rs])
     gap_map = _index_gaps(values, anchor, window.count)
-    order = np.argsort(gap_map, axis=None, kind="stable")
-    ii, jj = np.unravel_index(order, gap_map.shape)
-    candidates = tuple(
-        (float(gap_map[i, j]), float(rs[i]), float(thetas[j])) for i, j in zip(ii, jj)
-    )
+    i, j = np.unravel_index(np.argmin(gap_map), gap_map.shape)
     return ScanResult(r_values=rs, theta_values=thetas, gap_map=gap_map,
-                      candidates=candidates, anchor=anchor, window=window,
-                      boundary_sign=ret.sign)
+                      best=(float(gap_map[i, j]), float(rs[i]), float(thetas[j])),
+                      anchor=anchor, boundary_sign=ret.sign)
 
 
 # ---------------------------------------------------------------------------
@@ -380,3 +380,26 @@ def refine(disc: DiscFamily, window: SpectralWindow,
         return _certificate_at(disc, window, anchor, best_r, best_t, tol,
                                max_levels, evaluations)
     raise DegeneracyNotFound((best_r, best_t), best_gap, max_levels, evaluations)
+
+
+@dataclass(frozen=True)
+class Answer:
+    """A disc's scan and the refinement of its best point: exactly one
+    of ``certificate`` and ``not_found`` is set."""
+
+    scan: ScanResult
+    certificate: Optional[DegeneracyCertificate] = None
+    not_found: Optional[DegeneracyNotFound] = None
+
+
+def answer(disc: DiscFamily, window: SpectralWindow, grid: Tuple[int, int] = (16, 24), *,
+           tol: float) -> Answer:
+    """``scan_disc`` on ``grid``, then ``refine`` from ``scan.best`` to ``tol``
+    with step (1/n_r, 1/n_theta); a DegeneracyNotFound is the ``not_found``.
+    Raises and warns as ``scan_disc`` does (WindowRefused, a +1 boundary)."""
+    scan = scan_disc(disc, window, grid=grid)
+    try:
+        cert = refine(disc, window, scan.best, tol, step=(1.0 / grid[0], 1.0 / grid[1]))
+    except DegeneracyNotFound as exc:
+        return Answer(scan, not_found=exc)
+    return Answer(scan, certificate=cert)

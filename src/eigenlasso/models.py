@@ -418,7 +418,7 @@ def make_odd_multiplicity_base(cluster_values, epsilon: float, seed: int) -> Sym
     epsilon, which keeps every eigenvalue within epsilon of the input
     clusters while generically splitting them into simple eigenvalues.
     Draws are retried (same seeded stream) up to 10 times until the
-    spectrum is simple; epsilon = 0 returns the exact diagonal.
+    spectrum is simple, else ValueError; epsilon = 0 gives the exact diagonal.
     """
     values = np.asarray(cluster_values, dtype=float).ravel()
     if values.size == 0:
@@ -441,6 +441,6 @@ def make_odd_multiplicity_base(cluster_values, epsilon: float, seed: int) -> Sym
         best_gap = max(best_gap, min_gap)
         if min_gap > 1e-12 * scale:
             return SymmetricOperator(candidate)
-    raise RuntimeError(
+    raise ValueError(
         f"no simple spectrum after 10 draws (best min gap {best_gap:.3e})"
     )

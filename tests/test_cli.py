@@ -152,6 +152,12 @@ BAD_CONFIGS = {
     "window-misses-basepoint": (
         "lasso-scan", shipped("lasso_conical.json", window={"lower": 1.5, "upper": 2.5}),
         "window: at the boundary basepoint: window holds 0 eigenvalues, expected 1"),
+    # used to exit with a bare "RuntimeError: no simple spectrum after 10 draws"
+    "odd-base-no-simple-spectrum": (
+        "spectrum",
+        {"model": {"kind": "odd_base", "cluster_values": [1.0, 1.0], "epsilon": 1e-300,
+                   "seed": 1}},
+        "model: no simple spectrum after 10 draws"),
 }
 
 
@@ -189,6 +195,17 @@ def test_refused_run_creates_no_output_directory(tmp_path, capsys, command, payl
     out.mkdir()
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
     assert out.is_dir() and not any(out.iterdir())
+
+
+def test_basepoint_solver_failure_is_not_a_window_error(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError; the window refusal must not swallow it
+    def broken(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+    cfg = write_config(tmp_path, shipped("lasso_conical.json"))
+    assert cli.main(["lasso-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: LinAlgError: Eigenvalues did not converge\n"
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eigenlasso.acceptance import make_commuting_loop, make_conical_boundary
+from eigenlasso.acceptance import PINNED, make_commuting_loop, make_conical_boundary
 from eigenlasso.lasso import (
     DegeneracyNotFound,
     DiscFamily,
+    answer,
     make_orbit_disc,
     refine,
     scan_disc,
@@ -101,15 +103,16 @@ def test_conical_gap_map_is_exactly_linear():
     assert result.boundary_sign == -1
 
 
-def test_scan_candidates_are_sorted_by_gap():
-    disc = make_conical_disc()
-    window = SpectralWindow(0.0, 2.0, count=1)
-    result = scan_disc(disc, window, grid=(8, 12))
-    gaps = [c[0] for c in result.candidates]
-    assert gaps == sorted(gaps)
-    assert result.min_gap == pytest.approx(gaps[0])
+def test_scan_best_is_the_first_smallest_gap_in_row_major_order():
+    result = scan_disc(make_conical_disc(), SpectralWindow(0.0, 2.0, count=1), grid=(16, 24))
+    gaps = result.gap_map
+    # the cone's rings tie: its smallest gap is met more than once
+    assert np.count_nonzero(gaps == gaps.min()) > 1
+    i, j = np.unravel_index(np.argsort(gaps, axis=None, kind="stable")[0], gaps.shape)
+    assert result.best == (gaps[i, j], result.r_values[i], result.theta_values[j])
+    assert result.min_gap == result.best[0]
     # smallest gap sits at the smallest scanned radius
-    assert result.best[1] == pytest.approx(result.r_values[0])
+    assert i == 0
 
 
 def test_scan_min_gap_shrinks_under_grid_refinement():
@@ -194,6 +197,52 @@ def test_certificates_are_deterministic():
     b = refine(disc, window, start, tol=1e-10)
     assert (a.r, a.theta, a.gap, a.lambda_a, a.lambda_b) == \
         (b.r, b.theta, b.gap, b.lambda_a, b.lambda_b)
+
+
+def criterion_9_discs():
+    """The four discs of acceptance criterion 9: (disc, window, tol)."""
+    base = make_odd_multiplicity_base([3.5] * 8, epsilon=0.1, seed=1)
+    v = np.linalg.eigvalsh(base.matrix)
+    return [
+        (make_orbit_disc(make_conical_boundary(), center=np.zeros((2, 2))),
+         SpectralWindow(0.0, 2.0, 1), PINNED["lasso_conical_tol"]),
+        (make_orbit_disc(make_halfturn_loop(np.diag([1.0, 2.0]))),
+         SpectralWindow(0.5, 1.5, 1), PINNED["lasso_halfturn_tol"]),
+        (make_orbit_disc(make_spin_loop(7, base, turns=1)),
+         SpectralWindow(0.5 * (v[3] + v[4]), 0.5 * (v[4] + v[5]), 1), PINNED["lasso_spin_tol"]),
+        (make_orbit_disc(make_commuting_loop()), SpectralWindow(0.5, 1.5, 1),
+         PINNED["lasso_negative_floor"]),
+    ]
+
+
+def hexed(*values):
+    return [float(x).hex() if isinstance(x, float) else x for x in values]
+
+
+def certificate_fields(c):
+    return hexed(c.r, c.theta, c.lambda_a, c.lambda_b, c.gap, c.mean, c.residual_a,
+                 c.residual_b, c.pair_index, c.levels, c.evaluations)
+
+
+@pytest.mark.parametrize("grid", [(16, 24), (8, 12)])
+def test_answer_is_scan_then_refine_at_the_grid_spacing(grid):
+    for disc, window, tol in criterion_9_discs():
+        with warnings.catch_warnings():  # the commuting control's +1 boundary
+            warnings.filterwarnings("ignore", "boundary loop has return sign", UserWarning)
+            got = answer(disc, window, grid, tol=tol)
+            scan = scan_disc(disc, window, grid=grid)
+        assert got.scan.gap_map.tobytes() == scan.gap_map.tobytes()
+        assert hexed(*got.scan.best) == hexed(*scan.best)
+        try:
+            cert = refine(disc, window, scan.best, tol, step=(1.0 / grid[0], 1.0 / grid[1]))
+        except DegeneracyNotFound as exc:
+            assert got.certificate is None
+            miss = got.not_found
+            assert hexed(*miss.best_point, miss.best_gap, miss.levels, miss.evaluations) == \
+                hexed(*exc.best_point, exc.best_gap, exc.levels, exc.evaluations)
+            continue
+        assert got.not_found is None
+        assert certificate_fields(got.certificate) == certificate_fields(cert)
 
 
 def test_refine_refuses_non_finite_tolerance():
