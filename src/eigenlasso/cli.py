@@ -180,9 +180,17 @@ def _track_grid(samples: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, samples + 1)
 
 
+# a lasso scan factors every one of its n_r * n_theta grid points, and
+# stacks the n_theta operators of one ring at a time
+_MAX_SCAN_POINTS = 1 << 16
+_MAX_RING_BYTES = 1 << 26
+
+
 def _scan_grid(n_r: int, n_theta: int) -> dict:
     if n_r < 1 or n_theta < 3:
         raise ValueError(f"need n_r >= 1 and n_theta >= 3, got n_r={n_r}, n_theta={n_theta}")
+    if n_r * n_theta > _MAX_SCAN_POINTS:
+        raise ValueError(f"n_r * n_theta = {n_r * n_theta} points, more than {_MAX_SCAN_POINTS}")
     return {"n_r": n_r, "n_theta": n_theta}
 
 
@@ -362,6 +370,10 @@ def _cmd_holonomy(run: _Run, spec: dict) -> int:
 
 def _cmd_lasso_scan(run: _Run, spec: dict) -> int:
     grid = (spec["grid"]["n_r"], spec["grid"]["n_theta"])
+    dim = spec["disc"].dim
+    if grid[1] * dim * dim * 8 > _MAX_RING_BYTES:
+        raise _fail("grid", f"a ring of {grid[1]} operators of dimension {dim} takes "
+                            f"{grid[1] * dim * dim * 8} bytes, more than {_MAX_RING_BYTES}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)  # a RuntimeWarning keeps its filter
         try:
@@ -387,12 +399,13 @@ def _cmd_lasso_scan(run: _Run, spec: dict) -> int:
             "gap": cert.gap, "mean": cert.mean,
             "residual_a": cert.residual_a, "residual_b": cert.residual_b,
             "pair_index": cert.pair_index, "tol": cert.tol,
-            "levels": cert.levels, "evaluations": cert.evaluations,
+            "levels": cert.levels, "evaluations": cert.evaluations, "method": cert.method,
         }
         return run.finish(results, certificate=True, gap=cert.gap, r=cert.r, best_gap=cert.gap)
     results["not_found"] = {
         "best_r": miss.best_point[0], "best_theta": miss.best_point[1],
         "best_gap": miss.best_gap, "levels": miss.levels, "evaluations": miss.evaluations,
+        "method": miss.method,
     }
     return run.finish(results, certificate=False, best_gap=miss.best_gap)
 

@@ -9,11 +9,16 @@ disc for small eigenvalue gaps, and refines promising points into a
 certificate of near-degeneracy.  The scan factors one ring of the
 polar grid per batched eigensolve.  The refinement answers a rotation
 loop's disc at its center when the center commutes with the loop's
-structure; otherwise it is a greedy stencil walk whose runs of
-non-improving points are evaluated speculatively, one boundary stack
-and one batched eigensolve per run, with the same points and answer as
-walking one point at a time.  ``answer`` joins the two stages: the
-walk starts at the scan's best point with the grid's spacing.
+structure; otherwise it runs Newton on the branching plane, solving
+the two first-order conditions of a crossing of the closest anchored
+pair, which meets a forced crossing in a few eigensolves.  Where Newton
+stops short, a greedy stencil walk takes over, its runs of
+non-improving points evaluated speculatively, one boundary stack and
+one batched eigensolve per run, with the same points and answer as
+walking one point at a time.  Every route's point is certified by the
+same validated eigendecomposition.  ``answer`` joins the two stages:
+refinement starts at the scan's best point, and the walk's step is the
+grid's spacing.
 
 The gap indicator is anchored by eigenvalue index at the boundary
 basepoint, not by window position: tracking the same sorted indices
@@ -171,7 +176,9 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
               grid: Tuple[int, int] = (16, 24)) -> ScanResult:
     """Evaluate the anchored gap indicator on a polar grid.
 
-    The radial grid starts at 1/n_r, not 0: refinement owns the center.
+    The radial grid starts at 1/n_r, not 0: refinement checks a rotation
+    loop's center itself, and Newton steps to r = 0 when the crossing is
+    there, as for the cone.
     When the boundary loop's transported sign is +1 a degeneracy is not
     forced and a warning is issued, but the scan still runs; it simply
     reports whatever gaps it finds.
@@ -209,9 +216,13 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
 class DegeneracyCertificate:
     """A disc point where two anchored eigenvalues coincide to tolerance.
 
-    ``levels`` counts the stencil levels walked before the gap reached
-    ``tol`` and ``evaluations`` the gap evaluations made on the way,
-    the starting point and speculative ones included.
+    ``method`` names the route that reached the point: ``"center"`` (a
+    rotation loop's disc answered at r = 0), ``"newton"`` (Newton on
+    the branching plane) or ``"walk"`` (the stencil walk).  ``levels``
+    counts the Newton steps or the stencil levels walked before the gap
+    reached ``tol``, and ``evaluations`` every eigensolve ``refine``
+    made after the anchor: the center check, Newton's, and the walk's
+    gap evaluations, the starting point and speculative ones included.
     """
 
     r: float
@@ -228,23 +239,33 @@ class DegeneracyCertificate:
     tol: float
     levels: int
     evaluations: int
+    method: str
 
 
 class DegeneracyNotFound(Exception):
     """Refinement stagnated; carries the best point and gap reached, the
-    levels walked and the gap evaluations made (as on the certificate)."""
+    levels walked, the eigensolves made and the route that reached the
+    point (as on the certificate)."""
 
     def __init__(self, best_point: Tuple[float, float], best_gap: float, levels: int,
-                 evaluations: int):
+                 evaluations: int, method: str):
         self.best_point = best_point
         self.best_gap = best_gap
         self.levels = levels
         self.evaluations = evaluations
+        self.method = method
         super().__init__(
             f"no gap below tolerance after {levels} levels; best gap "
             f"{best_gap:.6e} at (r, theta) = ({best_point[0]:.6g}, {best_point[1]:.6g})"
         )
 
+
+# Newton steps refine takes before falling back to the walk; no forced
+# disc of the benchmark's lasso workload has needed more than 3
+_NEWTON_STEPS = 8
+# central-difference half-width in theta for a boundary without a
+# rotation model; the Jacobian only steers Newton, it certifies nothing
+_SLOPE_STEP = 2.0 ** -17
 
 _STENCIL = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 # the 25 stencil offsets in walk order: radial offset outer, angular inner
@@ -258,7 +279,7 @@ _SPECULATE_MAX_DIM = 16
 
 def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
                     r: float, theta: float, tol: float, levels: int,
-                    evaluations: int) -> DegeneracyCertificate:
+                    evaluations: int, method: str) -> DegeneracyCertificate:
     h = disc.operator_at(r, theta)
     values, vectors = eigendecompose(h)
     pairs = _guard_pairs(anchor, window.count, values.size)
@@ -269,7 +290,7 @@ def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
     res_b = float(np.linalg.norm(h @ vectors[:, i + 1] - mean * vectors[:, i + 1]))
     gap = lam_b - lam_a
     if gap > tol:  # eigvalsh met tol where this eigendecomposition does not
-        raise DegeneracyNotFound((float(r), float(theta)), gap, levels, evaluations)
+        raise DegeneracyNotFound((float(r), float(theta)), gap, levels, evaluations, method)
     # the pair spans a near-invariant plane: residuals can only come
     # from the split itself plus roundoff
     # ||h|| is the largest |eigenvalue| of the symmetric h
@@ -282,57 +303,76 @@ def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
         r=float(r), theta=float(theta), lambda_a=lam_a, lambda_b=lam_b,
         gap=gap, mean=mean, residual_a=res_a, residual_b=res_b,
         pair_index=int(i), anchor=anchor, window=window, tol=tol,
-        levels=levels, evaluations=evaluations,
+        levels=levels, evaluations=evaluations, method=method,
     )
 
 
-def refine(disc: DiscFamily, window: SpectralWindow,
-           point: Tuple[float, float, float], tol: float,
-           step: Optional[Tuple[float, float]] = None) -> DegeneracyCertificate:
-    """Shrink the anchored gap below ``tol`` by nested stencil search.
+def _slope_on(boundary: OperatorFamily, theta: float, b: np.ndarray,
+              frame: np.ndarray) -> np.ndarray:
+    """frame^T B'(theta) frame, for B = ``b`` the boundary at theta.
 
-    ``point`` is a (gap, r, theta) candidate of ``scan_disc``, such as
-    ``ScanResult.best``; the search starts at its (r, theta).  Each
-    level walks a deterministic 5x5 stencil (radial offset outer,
-    angular offset inner) around the current best point and moves to
-    every point whose gap is strictly smaller, so later points of the
-    level are offset from the new best; the stencil radius is then
-    divided by 4.  The radial coordinate is clipped to [0, 1] and the
-    angle wraps.  ``tol`` and both ``step`` entries (default 1/4, 1/4)
-    must be finite and positive.  Raises DegeneracyNotFound when the
-    cap of 40 levels is reached first, and also when the certificate's
-    eigendecomposition at the walk's best point measures a gap above
-    ``tol``: below the round-off floor (a ``tol`` of 1e-300, say),
-    ``eigvalsh`` can return a gap of 0 that ``eigh`` does not.
-
-    The walk is evaluated speculatively, with the same points,
-    comparisons and answer as one point at a time: the next ``width``
-    points of the level, offset from the current best, are built as one
-    boundary stack and take one batched ``eigvalsh``, and the first one
-    that improves is taken, dropping the rest.  ``width`` starts at 1,
-    doubles up to 25 after each batch that finds no improvement and
-    drops back to 1 after a move.  Discs above ``_SPECULATE_MAX_DIM``
-    keep width 1: there ``eigvalsh`` dominates each point, so batching
-    saves little and the dropped points would cost more.
-
-    A rotation loop's disc is answered at its center first.  When the
-    boundary has an ``equivariant`` model whose structure K commutes
-    with the center C (||CK - KC||_F <= 1e-12 max(||C||_F, 1), as for
-    the mean of the loop), C is complex-linear for K, so its
-    eigenvalues come in equal pairs, and one pair lies among the
-    anchored guard pairs of any window.  If the anchored gap at r = 0
-    is within ``tol``, the certificate is at (r, theta) = (0, 0) with
-    0 levels and 1 evaluation; otherwise the walk runs as above.
+    On a rotation loop B' = Omega B - B Omega exactly, with Omega skew,
+    so the projection is -(Y + Y^T) for Y = (Omega frame)^T (B frame);
+    other boundaries take a central difference of two samples.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    loop = boundary.equivariant
+    if loop is not None:
+        y = loop.generator(frame).T @ (b @ frame)
+        return -(y + y.T)
+    ahead, behind = boundary.stack([theta + _SLOPE_STEP, theta - _SLOPE_STEP])
+    return frame.T @ (ahead - behind) @ frame / (2.0 * _SLOPE_STEP)
+
+
+def _newton(disc: DiscFamily, window: SpectralWindow, anchor: int, r: float,
+            theta: float, tol: float) -> Tuple[Optional[Tuple[float, float]], int]:
+    """Newton on the branching plane from (r, theta), one ``eigh`` a step.
+
+    Returns ((r, theta), eigensolves) at the first point whose anchored
+    gap, by ``eigh``, is within ``tol``, and (None, eigensolves) when the
+    closest pair's 2 x 2 system is singular, a step is not finite, or
+    ``_NEWTON_STEPS`` steps did not get there.  Each step x solves the
+    two first-order conditions of a crossing of the closest anchored
+    guard pair (u, w), with A_d = [u w]^T dH/dd [u w] over d in
+    (r, theta), dH/dr = B - C and dH/dtheta = r B': equal eigenvalues,
+    (A_d00 - A_d11) . x = lambda_w - lambda_u, and no coupling,
+    A_d01 . x = 0.  r is clipped to [0, 1] and theta wraps.
+    """
+    pairs = _guard_pairs(anchor, window.count, disc.dim)
+    if not pairs:
+        return None, 0
+    c = disc.center.matrix
+    r, theta = min(max(r, 0.0), 1.0), theta % 1.0
+    for steps in range(_NEWTON_STEPS + 1):
+        b = disc.boundary(theta)
+        radial = b - c
+        values, vectors = np.linalg.eigh(c + r * radial)  # as disc.operator_at(r, theta)
+        i = min(pairs, key=lambda p: values[p + 1] - values[p])
+        gap = float(values[i + 1] - values[i])
+        if gap <= tol:
+            return (r, theta), steps + 1
+        if steps == _NEWTON_STEPS:
+            break
+        frame = vectors[:, i:i + 2]
+        a_r = frame.T @ radial @ frame
+        a_t = r * _slope_on(disc.boundary, theta, b, frame)
+        jacobian = [[a_r[0, 0] - a_r[1, 1], a_t[0, 0] - a_t[1, 1]], [a_r[0, 1], a_t[0, 1]]]
+        try:
+            dr, dt = (float(x) for x in np.linalg.solve(jacobian, [gap, 0.0]))
+        except np.linalg.LinAlgError:  # the pair does not couple: no crossing to aim at
+            break
+        if not (math.isfinite(dr) and math.isfinite(dt)):
+            break
+        r, theta = min(max(r + dr, 0.0), 1.0), (theta + dt) % 1.0
+    return None, steps + 1
+
+
+def _walk(disc: DiscFamily, window: SpectralWindow, anchor: int,
+          point: Tuple[float, float, float], tol: float, step: Tuple[float, float],
+          evaluations: int = 0) -> DegeneracyCertificate:
+    """The stencil walk from ``point``'s (r, theta) with the checked
+    ``step``; ``evaluations`` eigensolves were already spent."""
     _, r, theta = (float(x) for x in point)
-    if step is None:
-        step = (0.25, 0.25)
-    dr, dt = float(step[0]), float(step[1])
-    if not all(math.isfinite(x) and x > 0 for x in (dr, dt)):
-        raise ValueError(f"step entries must be finite and positive, got {tuple(step)}")
-    anchor = _anchor_index(disc, window)
+    dr, dt = step
     c = disc.center.matrix
 
     def gaps_at(rs: list, ts: list) -> list:
@@ -343,23 +383,16 @@ def refine(disc: DiscFamily, window: SpectralWindow,
         h = c + np.array(rs)[:, None, None] * (disc.boundary.stack(ts) - c)
         return _index_gaps(np.linalg.eigvalsh(h), anchor, window.count).tolist()
 
-    loop = disc.boundary.equivariant
-    if loop is not None:  # a center that commutes with K is degenerate
-        k = loop.structure
-        if np.linalg.norm(c @ k - k @ c) <= 1e-12 * max(np.linalg.norm(c), 1.0):
-            if gaps_at([0.0], [0.0])[0] <= tol:
-                return _certificate_at(disc, window, anchor, 0.0, 0.0, tol, 0, 1)
-
     best_r, best_t = min(max(r, 0.0), 1.0), theta % 1.0
     best_gap = gaps_at([best_r], [best_t])[0]
-    evaluations = 1
+    evaluations += 1
     max_width = _STENCIL_R.size if disc.dim <= _SPECULATE_MAX_DIM else 1
     width = 1
     max_levels = 40
     for level in range(max_levels):
         if best_gap <= tol:
             return _certificate_at(disc, window, anchor, best_r, best_t, tol,
-                                   level, evaluations)
+                                   level, evaluations, "walk")
         k, rs = 0, None  # k: the next stencil offset of this level
         while k < _STENCIL_R.size:
             if rs is None:  # the level's remaining points, offset from the current best
@@ -378,8 +411,87 @@ def refine(disc: DiscFamily, window: SpectralWindow,
         dr, dt = dr / 4.0, dt / 4.0
     if best_gap <= tol:
         return _certificate_at(disc, window, anchor, best_r, best_t, tol,
-                               max_levels, evaluations)
-    raise DegeneracyNotFound((best_r, best_t), best_gap, max_levels, evaluations)
+                               max_levels, evaluations, "walk")
+    raise DegeneracyNotFound((best_r, best_t), best_gap, max_levels, evaluations, "walk")
+
+
+def refine(disc: DiscFamily, window: SpectralWindow,
+           point: Tuple[float, float, float], tol: float,
+           step: Optional[Tuple[float, float]] = None) -> DegeneracyCertificate:
+    """Drive the anchored gap below ``tol``, starting at ``point``.
+
+    ``point`` is a (gap, r, theta) candidate of ``scan_disc``, such as
+    ``ScanResult.best``; the search starts at its (r, theta).  ``tol``
+    and both ``step`` entries (default 1/4, 1/4) must be finite and
+    positive.  Three routes are tried in turn, and the certificate's
+    ``method`` names the one that answered; its point is always checked
+    by ``_certificate_at`` (a validated eigendecomposition and the
+    residual budget), whichever route found it.
+
+    ``"center"``: a rotation loop's disc is answered at its center
+    first.  When the boundary has an ``equivariant`` model whose
+    structure K commutes with the center C (||CK - KC||_F <= 1e-12
+    max(||C||_F, 1), as for the mean of the loop), C is complex-linear
+    for K, so its eigenvalues come in equal pairs, and one pair lies
+    among the anchored guard pairs of any window.  If the anchored gap
+    at r = 0 is within ``tol``, the certificate is at (r, theta) = (0, 0)
+    with 0 levels and 1 evaluation.
+
+    ``"newton"``: Newton on the branching plane (``_newton``), at most
+    ``_NEWTON_STEPS`` steps of one ``eigh`` each.  A real symmetric
+    crossing has codimension 2, so the closest pair's two first-order
+    conditions fix the step.  ``levels`` counts its steps.
+
+    ``"walk"``: otherwise a greedy stencil walk runs from the original
+    start point, and ``step`` sizes only this walk.  Each level walks a
+    deterministic 5x5 stencil (radial offset outer, angular offset
+    inner) around the current best point and moves to every point whose
+    gap is strictly smaller, so later points of the level are offset
+    from the new best; the stencil radius is then divided by 4.  The
+    radial coordinate is clipped to [0, 1] and the angle wraps.  Raises
+    DegeneracyNotFound when the cap of 40 levels is reached first, and
+    also when the certificate's eigendecomposition at the walk's best
+    point measures a gap above ``tol``: below the round-off floor (a
+    ``tol`` of 1e-300, say), ``eigvalsh`` can return a gap of 0 that
+    ``eigh`` does not.  Wherever the walk alone certifies from
+    ``point``, refine certifies too.
+
+    The walk is evaluated speculatively, with the same points,
+    comparisons and answer as one point at a time: the next ``width``
+    points of the level, offset from the current best, are built as one
+    boundary stack and take one batched ``eigvalsh``, and the first one
+    that improves is taken, dropping the rest.  ``width`` starts at 1,
+    doubles up to 25 after each batch that finds no improvement and
+    drops back to 1 after a move.  Discs above ``_SPECULATE_MAX_DIM``
+    keep width 1: there ``eigvalsh`` dominates each point, so batching
+    saves little and the dropped points would cost more.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _, r, theta = (float(x) for x in point)
+    if step is None:
+        step = (0.25, 0.25)
+    dr, dt = float(step[0]), float(step[1])
+    if not all(math.isfinite(x) and x > 0 for x in (dr, dt)):
+        raise ValueError(f"step entries must be finite and positive, got {tuple(step)}")
+    anchor = _anchor_index(disc, window)
+    c = disc.center.matrix
+
+    spent = 0
+    loop = disc.boundary.equivariant
+    if loop is not None:  # a center that commutes with K is degenerate
+        k = loop.structure
+        if np.linalg.norm(c @ k - k @ c) <= 1e-12 * max(np.linalg.norm(c), 1.0):
+            spent = 1
+            values = np.linalg.eigvalsh(disc.operator_at(0.0, 0.0))
+            if _index_gaps(values, anchor, window.count) <= tol:
+                return _certificate_at(disc, window, anchor, 0.0, 0.0, tol, 0, 1, "center")
+
+    found, solves = _newton(disc, window, anchor, r, theta, tol)
+    spent += solves
+    if found is not None:  # the same eigh of the same matrix measured the gap within tol
+        return _certificate_at(disc, window, anchor, *found, tol, solves - 1, spent, "newton")
+    return _walk(disc, window, anchor, point, tol, (dr, dt), spent)
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,32 @@ def test_refused_run_creates_no_output_directory(tmp_path, capsys, command, payl
     assert out.is_dir() and not any(out.iterdir())
 
 
+# a scan stacks a ring of n_theta operators at once and factors every grid
+# point; beyond the caps these are refused before the scan allocates anything
+OVERSIZED_GRIDS = {
+    "points": (
+        shipped("lasso_conical.json", grid={"n_r": 10 ** 9, "n_theta": 24}),
+        "config error: grid: n_r * n_theta = 24000000000 points, more than 65536\n"),
+    "ring": (
+        shipped("lasso_conical.json", grid={"n_r": 1, "n_theta": 4096}, disc={
+            "boundary": {"kind": "halfturn",
+                         "base": {"kind": "diag", "values": list(range(1, 65))}}}),
+        "config error: grid: a ring of 4096 operators of dimension 64 takes 134217728 "
+        "bytes, more than 67108864\n"),
+}
+
+
+@pytest.mark.parametrize("payload, expected", OVERSIZED_GRIDS.values(), ids=OVERSIZED_GRIDS)
+def test_oversized_scan_grid_is_refused_before_the_scan(tmp_path, capsys, monkeypatch,
+                                                        payload, expected):
+    monkeypatch.setattr(cli, "answer", lambda *args, **kwargs: pytest.fail("the scan ran"))
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main(["lasso-scan", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
 def test_basepoint_solver_failure_is_not_a_window_error(tmp_path, capsys, monkeypatch):
     # LinAlgError is a ValueError; the window refusal must not swallow it
     def broken(a):
@@ -271,8 +297,9 @@ def test_lasso_scan_certifies_the_cone(tmp_path):
     report = read_report(tmp_path, "lasso_scan")
     cert = report["results"]["certificate"]
     assert cert["gap"] <= 1e-10
-    # every level walked evaluates its 25 stencil points at least once
-    assert cert["levels"] >= 1 and cert["evaluations"] >= 1 + 25 * cert["levels"]
+    # Newton on the branching plane: one eigensolve per step plus the one that met tol
+    assert cert["method"] == "newton"
+    assert cert["levels"] >= 1 and cert["evaluations"] == cert["levels"] + 1
 
 
 def test_lasso_scan_negative_control_records_floor_and_warning(tmp_path):

@@ -9,6 +9,8 @@ from eigenlasso.acceptance import PINNED, make_commuting_loop, make_conical_boun
 from eigenlasso.lasso import (
     DegeneracyNotFound,
     DiscFamily,
+    _slope_on,
+    _walk,
     answer,
     make_orbit_disc,
     refine,
@@ -168,7 +170,8 @@ def test_mean_centered_spin_disc_is_answered_at_the_center():
     scan = scan_disc(disc, window)
     assert scan.boundary_sign == -1
     cert = refine(disc, window, scan.best, tol=1e-7, step=(1.0 / 16, 1.0 / 24))
-    assert (cert.r, cert.theta, cert.levels, cert.evaluations) == (0.0, 0.0, 0, 1)
+    assert (cert.method, cert.r, cert.theta, cert.levels, cert.evaluations) == \
+        ("center", 0.0, 0.0, 0, 1)
     assert cert.gap <= 1e-7
     assert cert.residual_a <= 10 * cert.gap + 1e-9
 
@@ -265,21 +268,25 @@ def test_refine_refuses_non_finite_or_non_positive_step():
 
 # ------------------------------------------- speculative walk vs one point at a time
 
-def walk_outcome(disc, window, point, tol, step=None):
-    """refine's answer as (found, r, theta, gap, levels); gap None on a certificate."""
+def oracle_anchor(disc, window):
+    return window_range(np.linalg.eigvalsh(disc.boundary(0.0)),
+                        window.lower, window.upper, window.count).start
+
+
+def walk_outcome(disc, window, point, tol, step):
+    """The walk's answer as (found, r, theta, gap, levels); gap None on a certificate."""
     try:
-        cert = refine(disc, window, point, tol, step=step)
+        cert = _walk(disc, window, oracle_anchor(disc, window), point, tol, step)
     except DegeneracyNotFound as exc:
         return False, exc.best_point[0], exc.best_point[1], exc.best_gap, exc.levels
     return True, cert.r, cert.theta, None, cert.levels
 
 
 def assert_walk_is_sequential(disc, window, point, tol, step=None):
-    """refine reaches bit for bit the point and gap of the one-point walk."""
-    anchor = window_range(np.linalg.eigvalsh(disc.boundary(0.0)),
-                          window.lower, window.upper, window.count).start
-    found, r, theta, gap, levels = sequential_refine(disc, anchor, window.count, point, tol,
-                                                     step=step or (0.25, 0.25))
+    """The walk reaches bit for bit the point and gap of the one-point walk."""
+    step = step or (0.25, 0.25)
+    found, r, theta, gap, levels = sequential_refine(disc, oracle_anchor(disc, window),
+                                                     window.count, point, tol, step=step)
     got = walk_outcome(disc, window, point, tol, step)
 
     def hexed(xs):
@@ -373,12 +380,15 @@ def test_refine_below_round_off_raises_not_found():
 def test_walk_counts_levels_and_evaluations():
     disc, window = halfturn_disc(32, seed=6)
     with pytest.raises(DegeneracyNotFound) as exc:
-        refine(disc, window, (1.0, 0.5, 0.75), tol=1e-8, step=(1.0 / 16, 1.0 / 24))
+        _walk(disc, window, oracle_anchor(disc, window), (1.0, 0.5, 0.75), 1e-8,
+              (1.0 / 16, 1.0 / 24))
     # one point at a time: the start plus 25 points per level
     assert (exc.value.levels, exc.value.evaluations) == (40, 1 + 25 * 40)
-    cert = refine(make_conical_disc(), SpectralWindow(0.0, 2.0, count=1),
-                  (1.0, 0.37, 0.61), tol=1e-10)
+    disc, window = make_conical_disc(), SpectralWindow(0.0, 2.0, count=1)
+    cert = _walk(disc, window, oracle_anchor(disc, window), (1.0, 0.37, 0.61), 1e-10,
+                 (0.25, 0.25))
     # speculation can only add evaluations to the 25 per level walked
+    assert cert.method == "walk"
     assert cert.levels > 0 and cert.evaluations >= 1 + 25 * cert.levels
 
 
@@ -393,16 +403,16 @@ def test_walk_without_guard_pairs_reports_an_infinite_gap():
     assert exc.value.evaluations == 1 + 25 * 40
 
 
-def count_eigvalsh(monkeypatch):
-    """Record the stack depth of every numpy.linalg.eigvalsh call."""
+def count_eigvalsh(monkeypatch, name="eigvalsh"):
+    """Record the stack depth of every numpy.linalg.eigvalsh (or ``name``) call."""
     calls = []
-    original = np.linalg.eigvalsh
+    original = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         calls.append(1 if np.ndim(a) == 2 else len(a))
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
@@ -412,11 +422,14 @@ def test_commuting_control_takes_at_most_two_eigvalsh_calls_per_level(monkeypatc
     with pytest.warns(UserWarning, match="sign \\+1"):
         start = scan_disc(disc, window, grid=(16, 24)).best
     calls = count_eigvalsh(monkeypatch)
+    newton = count_eigvalsh(monkeypatch, "eigh")
     with pytest.raises(DegeneracyNotFound) as exc:
         refine(disc, window, start, tol=1e-3, step=(1.0 / 16, 1.0 / 24))
     # the anchor and the start take one call each
     assert len(calls) - 2 <= 2 * exc.value.levels
-    assert sum(calls) == exc.value.evaluations + 1
+    # Newton's one eigh meets a pair that never couples, and the walk takes over
+    assert (exc.value.method, newton) == ("walk", [1])
+    assert sum(calls) + len(newton) == exc.value.evaluations + 1
 
 
 def test_large_disc_passes_one_matrix_per_call(monkeypatch):
@@ -425,6 +438,84 @@ def test_large_disc_passes_one_matrix_per_call(monkeypatch):
     with pytest.raises(DegeneracyNotFound):
         refine(disc, window, (1.0, 0.5, 0.75), tol=1e-8, step=(1.0 / 16, 1.0 / 24))
     assert set(calls) == {1} and len(calls) == 2 + 25 * 40
+
+
+# ---------------------------------------------------------------- Newton on the branching plane
+
+def anchored_pair_gap(disc, window, r, theta):
+    """Smallest anchored guard-pair gap at (r, theta), by a fresh eigvalsh."""
+    anchor = oracle_anchor(disc, window)
+    values = np.linalg.eigvalsh(disc.operator_at(r, theta))
+    pairs = range(max(anchor, 1) - 1, min(anchor + window.count, disc.dim - 1))
+    return min(values[p + 1] - values[p] for p in pairs)
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_newton_certifies_seeded_halfturn_discs_within_four_eigensolves(monkeypatch, n):
+    calls = count_eigvalsh(monkeypatch, "eigh")
+    for seed in range(6):
+        disc, window = halfturn_disc(n, seed)
+        scan = scan_disc(disc, window)
+        assert scan.boundary_sign == -1
+        calls.clear()
+        cert = refine(disc, window, scan.best, tol=1e-8, step=(1.0 / 16, 1.0 / 24))
+        assert cert.method == "newton" and cert.evaluations == cert.levels + 1 <= 4
+        # one eigh per Newton iterate, then the certificate's own validated one
+        assert len(calls) == cert.evaluations + 1
+        assert anchored_pair_gap(disc, window, cert.r, cert.theta) <= 1e-8
+
+
+def test_newton_reaches_the_tip_of_the_cone_in_one_step():
+    disc, window = make_conical_disc(), SpectralWindow(0.0, 2.0, count=1)
+    cert = refine(disc, window, scan_disc(disc, window, grid=(8, 12)).best, tol=1e-10)
+    # the gap 2r is linear in r, so the first step lands on r = 0
+    assert (cert.method, cert.levels, cert.evaluations, cert.r, cert.gap) == \
+        ("newton", 1, 2, 0.0, 0.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2 ** 16),
+       r=st.floats(0.0, 1.0), theta=st.floats(-1.0, 2.0),
+       tol=st.sampled_from([1e-3, 1e-8]),
+       step=st.tuples(st.floats(0.01, 0.5), st.floats(0.01, 0.5)))
+def test_refine_certifies_wherever_the_walk_does(n, seed, r, theta, tol, step):
+    disc, window = halfturn_disc(n, seed)
+    point = (1.0, r, theta)
+    try:
+        _walk(disc, window, oracle_anchor(disc, window), point, tol, step)
+    except DegeneracyNotFound:
+        return
+    cert = refine(disc, window, point, tol, step=step)
+    assert cert.gap <= tol
+    assert anchored_pair_gap(disc, window, cert.r, cert.theta) <= tol
+
+
+def test_commuting_control_not_found_is_the_walks_bit_for_bit():
+    disc = make_orbit_disc(make_commuting_loop(0.3), center="mean")
+    window = SpectralWindow(0.5, 1.5, count=1)
+    with pytest.warns(UserWarning, match="sign \\+1"):
+        start = scan_disc(disc, window, grid=(16, 24)).best
+    step = (1.0 / 16, 1.0 / 24)
+    with pytest.raises(DegeneracyNotFound) as walked:
+        _walk(disc, window, oracle_anchor(disc, window), start, 1e-3, step)
+    with pytest.raises(DegeneracyNotFound) as refined:
+        refine(disc, window, start, 1e-3, step=step)
+    w, got = walked.value, refined.value
+    assert hexed(*got.best_point, got.best_gap, got.levels, got.method) == \
+        hexed(*w.best_point, w.best_gap, w.levels, "walk")
+    # plus Newton's one eigensolve, whose pair never couples
+    assert got.evaluations == w.evaluations + 1
+
+
+def test_rotation_loop_slope_matches_a_central_difference():
+    disc, _ = halfturn_disc(8, seed=2)
+    rotation = disc.boundary
+    sampled = OperatorFamily(domain="circle", sampler=rotation.sampler)
+    frame = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 2)))[0]
+    for theta in (0.0, 0.3, 0.999):
+        b = rotation(theta)
+        np.testing.assert_allclose(_slope_on(rotation, theta, b, frame),
+                                   _slope_on(sampled, theta, b, frame), atol=1e-7)
 
 
 # ---------------------------------------------------------------- boundary stackers
