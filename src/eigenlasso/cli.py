@@ -158,7 +158,18 @@ _OPERATOR = _Kinds(
     odd_base=_Object(make_odd_multiplicity_base, cluster_values=([float], _REQUIRED),
                      epsilon=(float, _REQUIRED), seed=(int, _REQUIRED)),
 )
-_CIRCLE = _Object(make_circle_dirac, n_max=(int, _REQUIRED), delta=(float, _REQUIRED))
+# a circle model is one dense (2 n_max + 1)-square matrix, factored whole:
+# at the cap, 2049 x 2049 takes 34 MB
+_MAX_CIRCLE_N = 1 << 10
+
+
+def _circle(n_max: int, delta: float) -> CircleDiracModel:
+    if n_max > _MAX_CIRCLE_N:
+        raise ValueError(f"n_max = {n_max}, more than {_MAX_CIRCLE_N}")
+    return make_circle_dirac(n_max, delta)
+
+
+_CIRCLE = _Object(_circle, n_max=(int, _REQUIRED), delta=(float, _REQUIRED))
 _BASE = (_OPERATOR, _REQUIRED)
 _LOOP = _Kinds(
     halfturn=_Object(lambda base: make_halfturn_loop(base).family(), base=_BASE),
@@ -174,23 +185,26 @@ _DISC = _Object(lambda boundary, center: make_orbit_disc(boundary, center=center
                 boundary=(_LOOP, _REQUIRED), center=(_Either((str, _OPERATOR)), "mean"))
 
 
+# a track factors every one of its samples + 1 grid points and a lasso
+# scan every one of its n_r * n_theta; a scan also stacks the n_theta
+# operators of one ring at a time
+_MAX_GRID_POINTS = 1 << 16
+_MAX_RING_BYTES = 1 << 26
+
+
 def _track_grid(samples: int) -> np.ndarray:
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if samples > _MAX_GRID_POINTS:
+        raise ValueError(f"{samples} samples, more than {_MAX_GRID_POINTS}")
     return np.linspace(0.0, 1.0, samples + 1)
-
-
-# a lasso scan factors every one of its n_r * n_theta grid points, and
-# stacks the n_theta operators of one ring at a time
-_MAX_SCAN_POINTS = 1 << 16
-_MAX_RING_BYTES = 1 << 26
 
 
 def _scan_grid(n_r: int, n_theta: int) -> dict:
     if n_r < 1 or n_theta < 3:
         raise ValueError(f"need n_r >= 1 and n_theta >= 3, got n_r={n_r}, n_theta={n_theta}")
-    if n_r * n_theta > _MAX_SCAN_POINTS:
-        raise ValueError(f"n_r * n_theta = {n_r * n_theta} points, more than {_MAX_SCAN_POINTS}")
+    if n_r * n_theta > _MAX_GRID_POINTS:
+        raise ValueError(f"n_r * n_theta = {n_r * n_theta} points, more than {_MAX_GRID_POINTS}")
     return {"n_r": n_r, "n_theta": n_theta}
 
 

@@ -7,18 +7,21 @@ loop by linear interpolation toward a center operator (the space of
 symmetric matrices is convex, so the filling is canonical), scans the
 disc for small eigenvalue gaps, and refines promising points into a
 certificate of near-degeneracy.  The scan factors one ring of the
-polar grid per batched eigensolve.  The refinement answers a rotation
-loop's disc at its center when the center commutes with the loop's
-structure; otherwise it runs Newton on the branching plane, solving
-the two first-order conditions of a crossing of the closest anchored
-pair, which meets a forced crossing in a few eigensolves.  Where Newton
-stops short, a greedy stencil walk takes over, its runs of
-non-improving points evaluated speculatively, one boundary stack and
-one batched eigensolve per run, with the same points and answer as
-walking one point at a time.  Every route's point is certified by the
-same validated eigendecomposition.  ``answer`` joins the two stages:
-refinement starts at the scan's best point, and the walk's step is the
-grid's spacing.
+polar grid per batched eigensolve; on discs of dimension
+``_PARALLEL_MIN_DIM`` and up the rings are shared out across the cores
+the process may run on, one thread each, with the same bytes as one
+thread, since each ring gives what it gives alone.  The refinement
+answers a rotation loop's disc at its center when the center commutes
+with the loop's structure; otherwise it runs Newton on the branching
+plane, solving the two first-order conditions of a crossing of the
+closest anchored pair, which meets a forced crossing in a few
+eigensolves.  Where Newton stops short, a greedy stencil walk takes
+over, its runs of non-improving points evaluated speculatively, one
+boundary stack and one batched eigensolve per run, with the same
+points and answer as walking one point at a time.  Every route's point
+is certified by the same eigendecomposition checks, Newton's on its
+own last ``eigh``.  ``answer`` joins the two stages: refinement starts
+at the scan's best point, and the walk's step is the grid's spacing.
 
 The gap indicator is anchored by eigenvalue index at the boundary
 basepoint, not by window position: tracking the same sorted indices
@@ -29,6 +32,8 @@ collision and an eigenvalue crossing a window endpoint.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -42,7 +47,7 @@ from .models import (
     _stack_chunks,
     as_matrix,
 )
-from .spectral import SpectralWindow, eigendecompose
+from .spectral import SpectralWindow, _validated, eigendecompose
 from .holonomy import transport
 
 __all__ = [
@@ -172,6 +177,47 @@ class ScanResult:
         return self.best[0]
 
 
+# smallest disc dimension at which scan_disc shares its rings out across
+# the process's cores.  numpy releases the interpreter lock in eigvalsh
+# only for stacks of more than 500 / n matrices; a 24-angle ring passes
+# that from n = 21.  On a 2-core x86_64 VM with one BLAS thread a
+# 16 x 24 scan went 6.9 -> 5.3 ms at n = 24, but 5.2 -> 5.6 ms at n = 20
+# and 3.6 -> 3.9 ms at n = 16
+_PARALLEL_MIN_DIM = 24
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split(work, parts: int):
+    """Run work(k) for every k in range(parts): 0 on this thread, the
+    others on one thread each, joined before returning.  The first
+    exception raised, by part order, is raised here unchanged."""
+    errors: list = [None] * parts
+
+    def run(k: int):
+        try:
+            work(k)
+        except BaseException as exc:  # re-raised below, on the caller's thread
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def scan_disc(disc: DiscFamily, window: SpectralWindow,
               grid: Tuple[int, int] = (16, 24)) -> ScanResult:
     """Evaluate the anchored gap indicator on a polar grid.
@@ -182,6 +228,17 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
     When the boundary loop's transported sign is +1 a degeneracy is not
     forced and a warning is issued, but the scan still runs; it simply
     reports whatever gaps it finds.
+
+    Each ring is one batched ``eigvalsh`` of c + r (ring - c).  From
+    ``_PARALLEL_MIN_DIM`` up, the rings are dealt out to one thread per
+    core the process may run on (at most n_r), ring k to worker
+    k mod workers: numpy's eigensolver releases the interpreter lock,
+    and every matrix gives exactly what it gives alone, so the gap map
+    and ``best`` are byte for byte those of one thread.  The spectra and
+    one ring-sized operator buffer per worker are allocated before the
+    workers start, which allocate nothing ring-sized, so the scan holds
+    the ring plus one buffer per worker.  An exception in a worker is
+    raised here unchanged, after every worker has finished.
     """
     n_r, n_theta = grid
     if n_r < 1 or n_theta < 3:
@@ -196,11 +253,21 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
         )
     rs = (np.arange(n_r) + 1.0) / n_r
     thetas = np.arange(n_theta) / n_theta
-    # the boundary ring is sampled once; one radius at a time keeps a
-    # single (n_theta, n, n) stack of disc operators alive
+    # the boundary ring is sampled once; each worker builds one radius's
+    # (n_theta, n, n) stack of disc operators at a time in its own buffer
     c = disc.center.matrix
     ring = disc.boundary.stack(thetas) - c
-    values = np.stack([np.linalg.eigvalsh(c + r * ring) for r in rs])
+    parts = min(_cores(), n_r) if disc.dim >= _PARALLEL_MIN_DIM else 1
+    buffers = np.empty((parts,) + ring.shape)
+    values = np.empty((n_r, n_theta, disc.dim))
+
+    def factor(k: int):
+        """Rings k, k + parts, ..., each as c + r * ring."""
+        for i in range(k, n_r, parts):
+            h = np.multiply(rs[i], ring, out=buffers[k])
+            values[i] = np.linalg.eigvalsh(np.add(c, h, out=h))
+
+    _split(factor, parts)
     gap_map = _index_gaps(values, anchor, window.count)
     i, j = np.unravel_index(np.argmin(gap_map), gap_map.shape)
     return ScanResult(r_values=rs, theta_values=thetas, gap_map=gap_map,
@@ -279,9 +346,18 @@ _SPECULATE_MAX_DIM = 16
 
 def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
                     r: float, theta: float, tol: float, levels: int,
-                    evaluations: int, method: str) -> DegeneracyCertificate:
-    h = disc.operator_at(r, theta)
-    values, vectors = eigendecompose(h)
+                    evaluations: int, method: str,
+                    factored: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+                    ) -> DegeneracyCertificate:
+    """The certificate at (r, theta), from ``eigendecompose`` of H(r, theta),
+    or from ``factored`` = (H(r, theta), values, vectors) of an ``eigh``
+    already taken there, which passes the same checks."""
+    if factored is None:
+        h = disc.operator_at(r, theta)
+        values, vectors = eigendecompose(h)
+    else:
+        h = factored[0]
+        values, vectors, _ = _validated(h, lambda _: factored[1:])
     pairs = _guard_pairs(anchor, window.count, values.size)
     i = min(pairs, key=lambda p: values[p + 1] - values[p])
     lam_a, lam_b = float(values[i]), float(values[i + 1])
@@ -324,12 +400,13 @@ def _slope_on(boundary: OperatorFamily, theta: float, b: np.ndarray,
 
 
 def _newton(disc: DiscFamily, window: SpectralWindow, anchor: int, r: float,
-            theta: float, tol: float) -> Tuple[Optional[Tuple[float, float]], int]:
+            theta: float, tol: float) -> Tuple[Optional[tuple], int]:
     """Newton on the branching plane from (r, theta), one ``eigh`` a step.
 
-    Returns ((r, theta), eigensolves) at the first point whose anchored
-    gap, by ``eigh``, is within ``tol``, and (None, eigensolves) when the
-    closest pair's 2 x 2 system is singular, a step is not finite, or
+    Returns ((r, theta, (H, values, vectors)), eigensolves) at the first
+    point whose anchored gap, by the ``eigh`` of H = H(r, theta), is
+    within ``tol``, and (None, eigensolves) when the closest pair's
+    2 x 2 system is singular, a step is not finite, or
     ``_NEWTON_STEPS`` steps did not get there.  Each step x solves the
     two first-order conditions of a crossing of the closest anchored
     guard pair (u, w), with A_d = [u w]^T dH/dd [u w] over d in
@@ -345,11 +422,12 @@ def _newton(disc: DiscFamily, window: SpectralWindow, anchor: int, r: float,
     for steps in range(_NEWTON_STEPS + 1):
         b = disc.boundary(theta)
         radial = b - c
-        values, vectors = np.linalg.eigh(c + r * radial)  # as disc.operator_at(r, theta)
+        h = c + r * radial  # as disc.operator_at(r, theta)
+        values, vectors = np.linalg.eigh(h)
         i = min(pairs, key=lambda p: values[p + 1] - values[p])
         gap = float(values[i + 1] - values[i])
         if gap <= tol:
-            return (r, theta), steps + 1
+            return (r, theta, (h, values, vectors)), steps + 1
         if steps == _NEWTON_STEPS:
             break
         frame = vectors[:, i:i + 2]
@@ -489,8 +567,10 @@ def refine(disc: DiscFamily, window: SpectralWindow,
 
     found, solves = _newton(disc, window, anchor, r, theta, tol)
     spent += solves
-    if found is not None:  # the same eigh of the same matrix measured the gap within tol
-        return _certificate_at(disc, window, anchor, *found, tol, solves - 1, spent, "newton")
+    if found is not None:  # the certificate checks the eigh that met tol
+        r, theta, factored = found
+        return _certificate_at(disc, window, anchor, r, theta, tol, solves - 1, spent,
+                               "newton", factored)
     return _walk(disc, window, anchor, point, tol, (dr, dt), spent)
 
 

@@ -223,6 +223,45 @@ def test_oversized_scan_grid_is_refused_before_the_scan(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+# a track factors each of its samples + 1 grid points, and a circle model is
+# one dense (2 n_max + 1)-square matrix factored whole; beyond the caps these
+# are refused before the grid or the model is built
+OVERSIZED_RUNS = {
+    "track-samples": (
+        "track", {"loop": HALFTURN_LOOP, "grid": {"samples": 10 ** 20}},
+        "config error: grid: 100000000000000000000 samples, more than 65536\n"),
+    "track-samples-past-the-cap": (
+        "track", {"loop": HALFTURN_LOOP, "grid": {"samples": 65537}},
+        "config error: grid: 65537 samples, more than 65536\n"),
+    "spectrum-n-max": (
+        "spectrum", {"model": {"kind": "circle", "n_max": 10 ** 20, "delta": 0.5}},
+        "config error: model: n_max = 100000000000000000000, more than 1024\n"),
+    "properties-n-max-past-the-cap": (
+        "properties", {"model": {"kind": "circle", "n_max": 1025, "delta": 0.0}},
+        "config error: model: n_max = 1025, more than 1024\n"),
+}
+
+
+@pytest.mark.parametrize("command, payload, expected", OVERSIZED_RUNS.values(),
+                         ids=OVERSIZED_RUNS)
+def test_oversized_track_grid_or_circle_model_is_refused_before_it_is_built(
+        tmp_path, capsys, monkeypatch, command, payload, expected):
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("grid built"))
+    monkeypatch.setattr(cli, "make_circle_dirac",
+                        lambda *args, **kwargs: pytest.fail("model built"))
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+def test_largest_track_grid_and_circle_model_pass_the_config_check(monkeypatch):
+    monkeypatch.setattr(cli, "make_circle_dirac", lambda n_max, delta: (n_max, delta))
+    assert len(cli._track_grid(65536)) == 65537
+    assert cli._CIRCLE.build(n_max=1024, delta=0.5) == (1024, 0.5)
+
+
 def test_basepoint_solver_failure_is_not_a_window_error(tmp_path, capsys, monkeypatch):
     # LinAlgError is a ValueError; the window refusal must not swallow it
     def broken(a):

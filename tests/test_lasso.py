@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eigenlasso import lasso
 from eigenlasso.acceptance import PINNED, make_commuting_loop, make_conical_boundary
 from eigenlasso.lasso import (
     DegeneracyNotFound,
@@ -460,8 +463,8 @@ def test_newton_certifies_seeded_halfturn_discs_within_four_eigensolves(monkeypa
         calls.clear()
         cert = refine(disc, window, scan.best, tol=1e-8, step=(1.0 / 16, 1.0 / 24))
         assert cert.method == "newton" and cert.evaluations == cert.levels + 1 <= 4
-        # one eigh per Newton iterate, then the certificate's own validated one
-        assert len(calls) == cert.evaluations + 1
+        # one eigh per Newton iterate; the certificate validates the last one
+        assert len(calls) == cert.evaluations
         assert anchored_pair_gap(disc, window, cert.r, cert.theta) <= 1e-8
 
 
@@ -516,6 +519,86 @@ def test_rotation_loop_slope_matches_a_central_difference():
         b = rotation(theta)
         np.testing.assert_allclose(_slope_on(rotation, theta, b, frame),
                                    _slope_on(sampled, theta, b, frame), atol=1e-7)
+
+
+# ---------------------------------------------------------------- the scan across cores
+
+def ring_by_ring_gaps(disc, window, anchor, grid=(16, 24)):
+    """The one-thread reference: one plain eigvalsh per ring, c + r * (ring - c)."""
+    rs, thetas = (np.arange(grid[0]) + 1.0) / grid[0], np.arange(grid[1]) / grid[1]
+    c = disc.center.matrix
+    ring = disc.boundary.stack(thetas) - c
+    values = np.stack([np.linalg.eigvalsh(c + r * ring) for r in rs])
+    pairs = range(max(anchor, 1) - 1, min(anchor + window.count, disc.dim - 1))
+    lo, hi = pairs.start, pairs.stop
+    return (values[..., lo + 1:hi + 1] - values[..., lo:hi]).min(-1)
+
+
+def split_into(monkeypatch, cores):
+    """Give the scan ``cores`` cores and record how many parts each scan used."""
+    parts = []
+    split = lasso._split
+
+    def recording(work, count):
+        parts.append(count)
+        split(work, count)
+
+    monkeypatch.setattr(lasso, "_cores", lambda: cores)
+    monkeypatch.setattr(lasso, "_split", recording)
+    return parts
+
+
+@pytest.mark.parametrize("n, seed", [(32, 0), (32, 4), (8, 3)])
+def test_scan_gives_the_same_bytes_on_any_number_of_cores(monkeypatch, n, seed):
+    disc, window = halfturn_disc(n, seed)
+    scans = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for cores in (1, 2, 5):  # 5: more workers than cores, and 16 rings split unevenly
+            parts = split_into(monkeypatch, cores)
+            scans[cores] = scan_disc(disc, window)
+            # small discs, as the cli's and the spin discs, stay on the caller's thread
+            assert parts == [cores if n == 32 else 1]
+    finally:
+        sys.setswitchinterval(interval)
+    want = ring_by_ring_gaps(disc, window, scans[1].anchor)
+    for scan in scans.values():
+        assert scan.gap_map.tobytes() == want.tobytes()
+        assert hexed(*scan.best) == hexed(*scans[1].best)
+    i, j = np.unravel_index(np.argmin(want), want.shape)
+    assert hexed(*scans[1].best) == hexed(want[i, j], scans[1].r_values[i],
+                                          scans[1].theta_values[j])
+
+
+class SolverFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("ring", [5, 0], ids=["second-worker", "caller-thread"])
+def test_an_error_reaches_the_caller_and_no_thread_outlives_the_scan(monkeypatch, ring):
+    disc, window = halfturn_disc(32, seed=0)
+    c = disc.center.matrix
+    # of 16 rings on two threads, the odd ones are the second worker's
+    failing = c + (ring + 1.0) / 16 * (disc.boundary(7 / 24) - c)
+    raised_on = []
+    original = np.linalg.eigvalsh
+
+    def failing_on_one_matrix(a, *args, **kwargs):
+        if np.ndim(a) == 3 and any(np.array_equal(m, failing) for m in a):
+            raised_on.append(threading.current_thread())
+            raise SolverFailure("no convergence")
+        return original(a, *args, **kwargs)
+
+    parts = split_into(monkeypatch, 2)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_on_one_matrix)
+    before = threading.active_count()
+    with pytest.raises(SolverFailure, match="no convergence"):
+        scan_disc(disc, window)
+    assert parts == [2] and len(raised_on) == 1
+    assert (raised_on[0] is threading.main_thread()) == (ring == 0)
+    # a failure in ring 0 ends the caller's share first, with the worker still busy
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------- boundary stackers
