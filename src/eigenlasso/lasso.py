@@ -15,13 +15,11 @@ answers a rotation loop's disc at its center when the center commutes
 with the loop's structure; otherwise it runs Newton on the branching
 plane, solving the two first-order conditions of a crossing of the
 closest anchored pair, which meets a forced crossing in a few
-eigensolves.  Where Newton stops short, a greedy stencil walk takes
-over, its runs of non-improving points evaluated speculatively, one
-boundary stack and one batched eigensolve per run, with the same
-points and answer as walking one point at a time.  Every route's point
-is certified by the same eigendecomposition checks, Newton's on its
-own last ``eigh``.  ``answer`` joins the two stages: refinement starts
-at the scan's best point, and the walk's step is the grid's spacing.
+eigensolves.  Where Newton stops short, refinement refuses at once,
+with the best Newton iterate.  Both routes' points are certified by
+the same eigendecomposition checks, on the ``eigh`` that found them.
+``answer`` joins the two stages: refinement starts at the scan's best
+point.
 
 The gap indicator is anchored by eigenvalue index at the boundary
 basepoint, not by window position: tracking the same sorted indices
@@ -47,7 +45,7 @@ from .models import (
     _stack_chunks,
     as_matrix,
 )
-from .spectral import SpectralWindow, _validated, eigendecompose
+from .spectral import SpectralWindow, _validated
 from .holonomy import transport
 
 __all__ = [
@@ -284,12 +282,10 @@ class DegeneracyCertificate:
     """A disc point where two anchored eigenvalues coincide to tolerance.
 
     ``method`` names the route that reached the point: ``"center"`` (a
-    rotation loop's disc answered at r = 0), ``"newton"`` (Newton on
-    the branching plane) or ``"walk"`` (the stencil walk).  ``levels``
-    counts the Newton steps or the stencil levels walked before the gap
-    reached ``tol``, and ``evaluations`` every eigensolve ``refine``
-    made after the anchor: the center check, Newton's, and the walk's
-    gap evaluations, the starting point and speculative ones included.
+    rotation loop's disc answered at r = 0) or ``"newton"`` (Newton on
+    the branching plane).  ``levels`` counts the Newton steps taken
+    before the gap reached ``tol``, and ``evaluations`` every eigensolve
+    ``refine`` made after the anchor: the center check and Newton's.
     """
 
     r: float
@@ -310,9 +306,9 @@ class DegeneracyCertificate:
 
 
 class DegeneracyNotFound(Exception):
-    """Refinement stagnated; carries the best point and gap reached, the
-    levels walked, the eigensolves made and the route that reached the
-    point (as on the certificate)."""
+    """Refinement met no gap within tolerance; carries the best point and
+    gap reached, the Newton steps taken, the eigensolves made and the
+    route that reached the point (as on the certificate)."""
 
     def __init__(self, best_point: Tuple[float, float], best_gap: float, levels: int,
                  evaluations: int, method: str):
@@ -322,42 +318,30 @@ class DegeneracyNotFound(Exception):
         self.evaluations = evaluations
         self.method = method
         super().__init__(
-            f"no gap below tolerance after {levels} levels; best gap "
+            f"no gap below tolerance after {levels} Newton steps; best gap "
             f"{best_gap:.6e} at (r, theta) = ({best_point[0]:.6g}, {best_point[1]:.6g})"
         )
 
 
-# Newton steps refine takes before falling back to the walk; no forced
-# disc of the benchmark's lasso workload has needed more than 3
+# Newton steps refine takes before it refuses; no forced disc of the
+# benchmark's lasso workload has needed more than 3
 _NEWTON_STEPS = 8
 # central-difference half-width in theta for a boundary without a
 # rotation model; the Jacobian only steers Newton, it certifies nothing
 _SLOPE_STEP = 2.0 ** -17
 
-_STENCIL = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-# the 25 stencil offsets in walk order: radial offset outer, angular inner
-_STENCIL_R = np.repeat(_STENCIL, _STENCIL.size)
-_STENCIL_T = np.tile(_STENCIL, _STENCIL.size)
-# largest disc dimension at which the walk evaluates points speculatively;
-# above it eigvalsh dominates each point, and the points a batch drops
-# (42% more on the benchmark's n = 32 and n = 128 discs) cost more than it saves
-_SPECULATE_MAX_DIM = 16
-
 
 def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
                     r: float, theta: float, tol: float, levels: int,
                     evaluations: int, method: str,
-                    factored: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+                    factored: Tuple[np.ndarray, np.ndarray, np.ndarray]
                     ) -> DegeneracyCertificate:
-    """The certificate at (r, theta), from ``eigendecompose`` of H(r, theta),
-    or from ``factored`` = (H(r, theta), values, vectors) of an ``eigh``
-    already taken there, which passes the same checks."""
-    if factored is None:
-        h = disc.operator_at(r, theta)
-        values, vectors = eigendecompose(h)
-    else:
-        h = factored[0]
-        values, vectors, _ = _validated(h, lambda _: factored[1:])
+    """The certificate at (r, theta), from ``factored`` = (H(r, theta),
+    values, vectors) of the ``eigh`` taken there, once it passes
+    ``_validated``'s checks; DegeneracyNotFound at (r, theta) when the
+    closest anchored pair's gap is above ``tol``."""
+    h = factored[0]
+    values, vectors, _ = _validated(h, lambda _: factored[1:])
     pairs = _guard_pairs(anchor, window.count, values.size)
     i = min(pairs, key=lambda p: values[p + 1] - values[p])
     lam_a, lam_b = float(values[i]), float(values[i + 1])
@@ -365,7 +349,7 @@ def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
     res_a = float(np.linalg.norm(h @ vectors[:, i] - mean * vectors[:, i]))
     res_b = float(np.linalg.norm(h @ vectors[:, i + 1] - mean * vectors[:, i + 1]))
     gap = lam_b - lam_a
-    if gap > tol:  # eigvalsh met tol where this eigendecomposition does not
+    if gap > tol:
         raise DegeneracyNotFound((float(r), float(theta)), gap, levels, evaluations, method)
     # the pair spans a near-invariant plane: residuals can only come
     # from the split itself plus roundoff
@@ -400,25 +384,25 @@ def _slope_on(boundary: OperatorFamily, theta: float, b: np.ndarray,
 
 
 def _newton(disc: DiscFamily, window: SpectralWindow, anchor: int, r: float,
-            theta: float, tol: float) -> Tuple[Optional[tuple], int]:
+            theta: float, tol: float) -> Tuple[tuple, int]:
     """Newton on the branching plane from (r, theta), one ``eigh`` a step.
 
-    Returns ((r, theta, (H, values, vectors)), eigensolves) at the first
-    point whose anchored gap, by the ``eigh`` of H = H(r, theta), is
-    within ``tol``, and (None, eigensolves) when the closest pair's
-    2 x 2 system is singular, a step is not finite, or
-    ``_NEWTON_STEPS`` steps did not get there.  Each step x solves the
-    two first-order conditions of a crossing of the closest anchored
-    guard pair (u, w), with A_d = [u w]^T dH/dd [u w] over d in
-    (r, theta), dH/dr = B - C and dH/dtheta = r B': equal eigenvalues,
+    Returns ((r, theta, (H, values, vectors)), steps) for the first
+    iterate with the smallest anchored gap, by the ``eigh`` of
+    H = H(r, theta), and the steps taken.  It stops at the first iterate
+    whose gap is within ``tol``, when the closest pair's 2 x 2 system is
+    singular, when a step is not finite, or after ``_NEWTON_STEPS``
+    steps.  Each step x solves the two first-order conditions of a
+    crossing of the closest anchored guard pair (u, w), with
+    A_d = [u w]^T dH/dd [u w] over d in (r, theta), dH/dr = B - C and
+    dH/dtheta = r B': equal eigenvalues,
     (A_d00 - A_d11) . x = lambda_w - lambda_u, and no coupling,
-    A_d01 . x = 0.  r is clipped to [0, 1] and theta wraps.
+    A_d01 . x = 0.  r is clipped to [0, 1] and theta wraps.  The anchor
+    must have at least one guard pair.
     """
     pairs = _guard_pairs(anchor, window.count, disc.dim)
-    if not pairs:
-        return None, 0
     c = disc.center.matrix
-    r, theta = min(max(r, 0.0), 1.0), theta % 1.0
+    best = None  # (gap, r, theta, (H, values, vectors))
     for steps in range(_NEWTON_STEPS + 1):
         b = disc.boundary(theta)
         radial = b - c
@@ -426,9 +410,9 @@ def _newton(disc: DiscFamily, window: SpectralWindow, anchor: int, r: float,
         values, vectors = np.linalg.eigh(h)
         i = min(pairs, key=lambda p: values[p + 1] - values[p])
         gap = float(values[i + 1] - values[i])
-        if gap <= tol:
-            return (r, theta, (h, values, vectors)), steps + 1
-        if steps == _NEWTON_STEPS:
+        if best is None or gap < best[0]:
+            best = (gap, r, theta, (h, values, vectors))
+        if gap <= tol or steps == _NEWTON_STEPS:
             break
         frame = vectors[:, i:i + 2]
         a_r = frame.T @ radial @ frame
@@ -441,56 +425,7 @@ def _newton(disc: DiscFamily, window: SpectralWindow, anchor: int, r: float,
         if not (math.isfinite(dr) and math.isfinite(dt)):
             break
         r, theta = min(max(r + dr, 0.0), 1.0), (theta + dt) % 1.0
-    return None, steps + 1
-
-
-def _walk(disc: DiscFamily, window: SpectralWindow, anchor: int,
-          point: Tuple[float, float, float], tol: float, step: Tuple[float, float],
-          evaluations: int = 0) -> DegeneracyCertificate:
-    """The stencil walk from ``point``'s (r, theta) with the checked
-    ``step``; ``evaluations`` eigensolves were already spent."""
-    _, r, theta = (float(x) for x in point)
-    dr, dt = step
-    c = disc.center.matrix
-
-    def gaps_at(rs: list, ts: list) -> list:
-        """Anchored gaps at the points (rs[i], ts[i])."""
-        if len(rs) == 1:  # eigvalsh takes longer on a one-matrix stack
-            values = np.linalg.eigvalsh(disc.operator_at(rs[0], ts[0]))
-            return [float(_index_gaps(values, anchor, window.count))]
-        h = c + np.array(rs)[:, None, None] * (disc.boundary.stack(ts) - c)
-        return _index_gaps(np.linalg.eigvalsh(h), anchor, window.count).tolist()
-
-    best_r, best_t = min(max(r, 0.0), 1.0), theta % 1.0
-    best_gap = gaps_at([best_r], [best_t])[0]
-    evaluations += 1
-    max_width = _STENCIL_R.size if disc.dim <= _SPECULATE_MAX_DIM else 1
-    width = 1
-    max_levels = 40
-    for level in range(max_levels):
-        if best_gap <= tol:
-            return _certificate_at(disc, window, anchor, best_r, best_t, tol,
-                                   level, evaluations, "walk")
-        k, rs = 0, None  # k: the next stencil offset of this level
-        while k < _STENCIL_R.size:
-            if rs is None:  # the level's remaining points, offset from the current best
-                rs = np.minimum(np.maximum(best_r + _STENCIL_R[k:] * dr, 0.0), 1.0).tolist()
-                ts = ((best_t + _STENCIL_T[k:] * dt) % 1.0).tolist()
-            gaps = gaps_at(rs[:width], ts[:width])
-            evaluations += len(gaps)
-            for i, g in enumerate(gaps):
-                if g < best_gap:  # move there; the rest of the batch is dropped
-                    best_gap, best_r, best_t = g, rs[i], ts[i]
-                    k, rs, width = k + i + 1, None, 1
-                    break
-            else:
-                k, rs, ts = k + len(gaps), rs[len(gaps):], ts[len(gaps):]
-                width = min(2 * width, max_width)
-        dr, dt = dr / 4.0, dt / 4.0
-    if best_gap <= tol:
-        return _certificate_at(disc, window, anchor, best_r, best_t, tol,
-                               max_levels, evaluations, "walk")
-    raise DegeneracyNotFound((best_r, best_t), best_gap, max_levels, evaluations, "walk")
+    return best[1:], steps
 
 
 def refine(disc: DiscFamily, window: SpectralWindow,
@@ -499,12 +434,13 @@ def refine(disc: DiscFamily, window: SpectralWindow,
     """Drive the anchored gap below ``tol``, starting at ``point``.
 
     ``point`` is a (gap, r, theta) candidate of ``scan_disc``, such as
-    ``ScanResult.best``; the search starts at its (r, theta).  ``tol``
-    and both ``step`` entries (default 1/4, 1/4) must be finite and
-    positive.  Three routes are tried in turn, and the certificate's
-    ``method`` names the one that answered; its point is always checked
-    by ``_certificate_at`` (a validated eigendecomposition and the
-    residual budget), whichever route found it.
+    ``ScanResult.best``; the search starts at its (r, theta), with r
+    clipped to [0, 1] and theta wrapped.  ``tol`` must be finite and
+    positive; ``step`` is ignored.  Two routes are tried in turn, and
+    the certificate's ``method`` names the one that answered; its point
+    is always checked by ``_certificate_at`` (a validated
+    eigendecomposition and the residual budget), on the ``eigh`` that
+    found it.
 
     ``"center"``: a rotation loop's disc is answered at its center
     first.  When the boundary has an ``equivariant`` model whose
@@ -512,66 +448,44 @@ def refine(disc: DiscFamily, window: SpectralWindow,
     max(||C||_F, 1), as for the mean of the loop), C is complex-linear
     for K, so its eigenvalues come in equal pairs, and one pair lies
     among the anchored guard pairs of any window.  If the anchored gap
-    at r = 0 is within ``tol``, the certificate is at (r, theta) = (0, 0)
-    with 0 levels and 1 evaluation.
+    of one ``eigh`` at r = 0 is within ``tol``, the certificate is at
+    (r, theta) = (0, 0) with 0 levels and 1 evaluation.
 
     ``"newton"``: Newton on the branching plane (``_newton``), at most
     ``_NEWTON_STEPS`` steps of one ``eigh`` each.  A real symmetric
     crossing has codimension 2, so the closest pair's two first-order
     conditions fix the step.  ``levels`` counts its steps.
 
-    ``"walk"``: otherwise a greedy stencil walk runs from the original
-    start point, and ``step`` sizes only this walk.  Each level walks a
-    deterministic 5x5 stencil (radial offset outer, angular offset
-    inner) around the current best point and moves to every point whose
-    gap is strictly smaller, so later points of the level are offset
-    from the new best; the stencil radius is then divided by 4.  The
-    radial coordinate is clipped to [0, 1] and the angle wraps.  Raises
-    DegeneracyNotFound when the cap of 40 levels is reached first, and
-    also when the certificate's eigendecomposition at the walk's best
-    point measures a gap above ``tol``: below the round-off floor (a
-    ``tol`` of 1e-300, say), ``eigvalsh`` can return a gap of 0 that
-    ``eigh`` does not.  Wherever the walk alone certifies from
-    ``point``, refine certifies too.
-
-    The walk is evaluated speculatively, with the same points,
-    comparisons and answer as one point at a time: the next ``width``
-    points of the level, offset from the current best, are built as one
-    boundary stack and take one batched ``eigvalsh``, and the first one
-    that improves is taken, dropping the rest.  ``width`` starts at 1,
-    doubles up to 25 after each batch that finds no improvement and
-    drops back to 1 after a move.  Discs above ``_SPECULATE_MAX_DIM``
-    keep width 1: there ``eigvalsh`` dominates each point, so batching
-    saves little and the dropped points would cost more.
+    When neither meets ``tol`` (a singular 2 x 2 system, as on a +1
+    boundary whose pair never couples, a non-finite step, or the step
+    cap), DegeneracyNotFound is raised at once, with ``method``
+    ``"newton"``, at the Newton iterate with the smallest anchored gap.
+    A 1 x 1 disc has no pair to watch: it is refused at the clipped
+    start with an infinite gap and no eigensolve.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     _, r, theta = (float(x) for x in point)
-    if step is None:
-        step = (0.25, 0.25)
-    dr, dt = float(step[0]), float(step[1])
-    if not all(math.isfinite(x) and x > 0 for x in (dr, dt)):
-        raise ValueError(f"step entries must be finite and positive, got {tuple(step)}")
+    r, theta = min(max(r, 0.0), 1.0), theta % 1.0
     anchor = _anchor_index(disc, window)
-    c = disc.center.matrix
+    if not _guard_pairs(anchor, window.count, disc.dim):
+        raise DegeneracyNotFound((r, theta), math.inf, 0, 0, "newton")
 
     spent = 0
     loop = disc.boundary.equivariant
     if loop is not None:  # a center that commutes with K is degenerate
-        k = loop.structure
+        c, k = disc.center.matrix, loop.structure
         if np.linalg.norm(c @ k - k @ c) <= 1e-12 * max(np.linalg.norm(c), 1.0):
             spent = 1
-            values = np.linalg.eigvalsh(disc.operator_at(0.0, 0.0))
+            h = disc.operator_at(0.0, 0.0)
+            values, vectors = np.linalg.eigh(h)
             if _index_gaps(values, anchor, window.count) <= tol:
-                return _certificate_at(disc, window, anchor, 0.0, 0.0, tol, 0, 1, "center")
+                return _certificate_at(disc, window, anchor, 0.0, 0.0, tol, 0, 1, "center",
+                                       (h, values, vectors))
 
-    found, solves = _newton(disc, window, anchor, r, theta, tol)
-    spent += solves
-    if found is not None:  # the certificate checks the eigh that met tol
-        r, theta, factored = found
-        return _certificate_at(disc, window, anchor, r, theta, tol, solves - 1, spent,
-                               "newton", factored)
-    return _walk(disc, window, anchor, point, tol, (dr, dt), spent)
+    (r, theta, factored), steps = _newton(disc, window, anchor, r, theta, tol)
+    return _certificate_at(disc, window, anchor, r, theta, tol, steps, spent + steps + 1,
+                           "newton", factored)
 
 
 @dataclass(frozen=True)
@@ -586,12 +500,12 @@ class Answer:
 
 def answer(disc: DiscFamily, window: SpectralWindow, grid: Tuple[int, int] = (16, 24), *,
            tol: float) -> Answer:
-    """``scan_disc`` on ``grid``, then ``refine`` from ``scan.best`` to ``tol``
-    with step (1/n_r, 1/n_theta); a DegeneracyNotFound is the ``not_found``.
+    """``scan_disc`` on ``grid``, then ``refine`` from ``scan.best`` to ``tol``;
+    a DegeneracyNotFound is the ``not_found``.
     Raises and warns as ``scan_disc`` does (WindowRefused, a +1 boundary)."""
     scan = scan_disc(disc, window, grid=grid)
     try:
-        cert = refine(disc, window, scan.best, tol, step=(1.0 / grid[0], 1.0 / grid[1]))
+        cert = refine(disc, window, scan.best, tol)
     except DegeneracyNotFound as exc:
         return Answer(scan, not_found=exc)
     return Answer(scan, certificate=cert)

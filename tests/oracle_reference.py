@@ -5,9 +5,8 @@ the package internals: overlap-determinant holonomy signs, an
 all-pairs projector refinement grid, a one-step-at-a-time polar frame
 chain, a searchsorted window rule, an eigh-based matrix exponential,
 an entrywise antilinear commutant solve, literal spectra, closed-form
-samples, index-built block rotations, spin lifts one t at a time, and
-the lasso stencil walk one point at a time.  When a package
-result and a reference disagree, the package is wrong.
+samples, index-built block rotations and spin lifts one t at a time.
+When a package result and a reference disagree, the package is wrong.
 """
 
 import numpy as np
@@ -174,45 +173,6 @@ def commuting_sample(t, amplitude):
     """The commuting loop diag(1 + a sin, 2 + a cos) at angle 2 pi t, t taken mod 1."""
     a = 2.0 * np.pi * (float(t) % 1.0)
     return np.diag([1.0 + amplitude * np.sin(a), 2.0 + amplitude * np.cos(a)])
-
-
-def sequential_refine(disc, anchor, count, point, tol, step=(0.25, 0.25), max_levels=40):
-    """The lasso stencil walk, one point and one eigvalsh at a time.
-
-    Gaps are the smallest consecutive eigenvalue difference over the
-    pairs (p, p + 1), p from max(anchor, 1) - 1 up to but excluding
-    min(anchor + count, n - 1).  Each level visits the 25 offsets of
-    (-1, -1/2, 0, 1/2, 1) x step in row-major order, offset from the
-    current best point, and moves to any point with a strictly smaller
-    gap; r is clipped to [0, 1], theta wraps mod 1, and the step is
-    divided by 4 per level.  Returns (found, r, theta, gap, levels):
-    found is whether the gap reached tol, and levels how many levels
-    ran before it did (max_levels when it never did).
-    """
-    n = disc.dim
-    pairs = range(max(anchor, 1) - 1, min(anchor + count, n - 1))
-
-    def gap(r, t):
-        values = np.linalg.eigvalsh(disc.operator_at(r, t))
-        return min((values[p + 1] - values[p] for p in pairs), default=np.inf)
-
-    stencil = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    _, r, t = (float(x) for x in point)
-    dr, dt = float(step[0]), float(step[1])
-    best_r, best_t = min(max(r, 0.0), 1.0), t % 1.0
-    best = gap(best_r, best_t)
-    for level in range(max_levels):
-        if best <= tol:
-            return True, best_r, best_t, best, level
-        for du in stencil:
-            for dv in stencil:
-                rr = min(max(best_r + du * dr, 0.0), 1.0)
-                tt = (best_t + dv * dt) % 1.0
-                g = gap(rr, tt)
-                if g < best:
-                    best, best_r, best_t = g, rr, tt
-        dr, dt = dr / 4.0, dt / 4.0
-    return bool(best <= tol), best_r, best_t, best, max_levels
 
 
 def conical_gap(r):

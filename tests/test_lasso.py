@@ -13,7 +13,6 @@ from eigenlasso.lasso import (
     DegeneracyNotFound,
     DiscFamily,
     _slope_on,
-    _walk,
     answer,
     make_orbit_disc,
     refine,
@@ -31,7 +30,6 @@ from oracle_reference import (
     commuting_sample,
     conical_gap,
     conical_sample,
-    sequential_refine,
     window_range,
 )
 
@@ -163,8 +161,7 @@ def test_halfturn_mean_disc_has_central_degeneracy():
 
 def test_mean_centered_spin_disc_is_answered_at_the_center():
     # the loop's mean commutes with its structure K, so its eigenvalues
-    # come in equal pairs; walked from the scan's best point instead,
-    # this disc stalls at a gap of 2.9e-3
+    # come in equal pairs
     base = make_odd_multiplicity_base([3.5] * 8, 0.1, seed=1)
     values = np.linalg.eigvalsh(base.matrix)
     disc = make_orbit_disc(make_spin_loop(7, base).family(), center="mean")
@@ -172,7 +169,7 @@ def test_mean_centered_spin_disc_is_answered_at_the_center():
                             count=1)
     scan = scan_disc(disc, window)
     assert scan.boundary_sign == -1
-    cert = refine(disc, window, scan.best, tol=1e-7, step=(1.0 / 16, 1.0 / 24))
+    cert = refine(disc, window, scan.best, tol=1e-7)
     assert (cert.method, cert.r, cert.theta, cert.levels, cert.evaluations) == \
         ("center", 0.0, 0.0, 0, 1)
     assert cert.gap <= 1e-7
@@ -190,7 +187,8 @@ def test_negative_control_reports_best_point():
     # closed form: the two branches never come closer than 1 - a*sqrt(2)
     floor = 1.0 - 0.3 * np.sqrt(2.0)
     assert err.best_gap >= floor - 1e-6
-    assert err.levels >= 1
+    # the pair never couples: the first 2 x 2 system is singular
+    assert err.levels == 0
     r, theta = err.best_point
     assert 0.0 <= r <= 1.0
 
@@ -240,7 +238,7 @@ def test_answer_is_scan_then_refine_at_the_grid_spacing(grid):
         assert got.scan.gap_map.tobytes() == scan.gap_map.tobytes()
         assert hexed(*got.scan.best) == hexed(*scan.best)
         try:
-            cert = refine(disc, window, scan.best, tol, step=(1.0 / grid[0], 1.0 / grid[1]))
+            cert = refine(disc, window, scan.best, tol)
         except DegeneracyNotFound as exc:
             assert got.certificate is None
             miss = got.not_found
@@ -252,8 +250,7 @@ def test_answer_is_scan_then_refine_at_the_grid_spacing(grid):
 
 
 def test_refine_refuses_non_finite_tolerance():
-    # unchecked, tol=nan walked 40 levels to the tip's exact gap 0.0
-    # and refused it, and tol=inf certified a gap of 1.0
+    # unchecked, tol=inf would certify any gap
     disc = make_conical_disc()
     window = SpectralWindow(0.0, 2.0, count=1)
     for tol in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
@@ -261,42 +258,11 @@ def test_refine_refuses_non_finite_tolerance():
             refine(disc, window, (1.0, 0.5, 0.0), tol=tol)
 
 
-def test_refine_refuses_non_finite_or_non_positive_step():
-    disc = make_conical_disc()
-    window = SpectralWindow(0.0, 2.0, count=1)
-    for step in ((math.nan, 0.25), (0.25, math.inf), (0.0, 0.25), (0.25, -0.1)):
-        with pytest.raises(ValueError, match="^step entries must be finite and positive"):
-            refine(disc, window, (1.0, 0.5, 0.0), tol=1e-10, step=step)
-
-
-# ------------------------------------------- speculative walk vs one point at a time
+# ---------------------------------------------------------------- seeded discs
 
 def oracle_anchor(disc, window):
     return window_range(np.linalg.eigvalsh(disc.boundary(0.0)),
                         window.lower, window.upper, window.count).start
-
-
-def walk_outcome(disc, window, point, tol, step):
-    """The walk's answer as (found, r, theta, gap, levels); gap None on a certificate."""
-    try:
-        cert = _walk(disc, window, oracle_anchor(disc, window), point, tol, step)
-    except DegeneracyNotFound as exc:
-        return False, exc.best_point[0], exc.best_point[1], exc.best_gap, exc.levels
-    return True, cert.r, cert.theta, None, cert.levels
-
-
-def assert_walk_is_sequential(disc, window, point, tol, step=None):
-    """The walk reaches bit for bit the point and gap of the one-point walk."""
-    step = step or (0.25, 0.25)
-    found, r, theta, gap, levels = sequential_refine(disc, oracle_anchor(disc, window),
-                                                     window.count, point, tol, step=step)
-    got = walk_outcome(disc, window, point, tol, step)
-
-    def hexed(xs):
-        return [x.hex() if isinstance(x, float) else x for x in xs]
-
-    assert hexed(got) == hexed((found, r, theta, None if found else gap, levels))
-    return got
 
 
 def halfturn_disc(n, seed):
@@ -310,100 +276,33 @@ def halfturn_disc(n, seed):
     return disc, SpectralWindow(lower, 0.5 * (values[k] + values[k + 1]), count=1)
 
 
-def test_walk_matches_sequential_on_the_cone_centred_and_shifted():
-    window = SpectralWindow(0.0, 2.0, count=1)
-    for shift in (0.0, 0.3, -0.41):
-        disc = make_orbit_disc(make_conical_boundary(), center=shift * np.eye(2))
-        found, r, *_ = assert_walk_is_sequential(disc, window, (1.0, 0.37, 0.61), 1e-10,
-                                                 step=(1.0 / 16, 1.0 / 24))
-        assert found and r <= 1e-10
-
-
-def test_walk_matches_sequential_on_the_commuting_control():
-    disc = make_orbit_disc(make_commuting_loop(0.3), center="mean")
-    window = SpectralWindow(0.5, 1.5, count=1)
-    found, r, *_ = assert_walk_is_sequential(disc, window, (1.0, 0.9, 0.3), 1e-3,
-                                             step=(1.0 / 12, 1.0 / 16))
-    # the closest approach, 1 - a sqrt(2), lies on the boundary: r clips at 1
-    assert not found and r == 1.0
-
-
-def test_walk_matches_sequential_on_halfturn_discs():
-    disc, window = halfturn_disc(8, seed=3)
-    assert_walk_is_sequential(disc, window, (1.0, 0.5, 0.25), 1e-8,
-                              step=(1.0 / 16, 1.0 / 24))
-    # above the speculation size every point is evaluated on its own
-    for seed in (4, 6):  # a certificate and a stall
-        disc, window = halfturn_disc(32, seed)
-        assert_walk_is_sequential(disc, window, (1.0, 0.5, 0.75), 1e-8,
-                                  step=(1.0 / 16, 1.0 / 24))
-
-
-def test_walk_matches_sequential_on_the_spin_m7_disc():
-    # base-centered: a mean center is answered at r = 0 without a walk
-    loop = make_spin_loop(7, np.diag(np.arange(1.0, 9.0))).family()
-    disc = make_orbit_disc(loop, center="base")
-    window = SpectralWindow(3.5, 4.5, count=1)
-    assert_walk_is_sequential(disc, window, (1.0, 0.4, 0.1), 1e-7,
-                              step=(1.0 / 16, 1.0 / 24))
-
-
-def test_walk_matches_sequential_when_clipping_and_wrapping():
-    disc = make_conical_disc()
-    window = SpectralWindow(0.0, 2.0, count=1)
-    # clipped at r = 0 with theta wrapping below 0 on the first level
-    found, r, theta, _, _ = assert_walk_is_sequential(disc, window, (1.0, 0.05, 0.02), 1e-10)
-    assert found and r == 0.0
-    # clipped at r = 1 with theta wrapping above 1
-    assert_walk_is_sequential(disc, window, (1.0, 0.9, 0.95), 1e-10, step=(0.5, 0.5))
-    # a start outside the disc is clipped and wrapped
-    assert_walk_is_sequential(disc, window, (1.0, 1.7, -0.3), 1e-10)
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(n=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2 ** 16),
-       r=st.floats(0.0, 1.0), theta=st.floats(-1.0, 2.0),
-       tol=st.sampled_from([1e-3, 1e-8]),
-       step=st.tuples(st.floats(0.01, 0.5), st.floats(0.01, 0.5)))
-def test_walk_matches_sequential_on_small_discs(n, seed, r, theta, tol, step):
-    disc, window = halfturn_disc(n, seed)
-    assert_walk_is_sequential(disc, window, (1.0, r, theta), tol, step=step)
-
-
 def test_refine_below_round_off_raises_not_found():
-    # eigvalsh puts the walk's best gap at 0, the certificate's eigh does not;
-    # this used to escape as "RuntimeError: certificate gap ... exceeds tol"
+    # no eigensolve meets a tol below round-off: refine refuses with the gap it measured
     disc, window = halfturn_disc(32, seed=1)
     scan = scan_disc(disc, window)
     with pytest.raises(DegeneracyNotFound) as exc:
-        refine(disc, window, scan.best, tol=1e-300, step=(1.0 / 16, 1.0 / 24))
+        refine(disc, window, scan.best, tol=1e-300)
     assert exc.value.best_gap > 1e-300
 
 
-def test_walk_counts_levels_and_evaluations():
-    disc, window = halfturn_disc(32, seed=6)
-    with pytest.raises(DegeneracyNotFound) as exc:
-        _walk(disc, window, oracle_anchor(disc, window), (1.0, 0.5, 0.75), 1e-8,
-              (1.0 / 16, 1.0 / 24))
-    # one point at a time: the start plus 25 points per level
-    assert (exc.value.levels, exc.value.evaluations) == (40, 1 + 25 * 40)
+def test_refine_clips_and_wraps_a_start_outside_the_disc():
     disc, window = make_conical_disc(), SpectralWindow(0.0, 2.0, count=1)
-    cert = _walk(disc, window, oracle_anchor(disc, window), (1.0, 0.37, 0.61), 1e-10,
-                 (0.25, 0.25))
-    # speculation can only add evaluations to the 25 per level walked
-    assert cert.method == "walk"
-    assert cert.levels > 0 and cert.evaluations >= 1 + 25 * cert.levels
+    cert = refine(disc, window, (1.0, 1.7, -0.3), tol=1e-10)
+    # as from the start clipped to r = 1 and wrapped to theta = 0.7: the tip, to round-off
+    inside = refine(disc, window, (1.0, 1.0, -0.3 % 1.0), tol=1e-10)
+    assert certificate_fields(cert) == certificate_fields(inside)
+    assert cert.method == "newton" and cert.r <= 1e-15 and 0.0 <= cert.theta < 1.0
 
 
-def test_walk_without_guard_pairs_reports_an_infinite_gap():
-    # a 1 x 1 disc has no consecutive pair to watch, in batches too
+def test_refine_without_guard_pairs_reports_an_infinite_gap():
+    # a 1 x 1 disc has no consecutive pair to watch
     fam = OperatorFamily(domain="circle",
                          sampler=lambda t: np.array([[1.0 + 0.1 * np.cos(2 * np.pi * t)]]))
     disc = DiscFamily(center=SymmetricOperator(np.eye(1)), boundary=fam)
     with pytest.raises(DegeneracyNotFound) as exc:
         refine(disc, SpectralWindow(0.0, 2.0, count=1), (1.0, 0.5, 0.1), tol=1e-3)
     assert exc.value.best_gap == np.inf and exc.value.best_point == (0.5, 0.1)
-    assert exc.value.evaluations == 1 + 25 * 40
+    assert (exc.value.method, exc.value.levels, exc.value.evaluations) == ("newton", 0, 0)
 
 
 def count_eigvalsh(monkeypatch, name="eigvalsh"):
@@ -417,30 +316,6 @@ def count_eigvalsh(monkeypatch, name="eigvalsh"):
 
     monkeypatch.setattr(np.linalg, name, counting)
     return calls
-
-
-def test_commuting_control_takes_at_most_two_eigvalsh_calls_per_level(monkeypatch):
-    disc = make_orbit_disc(make_commuting_loop(0.3), center="mean")
-    window = SpectralWindow(0.5, 1.5, count=1)
-    with pytest.warns(UserWarning, match="sign \\+1"):
-        start = scan_disc(disc, window, grid=(16, 24)).best
-    calls = count_eigvalsh(monkeypatch)
-    newton = count_eigvalsh(monkeypatch, "eigh")
-    with pytest.raises(DegeneracyNotFound) as exc:
-        refine(disc, window, start, tol=1e-3, step=(1.0 / 16, 1.0 / 24))
-    # the anchor and the start take one call each
-    assert len(calls) - 2 <= 2 * exc.value.levels
-    # Newton's one eigh meets a pair that never couples, and the walk takes over
-    assert (exc.value.method, newton) == ("walk", [1])
-    assert sum(calls) + len(newton) == exc.value.evaluations + 1
-
-
-def test_large_disc_passes_one_matrix_per_call(monkeypatch):
-    disc, window = halfturn_disc(32, seed=6)
-    calls = count_eigvalsh(monkeypatch)
-    with pytest.raises(DegeneracyNotFound):
-        refine(disc, window, (1.0, 0.5, 0.75), tol=1e-8, step=(1.0 / 16, 1.0 / 24))
-    assert set(calls) == {1} and len(calls) == 2 + 25 * 40
 
 
 # ---------------------------------------------------------------- Newton on the branching plane
@@ -461,7 +336,7 @@ def test_newton_certifies_seeded_halfturn_discs_within_four_eigensolves(monkeypa
         scan = scan_disc(disc, window)
         assert scan.boundary_sign == -1
         calls.clear()
-        cert = refine(disc, window, scan.best, tol=1e-8, step=(1.0 / 16, 1.0 / 24))
+        cert = refine(disc, window, scan.best, tol=1e-8)
         assert cert.method == "newton" and cert.evaluations == cert.levels + 1 <= 4
         # one eigh per Newton iterate; the certificate validates the last one
         assert len(calls) == cert.evaluations
@@ -477,37 +352,30 @@ def test_newton_reaches_the_tip_of_the_cone_in_one_step():
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(n=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2 ** 16),
-       r=st.floats(0.0, 1.0), theta=st.floats(-1.0, 2.0),
-       tol=st.sampled_from([1e-3, 1e-8]),
-       step=st.tuples(st.floats(0.01, 0.5), st.floats(0.01, 0.5)))
-def test_refine_certifies_wherever_the_walk_does(n, seed, r, theta, tol, step):
+@given(n=st.sampled_from([2, 4, 8, 16, 32]), seed=st.integers(0, 2 ** 16),
+       tol=st.sampled_from([1e-3, 1e-8]))
+def test_answer_certifies_seeded_halfturn_discs_by_newton(n, seed, tol):
     disc, window = halfturn_disc(n, seed)
-    point = (1.0, r, theta)
-    try:
-        _walk(disc, window, oracle_anchor(disc, window), point, tol, step)
-    except DegeneracyNotFound:
-        return
-    cert = refine(disc, window, point, tol, step=step)
-    assert cert.gap <= tol
+    cert = answer(disc, window, tol=tol).certificate
+    assert cert is not None and cert.method == "newton"
     assert anchored_pair_gap(disc, window, cert.r, cert.theta) <= tol
 
 
-def test_commuting_control_not_found_is_the_walks_bit_for_bit():
+def test_commuting_control_refuses_after_one_eigh(monkeypatch):
     disc = make_orbit_disc(make_commuting_loop(0.3), center="mean")
     window = SpectralWindow(0.5, 1.5, count=1)
     with pytest.warns(UserWarning, match="sign \\+1"):
         start = scan_disc(disc, window, grid=(16, 24)).best
-    step = (1.0 / 16, 1.0 / 24)
-    with pytest.raises(DegeneracyNotFound) as walked:
-        _walk(disc, window, oracle_anchor(disc, window), start, 1e-3, step)
-    with pytest.raises(DegeneracyNotFound) as refined:
-        refine(disc, window, start, 1e-3, step=step)
-    w, got = walked.value, refined.value
-    assert hexed(*got.best_point, got.best_gap, got.levels, got.method) == \
-        hexed(*w.best_point, w.best_gap, w.levels, "walk")
-    # plus Newton's one eigensolve, whose pair never couples
-    assert got.evaluations == w.evaluations + 1
+    gap_calls = count_eigvalsh(monkeypatch)
+    calls = count_eigvalsh(monkeypatch, "eigh")
+    with pytest.raises(DegeneracyNotFound) as exc:
+        refine(disc, window, start, tol=1e-3)
+    # the anchor's eigvalsh, then one eigh whose pair never couples
+    assert (gap_calls, calls) == ([1], [1])
+    err = exc.value
+    assert (err.method, err.levels, err.evaluations) == ("newton", 0, 1)
+    assert err.best_point == start[1:]
+    assert err.best_gap >= 1.0 - 0.3 * np.sqrt(2.0)
 
 
 def test_rotation_loop_slope_matches_a_central_difference():
