@@ -107,18 +107,14 @@ class CriterionResult:
 # ---------------------------------------------------------------------------
 
 def make_conical_boundary() -> OperatorFamily:
-    """Unit circle of reflections [[cos, sin], [sin, -cos]].
+    """Unit circle of reflections [[cos 2 pi t, sin 2 pi t], [sin 2 pi t, -cos 2 pi t]].
 
-    Filling it toward the zero matrix gives eigenvalues exactly +-r, a
-    cone with its tip at the disc center.
+    That is the half-turn loop rho(t) diag(1, -1) rho(t)^T, with rho(t)
+    the planar rotation by pi t, so its sign is certified and its parity
+    is odd.  Filling it toward the zero matrix gives eigenvalues exactly
+    +-r, a cone with its tip at the disc center.
     """
-
-    def stacker(ts: np.ndarray) -> np.ndarray:
-        a = 2.0 * np.pi * ts
-        c, s = np.cos(a), np.sin(a)
-        return np.stack([np.stack([c, s], axis=-1), np.stack([s, -c], axis=-1)], axis=-2)
-
-    return _stacked_loop(stacker, None, "conical")
+    return make_halfturn_loop(np.diag([1.0, -1.0])).family()
 
 
 def make_commuting_loop(amplitude: float = 0.3) -> OperatorFamily:

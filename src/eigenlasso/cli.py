@@ -369,7 +369,7 @@ def _cmd_holonomy(run: _Run, spec: dict) -> int:
     rows = [(float(t),) + tuple(float(x) for x in np.real(f).ravel())
             for t, f in zip(path.parameters, path.frames)]
     run.csv("frames.csv", header, rows)
-    predicted = predicted_sign(loop.parity, k) if loop.parity else None
+    predicted = predicted_sign(loop.parity, k)
     results = {
         "sign": ret.sign,
         "determinant": ret.determinant,
@@ -378,8 +378,8 @@ def _cmd_holonomy(run: _Run, spec: dict) -> int:
         "predicted_sign": predicted,
         "return_matrix": ret.matrix.tolist(),
     }
-    matches = (ret.sign == predicted) if predicted is not None else None
-    return run.finish(results, abs_det=abs(ret.determinant), matches_prediction=matches)
+    return run.finish(results, abs_det=abs(ret.determinant),
+                      matches_prediction=ret.sign == predicted)
 
 
 def _cmd_lasso_scan(run: _Run, spec: dict) -> int:

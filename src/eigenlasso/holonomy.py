@@ -30,8 +30,8 @@ eigenvectors of D0, so (Lambda0, rho(t) V0) is the candidate
 eigendecomposition of every sample, and it passes the same residual and
 orthonormality checks as an ``eigh`` of the sample would, on the sample
 itself.  The frames are those of per-sample ``eigh`` up to round-off.
-Families with no such bound (plain samplers, the conical and commuting
-loops, concatenations, perturbed loops) are refined adaptively, with
+Families with no such bound (plain samplers, the commuting loop,
+concatenations, perturbed loops) are refined adaptively, with
 ``eigh`` at every sample, and are not certified: a subspace that turns by
 a half turn between two samples goes unseen there.
 """

@@ -221,8 +221,8 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
     """Evaluate the anchored gap indicator on a polar grid.
 
     The radial grid starts at 1/n_r, not 0: refinement checks a rotation
-    loop's center itself, and Newton steps to r = 0 when the crossing is
-    there, as for the cone.
+    loop's center itself, as for the cone, and Newton steps to r = 0
+    when the crossing is there.
     When the boundary loop's transported sign is +1 a degeneracy is not
     forced and a warning is issued, but the scan still runs; it simply
     reports whatever gaps it finds.
@@ -434,13 +434,13 @@ def refine(disc: DiscFamily, window: SpectralWindow,
     """Drive the anchored gap below ``tol``, starting at ``point``.
 
     ``point`` is a (gap, r, theta) candidate of ``scan_disc``, such as
-    ``ScanResult.best``; the search starts at its (r, theta), with r
-    clipped to [0, 1] and theta wrapped.  ``tol`` must be finite and
-    positive; ``step`` is ignored.  Two routes are tried in turn, and
-    the certificate's ``method`` names the one that answered; its point
-    is always checked by ``_certificate_at`` (a validated
-    eigendecomposition and the residual budget), on the ``eigh`` that
-    found it.
+    ``ScanResult.best``; the search starts at its (r, theta), which must
+    be finite, with r clipped to [0, 1] and theta wrapped.  ``tol`` must
+    be finite and positive; ``step`` is ignored.  Two routes are tried
+    in turn, and the certificate's ``method`` names the one that
+    answered; its point is always checked by ``_certificate_at`` (a
+    validated eigendecomposition and the residual budget), on the
+    ``eigh`` that found it.
 
     ``"center"``: a rotation loop's disc is answered at its center
     first.  When the boundary has an ``equivariant`` model whose
@@ -466,6 +466,8 @@ def refine(disc: DiscFamily, window: SpectralWindow,
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     _, r, theta = (float(x) for x in point)
+    if not (math.isfinite(r) and math.isfinite(theta)):
+        raise ValueError(f"point must have a finite r and theta, got ({r}, {theta})")
     r, theta = min(max(r, 0.0), 1.0), theta % 1.0
     anchor = _anchor_index(disc, window)
     if not _guard_pairs(anchor, window.count, disc.dim):

@@ -11,6 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eigenlasso import cli
+from eigenlasso.acceptance import make_conical_boundary
+from eigenlasso.lasso import answer, make_orbit_disc
+from eigenlasso.spectral import SpectralWindow
 
 
 @pytest.fixture(autouse=True)
@@ -53,10 +56,29 @@ def test_holonomy_run_reports_flipped_sign(tmp_path, capsys):
 
 
 def test_holonomy_run_without_a_speed_bound_is_not_certified(tmp_path):
+    # the commuting loop is the one loop kind with no rotation generator
+    cfg = write_config(tmp_path, {"loop": {"kind": "commuting"},
+                                  "window": {"lower": 0.5, "upper": 1.5}})
+    assert cli.main(["holonomy", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert read_report(tmp_path, "holonomy")["results"]["certified"] is False
+
+
+def test_the_cone_is_the_halfturn_loop_of_a_reflection(tmp_path):
+    # as the half-turn loop of diag(1, -1), the cone is certified, odd, and has a center route
+    cone = make_conical_boundary()
+    assert cone.equivariant is not None and cone.parity == "odd"
     cfg = write_config(tmp_path, {"loop": {"kind": "conical"},
                                   "window": {"lower": -2.0, "upper": 0.0}})
     assert cli.main(["holonomy", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert read_report(tmp_path, "holonomy")["results"]["certified"] is False
+    report = read_report(tmp_path, "holonomy")
+    assert report["results"]["certified"] is True
+    assert report["results"]["predicted_sign"] == -1
+    assert report["observed"]["matches_prediction"] is True
+    for c in (0.0, 0.3, -0.41):
+        disc = make_orbit_disc(cone, center=c * np.eye(2))
+        cert = answer(disc, SpectralWindow(0.0, 2.0, 1), (16, 24), tol=1e-10).certificate
+        assert (cert.method, cert.levels, cert.evaluations) == ("center", 0, 1)
+        assert cert.r == 0.0 and cert.gap == 0.0
 
 
 def test_holonomy_expectation_failure_exits_2(tmp_path, capsys):
@@ -336,9 +358,9 @@ def test_lasso_scan_certifies_the_cone(tmp_path):
     report = read_report(tmp_path, "lasso_scan")
     cert = report["results"]["certificate"]
     assert cert["gap"] <= 1e-10
-    # Newton on the branching plane: one eigensolve per step plus the one that met tol
-    assert cert["method"] == "newton"
-    assert cert["levels"] >= 1 and cert["evaluations"] == cert["levels"] + 1
+    # the zero center commutes with J: one eigensolve at the tip
+    assert (cert["method"], cert["levels"], cert["evaluations"]) == ("center", 0, 1)
+    assert cert["r"] == 0.0
 
 
 def test_lasso_scan_negative_control_records_floor_and_warning(tmp_path):

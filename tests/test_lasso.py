@@ -258,6 +258,17 @@ def test_refine_refuses_non_finite_tolerance():
             refine(disc, window, (1.0, 0.5, 0.0), tol=tol)
 
 
+def test_refine_refuses_a_non_finite_start():
+    # unchecked, Newton ran on NaN matrices, or an infinite r was clipped to the boundary
+    disc = make_orbit_disc(make_halfturn_loop(np.diag([1.0, 2.0])),
+                           center=np.array([[1.3, 0.2], [0.2, 1.8]]))
+    window = SpectralWindow(0.5, 1.5, count=1)
+    for r, theta in ((math.nan, 0.2), (math.inf, 0.2), (-math.inf, 0.2),
+                     (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(ValueError, match="^point must have a finite r and theta"):
+            refine(disc, window, (0.0, r, theta), tol=1e-8)
+
+
 # ---------------------------------------------------------------- seeded discs
 
 def oracle_anchor(disc, window):
@@ -474,13 +485,17 @@ def test_an_error_reaches_the_caller_and_no_thread_outlives_the_scan(monkeypatch
 def test_stackers_equal_the_closed_form_samples():
     ts = np.concatenate([np.linspace(-2.0, 2.0, 41), [1.0, -1.0, -0.25, 1 - 2 ** -53,
                                                       -1e-20, 0.1 + 0.2, 7.3]])
-    families = [(make_conical_boundary(), conical_sample)]
-    families += [(make_commuting_loop(a), lambda t, a=a: commuting_sample(t, a))
+    families = [(make_conical_boundary(), conical_sample, 2 * np.finfo(float).eps)]
+    families += [(make_commuting_loop(a), lambda t, a=a: commuting_sample(t, a), 0.0)
                  for a in (0.1, 0.3, 0.37)]
-    for family, sample in families:
+    for family, sample, atol in families:
         stacked = family.stack(ts)
         want = np.stack([sample(t) for t in ts])
-        assert stacked.tobytes() == want.tobytes()
+        # the cone is built as the half-turn loop of diag(1, -1): the closed form to round-off
+        if atol:
+            np.testing.assert_allclose(stacked, want, rtol=0.0, atol=atol)
+        else:
+            assert stacked.tobytes() == want.tobytes()
         assert stacked.tobytes() == np.stack([family(t) for t in ts]).tobytes()
 
 
