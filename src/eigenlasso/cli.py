@@ -11,6 +11,8 @@ reports are reproducible bit for bit outside the "environment" block.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import operator
@@ -150,17 +152,31 @@ def _check(kind, value, path: str, seed: Optional[int] = None):
         raise _fail(path or "config", str(exc)) from exc
 
 
+# a circle model is one dense (2 n_max + 1)-square matrix, factored whole:
+# at the cap, 2049 x 2049 takes 34 MB; an operator written out in a config
+# has the same bound on its dimension
+_MAX_CIRCLE_N = 1 << 10
+_MAX_DIM = 2 * _MAX_CIRCLE_N + 1
+
+
+def _rows(values: list) -> np.ndarray:
+    """A config's operator values as a float array, refused past ``_MAX_DIM``
+    rows before any n x n array is made."""
+    if len(values) > _MAX_DIM:
+        raise ValueError(f"an operator of dimension {len(values)}, more than {_MAX_DIM}")
+    return np.asarray(values, dtype=float)
+
+
 _OPERATOR = _Kinds(
-    diag=_Object(lambda values: SymmetricOperator(np.diag(np.asarray(values, dtype=float))),
+    diag=_Object(lambda values: SymmetricOperator(np.diag(_rows(values))),
                  values=([float], _REQUIRED)),
-    matrix=_Object(lambda entries: SymmetricOperator(np.asarray(entries, dtype=float)),
+    matrix=_Object(lambda entries: SymmetricOperator(_rows(entries)),
                    entries=([[float]], _REQUIRED)),
-    odd_base=_Object(make_odd_multiplicity_base, cluster_values=([float], _REQUIRED),
+    odd_base=_Object(lambda cluster_values, epsilon, seed:
+                     make_odd_multiplicity_base(_rows(cluster_values), epsilon, seed),
+                     cluster_values=([float], _REQUIRED),
                      epsilon=(float, _REQUIRED), seed=(int, _REQUIRED)),
 )
-# a circle model is one dense (2 n_max + 1)-square matrix, factored whole:
-# at the cap, 2049 x 2049 takes 34 MB
-_MAX_CIRCLE_N = 1 << 10
 
 
 def _circle(n_max: int, delta: float) -> CircleDiracModel:
@@ -263,11 +279,15 @@ def _write_json(path: str, obj):
     _write_atomic(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: str, header: str, rows):
-    lines = [header]
-    lines.extend(",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row)
-                 for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header: str, rows: list):
+    """Write ``header`` and ``rows``, floats as ``f"{x:.17g}"`` and the rest
+    as ``str(x)``; each column keeps the type of its first row's cell, so
+    the whole table is one ``%`` format of one line repeated per row."""
+    body = ""
+    if rows:
+        line = ",".join("%.17g" if isinstance(x, float) else "%s" for x in rows[0]) + "\n"
+        body = (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    _write_atomic(path, f"{header}\n{body}")
 
 
 class _Run:
@@ -498,7 +518,10 @@ _EXPERIMENTS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first ``main`` call and kept for the
+    process: ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="eigenlasso",
         description="Detect forced eigenvalue degeneracies via loop holonomy signs "

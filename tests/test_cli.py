@@ -284,6 +284,96 @@ def test_largest_track_grid_and_circle_model_pass_the_config_check(monkeypatch):
     assert cli._CIRCLE.build(n_max=1024, delta=0.5) == (1024, 0.5)
 
 
+# an operator written out in a config has at most 2049 rows, the circle
+# model's own bound: past it the run is refused before any n x n array exists
+OVERSIZED_OPERATORS = {
+    "diag": ("holonomy", {"loop": {"kind": "halfturn",
+                                   "base": {"kind": "diag", "values": [1.0] * 100_000}},
+                          "window": UNIT_WINDOW},
+             "config error: loop.base: an operator of dimension 100000, more than 2049\n"),
+    "matrix": ("spectrum", {"model": {"kind": "matrix", "entries": [[0.0]] * 2050}},
+               "config error: model: an operator of dimension 2050, more than 2049\n"),
+    "odd-base": ("track", {"loop": {"kind": "fullturn",
+                                    "base": {"kind": "odd_base", "cluster_values": [1.0] * 2050,
+                                             "epsilon": 0.1, "seed": 1}},
+                           "grid": {"samples": 8}},
+                 "config error: loop.base: an operator of dimension 2050, more than 2049\n"),
+}
+
+
+@pytest.mark.parametrize("command, payload, expected", OVERSIZED_OPERATORS.values(),
+                         ids=OVERSIZED_OPERATORS)
+def test_oversized_operator_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                                          command, payload, expected):
+    for name in ("diag", "asarray", "array"):
+        monkeypatch.setattr(cli.np, name, lambda *args, **kwargs: pytest.fail("array built"))
+    monkeypatch.setattr(cli, "make_odd_multiplicity_base",
+                        lambda *args, **kwargs: pytest.fail("operator built"))
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+def test_largest_operator_passes_the_config_check(monkeypatch):
+    monkeypatch.setattr(cli, "SymmetricOperator", lambda matrix: matrix.shape)
+    monkeypatch.setattr(cli, "make_odd_multiplicity_base", lambda values, *_: values.shape)
+    assert cli._OPERATOR["diag"].build(values=[1.0] * 2049) == (2049, 2049)
+    assert cli._OPERATOR["matrix"].build(entries=[[0.0]] * 2049) == (2049, 1)
+    assert cli._OPERATOR["odd_base"].build(cluster_values=[1.0] * 2049,
+                                           epsilon=0.1, seed=1) == (2049,)
+
+
+# the reference formats one cell at a time
+def reference_csv(header, rows):
+    return "".join(f"{line}\n" for line in [header] + [
+        ",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row)
+        for row in rows])
+
+
+CSV_TABLES = {
+    "int-and-float": ("j,t,lambda", [(j, 0.0, 0.1 * j - 1.0) for j in range(12)]),
+    "numpy-scalars": ("t,f00", [(np.float64(t), np.float64(np.sin(t)))
+                                for t in np.linspace(0.0, 3.0, 7)]),
+    "special-values": ("j,x,y", [(0, -0.0, 1e-300), (1, np.inf, -np.inf),
+                                 (2, np.nan, np.float64(-0.0)),
+                                 (3, 5e-324, 1.7976931348623157e308),
+                                 (np.int64(4), np.float64(np.nan), np.float64(-np.inf))]),
+    "bools-and-strings": ("name,ok,x", [("a", True, 1.5), ("b", False, -2.25)]),
+    "header-only": ("r,theta,min_gap", []),
+}
+
+
+@pytest.mark.parametrize("header, rows", CSV_TABLES.values(), ids=CSV_TABLES)
+def test_csv_bytes_match_the_per_cell_reference(tmp_path, header, rows):
+    path = tmp_path / "table.csv"
+    cli._write_csv(str(path), header, rows)
+    assert path.read_bytes() == reference_csv(header, rows).encode()
+
+
+def test_the_cached_parser_keeps_no_state_between_runs(tmp_path):
+    assert cli._parser() is cli._parser()
+    cfg = write_config(tmp_path, {"model": {"kind": "odd_base", "epsilon": 0.1, "seed": 2,
+                                            "cluster_values": [1.0, 2.0, 3.0]}})
+
+    def run(*flags):
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path), *flags]) == 0
+        return read_report(tmp_path, "spectrum")
+
+    seeded, plain = run("--seed", "5"), run()
+    assert seeded["environment"]["seed_override"] == 5
+    assert plain["environment"]["seed_override"] is None
+    assert plain["results"] != seeded["results"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--config", cfg, "--seed", "x"])
+    assert exc.value.code == 2
+    after = run()
+    for report in (plain, after):
+        report.pop("environment")
+    assert after == plain
+
+
 def test_basepoint_solver_failure_is_not_a_window_error(tmp_path, capsys, monkeypatch):
     # LinAlgError is a ValueError; the window refusal must not swallow it
     def broken(a):
