@@ -372,8 +372,8 @@ def _cmd_spectrum(run: _Run, spec: dict) -> int:
 def _cmd_track(run: _Run, spec: dict) -> int:
     grid = spec["grid"]
     table = enumerate_family(spec["loop"], grid)
-    rows = [(j, float(t), float(table.values[i, j]))
-            for i, t in enumerate(grid) for j in range(table.values.shape[1])]
+    rows = [(j, t, value) for t, values in zip(grid.tolist(), table.values.tolist())
+            for j, value in enumerate(values)]
     run.csv("track.csv", "j,t,lambda", rows)
     drift = float(np.abs(table.values - table.values[0]).max())
     return run.finish({"weyl_defect": table.weyl_defect, "max_drift": drift},
@@ -386,8 +386,8 @@ def _cmd_holonomy(run: _Run, spec: dict) -> int:
     k = window.count
     dim = path.frames[0].shape[0]
     header = "t," + ",".join(f"f{a}{b}" for a in range(dim) for b in range(k))
-    rows = [(float(t),) + tuple(float(x) for x in np.real(f).ravel())
-            for t, f in zip(path.parameters, path.frames)]
+    frames = np.real(path.frames).reshape(path.n_samples, -1)
+    rows = np.column_stack([path.parameters, frames]).tolist()
     run.csv("frames.csv", header, rows)
     predicted = predicted_sign(loop.parity, k)
     results = {
@@ -417,9 +417,8 @@ def _cmd_lasso_scan(run: _Run, spec: dict) -> int:
             raise _fail("window", str(exc)) from exc
     run.warnings.extend(str(w.message) for w in caught)
     scan, cert, miss = found.scan, found.certificate, found.not_found
-    rows = [(float(r), float(t), float(scan.gap_map[i, j]))
-            for i, r in enumerate(scan.r_values)
-            for j, t in enumerate(scan.theta_values)]
+    rows = [(r, t, gap) for r, gaps in zip(scan.r_values.tolist(), scan.gap_map.tolist())
+            for t, gap in zip(scan.theta_values.tolist(), gaps)]
     run.csv("gapmap.csv", "r,theta,min_gap", rows)
     results: dict = {
         "boundary_sign": scan.boundary_sign,

@@ -30,6 +30,9 @@ eigenvectors of D0, so (Lambda0, rho(t) V0) is the candidate
 eigendecomposition of every sample, and it passes the same residual and
 orthonormality checks as an ``eigh`` of the sample would, on the sample
 itself.  The frames are those of per-sample ``eigh`` up to round-off.
+Their K is an exact signed permutation, so a sample and its rotated
+eigenbasis rho(t) V0 are signed gathers and scalings, O(n^2) each; the
+residual and orthonormality checks are the only n^3 work per sample.
 Families with no such bound (plain samplers, the commuting loop,
 concatenations, perturbed loops) are refined adaptively, with
 ``eigh`` at every sample, and are not certified: a subspace that turns by
@@ -132,12 +135,15 @@ def _sample_frames(loop: OperatorFamily, window: SpectralWindow, ts,
 
     A rotation loop (``loop.equivariant`` set) is factored at t = 0
     only, and ``_rotated`` carries that ``basepoint`` (values, vectors)
-    to every sample; it is factored here when not given.
+    to every sample; it is factored here when not given, and K V0 is
+    gathered once for every sample.
     """
     model = loop.equivariant
-    if model is not None and basepoint is None:
-        with _at([0.0]):
-            basepoint = eigendecompose(loop.sampler(0.0))
+    if model is not None:
+        if basepoint is None:
+            with _at([0.0]):
+                basepoint = eigendecompose(loop.sampler(0.0))
+        basepoint = (*basepoint, model._times_k(basepoint[1]))
     stacks = []
     for chunk in _stack_chunks(loop, ts, nbytes):
         run = ts[sum(map(len, stacks)):][:len(chunk)]
@@ -152,18 +158,22 @@ def _rotated(model: EquivariantLoopModel, window: SpectralWindow, chunk: np.ndar
              ts: np.ndarray, basepoint):
     """(values, rho(t) vectors) of ``basepoint`` for the samples ``chunk`` at ``ts``, checked.
 
-    The candidate must pass ``spectral._validated`` on the samples
-    themselves.  Its residual r then bounds every eigenvalue of a sample
-    to within r of the basepoint values (Kahan's residual theorem, with
-    the Frobenius norm above the operator norm), so a window endpoint
-    farther than r from all of them is on the same side of the sample's
-    eigenvalues, and the window count holds; a sample where it is not is
-    refused.
+    ``basepoint`` is (Lambda0, V0, K V0), and the candidate's vectors
+    are rho(t) V0 = cos(pi h t) V0 + sin(pi h t) K V0.  It must pass
+    ``spectral._validated`` on the samples themselves.  Its residual r
+    then bounds every eigenvalue of a sample to within r of the
+    basepoint values (Kahan's residual theorem, with the Frobenius norm
+    above the operator norm), so a window endpoint farther than r from
+    all of them is on the same side of the sample's eigenvalues, and the
+    window count holds; a sample where it is not is refused.
     """
-    base_values, base_vectors = basepoint
+    base_values, base_vectors, turned = basepoint
     clearance = min(float(np.abs(base_values - edge).min()) for edge in (window.lower, window.upper))
+    c, s = model._turn(ts)
+    rotated = c * base_vectors
+    rotated += s * turned
     values, vectors, residual = _validated(chunk, lambda a: (
-        np.broadcast_to(base_values, a.shape[:-1]), model.rotations(ts % 1.0) @ base_vectors))
+        np.broadcast_to(base_values, a.shape[:-1]), rotated))
     near = np.flatnonzero(~(clearance > residual))
     if near.size:
         i = int(near[0])

@@ -430,13 +430,18 @@ def _newton(disc: DiscFamily, window: SpectralWindow, anchor: int, r: float,
 
 def refine(disc: DiscFamily, window: SpectralWindow,
            point: Tuple[float, float, float], tol: float,
-           step: Optional[Tuple[float, float]] = None) -> DegeneracyCertificate:
+           step: Optional[Tuple[float, float]] = None, *,
+           anchor: Optional[int] = None) -> DegeneracyCertificate:
     """Drive the anchored gap below ``tol``, starting at ``point``.
 
     ``point`` is a (gap, r, theta) candidate of ``scan_disc``, such as
     ``ScanResult.best``; the search starts at its (r, theta), which must
     be finite, with r clipped to [0, 1] and theta wrapped.  ``tol`` must
-    be finite and positive; ``step`` is ignored.  Two routes are tried
+    be finite and positive; ``step`` is ignored.  ``anchor`` is the
+    window's first index at the boundary basepoint, which ``scan_disc``
+    of the same disc and window found (``ScanResult.anchor``); when it is
+    None, the basepoint is factored here to find it, and a window that
+    misses the basepoint raises WindowRefused.  Two routes are tried
     in turn, and the certificate's ``method`` names the one that
     answered; its point is always checked by ``_certificate_at`` (a
     validated eigendecomposition and the residual budget), on the
@@ -469,15 +474,18 @@ def refine(disc: DiscFamily, window: SpectralWindow,
     if not (math.isfinite(r) and math.isfinite(theta)):
         raise ValueError(f"point must have a finite r and theta, got ({r}, {theta})")
     r, theta = min(max(r, 0.0), 1.0), theta % 1.0
-    anchor = _anchor_index(disc, window)
+    if anchor is None:
+        anchor = _anchor_index(disc, window)
     if not _guard_pairs(anchor, window.count, disc.dim):
         raise DegeneracyNotFound((r, theta), math.inf, 0, 0, "newton")
 
     spent = 0
     loop = disc.boundary.equivariant
     if loop is not None:  # a center that commutes with K is degenerate
-        c, k = disc.center.matrix, loop.structure
-        if np.linalg.norm(c @ k - k @ c) <= 1e-12 * max(np.linalg.norm(c), 1.0):
+        c = disc.center.matrix
+        # CK - KC = -(C K^T + K C), as K^T = -K
+        if np.linalg.norm(loop._times_k(c, axis=-1) + loop._times_k(c)) <= (
+                1e-12 * max(np.linalg.norm(c), 1.0)):
             spent = 1
             h = disc.operator_at(0.0, 0.0)
             values, vectors = np.linalg.eigh(h)
@@ -502,12 +510,13 @@ class Answer:
 
 def answer(disc: DiscFamily, window: SpectralWindow, grid: Tuple[int, int] = (16, 24), *,
            tol: float) -> Answer:
-    """``scan_disc`` on ``grid``, then ``refine`` from ``scan.best`` to ``tol``;
+    """``scan_disc`` on ``grid``, then ``refine`` from ``scan.best`` to ``tol``
+    with the scan's anchor, so the basepoint is factored for it once;
     a DegeneracyNotFound is the ``not_found``.
     Raises and warns as ``scan_disc`` does (WindowRefused, a +1 boundary)."""
     scan = scan_disc(disc, window, grid=grid)
     try:
-        cert = refine(disc, window, scan.best, tol)
+        cert = refine(disc, window, scan.best, tol, anchor=scan.anchor)
     except DegeneracyNotFound as exc:
         return Answer(scan, not_found=exc)
     return Answer(scan, certificate=cert)

@@ -265,6 +265,14 @@ class EquivariantLoopModel:
     spectrum constant along the loop and transports eigenvectors: if
     D0 v = lambda v then D(t) (rho(t) v) = lambda (rho(t) v).
 
+    K must be an exact signed permutation: one entry +1 or -1 in each
+    row and column and zeros elsewhere, with K^T = -K bit for bit (then
+    K^2 = -I holds exactly too).  Both structures this package builds
+    are: the block J and the spin K.  Every product with K is then a
+    signed gather (``_times_k``), exact and without BLAS, so a sample
+    rho(t) D0 rho(t)^T and a rotated eigenbasis rho(t) V0 cost O(n^2)
+    each.
+
     The generator is Omega = pi h K.  A window projector moves as
     P(t) = rho(t) P0 rho(t)^T with P' = [Omega, P], at the constant speed
     ||[Omega, P0]|| = ||Omega F0 - F0 (F0^H Omega F0)|| for a frame F0 of
@@ -277,6 +285,9 @@ class EquivariantLoopModel:
     half_turns: int
     sigma: int = field(init=False, default=0)
     parity: str = field(init=False, default="")
+    # K as the signed gather (K x)_i = _sign_i x_{_perm_i}
+    _perm: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _sign: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.base.is_real:
@@ -288,20 +299,53 @@ class EquivariantLoopModel:
             raise ValueError(f"structure must be a real {self.dim} x {self.dim} matrix, "
                              f"got {k.dtype} of shape {k.shape}")
         k = _frozen(k.astype(float, copy=False))
-        # in the Frobenius norm, which bounds the operator norm; exact for J
-        if max(np.linalg.norm(k + k.T), np.linalg.norm(k @ k + np.eye(self.dim))) > 1e-12:
-            raise ValueError("structure must be a complex structure: K^T = -K, K^2 = -I")
+        # one nonzero per row, +1 or -1; with K^T = -K also one per column
+        rows, perm = np.nonzero(k)
+        sign = k[rows, perm]
+        if not (np.array_equal(rows, np.arange(self.dim)) and (np.abs(sign) == 1.0).all()
+                and (k == -k.T).all()):
+            raise ValueError("structure must be a complex structure given as an exact signed "
+                             "permutation: K^T = -K, with one entry +1 or -1 in each row and "
+                             "column and zeros elsewhere")
         object.__setattr__(self, "structure", k)
         object.__setattr__(self, "half_turns", int(h))
         object.__setattr__(self, "sigma", -1 if h % 2 else 1)
         object.__setattr__(self, "parity", "odd" if h % 2 else "even")
+        object.__setattr__(self, "_perm", _frozen(perm))
+        object.__setattr__(self, "_sign", _frozen(sign))
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
+    def _times_k(self, x: np.ndarray, axis: int = -2,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """K x, or x K^T with ``axis`` = -1, for x an (..., n, m) or (..., m, n) stack.
+
+        A signed gather of x's rows (columns for ``axis`` = -1), so it is
+        exact and calls no BLAS.  The result is written to ``out`` when
+        given, an array of the result's shape that does not overlap x,
+        and is otherwise a new C-contiguous array.
+        """
+        # _perm is a permutation, so "clip" clips nothing; it keeps take
+        # from copying through a buffer on its way into ``out``
+        out = x.take(self._perm, axis=axis, out=out, mode="clip")
+        out *= self._sign if axis == -1 else self._sign[:, None]
+        return out
+
+    def _turn(self, ts):
+        """cos(pi h t) and sin(pi h t) for every t in ``ts``, wrapped mod 1, each (N, 1, 1)."""
+        ts = np.asarray(ts, dtype=float).reshape(-1, 1, 1) % 1.0
+        angles = (np.pi * self.half_turns) * ts
+        return np.cos(angles), np.sin(angles)
+
     def rotations(self, ts) -> np.ndarray:
-        """rho(t) for every t in ``ts`` as one (N, n, n) array."""
+        """rho(t) for every t in ``ts`` as one (N, n, n) array.
+
+        The matrices themselves, for checks against other constructions;
+        ``stack`` and the rotated eigenbases apply rho(t) through
+        ``_times_k`` and never form it.
+        """
         angles = (np.pi * self.half_turns) * np.asarray(ts, dtype=float).ravel()
         r = np.multiply.outer(np.sin(angles), self.structure)
         r.reshape(-1, self.dim * self.dim)[:, ::self.dim + 1] += np.cos(angles)[:, None]
@@ -309,12 +353,23 @@ class EquivariantLoopModel:
 
     def generator(self, frame: np.ndarray) -> np.ndarray:
         """Omega F = pi h K F for an n x k frame F."""
-        return (np.pi * self.half_turns) * (self.structure @ frame)
+        return (np.pi * self.half_turns) * self._times_k(frame)
 
     def stack(self, ts) -> np.ndarray:
-        """D(t) for every t in ``ts`` (wrapped mod 1) as one (N, n, n) array."""
-        r = self.rotations(np.asarray(ts, dtype=float).ravel() % 1.0)
-        return r @ self.base.matrix @ r.swapaxes(-1, -2)
+        """D(t) for every t in ``ts`` (wrapped mod 1) as one C-contiguous (N, n, n) array.
+
+        With c, s = cos(pi h t), sin(pi h t): y = rho(t) D0 = c D0 + s K D0,
+        then D(t) = y rho(t)^T = c y + s y K^T, elementwise and in place.
+        """
+        c, s = self._turn(ts)
+        y = c * self.base.matrix
+        d = s * self._times_k(self.base.matrix)
+        y += d
+        d = self._times_k(y, axis=-1, out=d)
+        d *= s
+        y *= c
+        d += y
+        return d
 
     def _projector_speed(self, frame: np.ndarray) -> float:
         moved = self.generator(frame)

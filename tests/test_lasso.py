@@ -249,6 +249,24 @@ def test_answer_is_scan_then_refine_at_the_grid_spacing(grid):
         assert certificate_fields(got.certificate) == certificate_fields(cert)
 
 
+def test_answer_factors_the_basepoint_once(monkeypatch):
+    # scan_disc finds the anchor, and refine takes it from the scan
+    original, arguments = np.linalg.eigvalsh, []
+
+    def recording(a, *args, **kwargs):
+        arguments.append(np.array(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    for disc, window, tol in criterion_9_discs():
+        basepoint, arguments[:] = disc.boundary(0.0), []
+        with warnings.catch_warnings():  # the commuting control's +1 boundary
+            warnings.filterwarnings("ignore", "boundary loop has return sign", UserWarning)
+            answer(disc, window, tol=tol)
+        assert sum(a.shape == basepoint.shape and (a == basepoint).all()
+                   for a in arguments) == 1
+
+
 def test_refine_refuses_non_finite_tolerance():
     # unchecked, tol=inf would certify any gap
     disc = make_conical_disc()
