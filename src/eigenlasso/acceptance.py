@@ -289,11 +289,8 @@ def _criterion_6(pins: Mapping) -> Tuple[bool, str]:
         g = rng.standard_normal((2, 2))
         g = 0.5 * (g + g.T)
         g *= (gap / 4.0) / np.linalg.norm(g, 2)
-
-        def shifted(t: float, _g=g) -> np.ndarray:
-            return loop_a(t) + _g
-
-        loop_b = OperatorFamily(domain="circle", sampler=shifted, parity="odd")
+        loop_b = _stacked_loop(lambda ts, _g=g: loop_a.stack(ts) + _g, "odd",
+                               f"halfturn + g(seed {seed})")
         report = sign_stability(loop_a, loop_b, w)
         worst_distance = max(worst_distance, report.max_projector_distance)
         if not report.criterion_met:

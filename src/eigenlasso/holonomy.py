@@ -28,11 +28,15 @@ between samples as well as at them.  Their transports are certified and
 sample the grid once.  They are also factored once: rho(t) carries the
 eigenvectors of D0, so (Lambda0, rho(t) V0) is the candidate
 eigendecomposition of every sample, and it passes the same residual and
-orthonormality checks as an ``eigh`` of the sample would, on the sample
-itself.  The frames are those of per-sample ``eigh`` up to round-off.
-Their K is an exact signed permutation, so a sample and its rotated
-eigenbasis rho(t) V0 are signed gathers and scalings, O(n^2) each; the
-residual and orthonormality checks are the only n^3 work per sample.
+orthonormality thresholds as an ``eigh`` of the sample would.  These
+are certified, not measured: rho(t)^T rho(t) = (c^2 + s^2) I holds
+exactly, so upper bounds on both follow from the basepoint's own checks
+and from ||rho(t)^T D(t) - D0 rho(t)^T||, measured on the sample
+itself, with the rounding of every step bounded too.  The frames are
+those of per-sample ``eigh`` up to round-off.  Their K is an exact
+signed permutation, so a sample, its certificate and the window
+columns of rho(t) V0 are signed gathers and scalings, O(n^2) each: no
+sample past the basepoint costs n^3 work.
 Families with no such bound (plain samplers, the commuting loop,
 concatenations, perturbed loops) are refined adaptively, with
 ``eigh`` at every sample, and are not certified: a subspace that turns by
@@ -41,14 +45,16 @@ a half turn between two samples goes unseen there.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .models import EquivariantLoopModel, OperatorFamily, _stack_chunks, _stacked_loop
-from .spectral import SpectralWindow, _FactorError, _StackError, _validated, eigendecompose
+from .spectral import (SpectralWindow, _check_factors, _FactorError, _refuse_non_finite,
+                       _StackError, _validated, eigendecompose)
 
 __all__ = [
     "MAX_PROJECTOR_STEP",
@@ -134,53 +140,156 @@ def _sample_frames(loop: OperatorFamily, window: SpectralWindow, ts,
     """``_window_frames`` at ``ts``, built and factored per ``models._stack_chunks`` run.
 
     A rotation loop (``loop.equivariant`` set) is factored at t = 0
-    only, and ``_rotated`` carries that ``basepoint`` (values, vectors)
-    to every sample; it is factored here when not given, and K V0 is
-    gathered once for every sample.
+    only, and ``_rotated`` carries that factorization to every sample.
+    ``basepoint`` is (B, values, vectors, residual, defect): the sample
+    B = ``loop.sampler(0.0)`` and what ``_validated`` returned for it,
+    taken here when not given.
     """
     model = loop.equivariant
-    if model is not None:
+    if model is None:
+        def frames(chunk, ts):
+            return _window_frames(window, *eigendecompose(chunk))
+    else:
         if basepoint is None:
+            base = loop.sampler(0.0)
             with _at([0.0]):
-                basepoint = eigendecompose(loop.sampler(0.0))
-        basepoint = (*basepoint, model._times_k(basepoint[1]))
+                basepoint = (base, *_validated(base, np.linalg.eigh))
+        with _at(ts):  # a window that fails on Lambda0 fails at every t, the first one named
+            frames = _rotated(model, window, _Basepoint.of(model, *basepoint))
     stacks = []
     for chunk in _stack_chunks(loop, ts, nbytes):
         run = ts[sum(map(len, stacks)):][:len(chunk)]
         with _at(run):
-            stacks.append(_window_frames(window, *(
-                eigendecompose(chunk) if model is None
-                else _rotated(model, window, chunk, run, basepoint))))
+            stacks.append(frames(chunk, run))
     return np.concatenate(stacks)
 
 
-def _rotated(model: EquivariantLoopModel, window: SpectralWindow, chunk: np.ndarray,
-             ts: np.ndarray, basepoint):
-    """(values, rho(t) vectors) of ``basepoint`` for the samples ``chunk`` at ``ts``, checked.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) for the float64 unit roundoff u = 2^-53."""
+    u = 2.0 ** -53
+    return k * u / (1.0 - k * u)
 
-    ``basepoint`` is (Lambda0, V0, K V0), and the candidate's vectors
-    are rho(t) V0 = cos(pi h t) V0 + sin(pi h t) K V0.  It must pass
-    ``spectral._validated`` on the samples themselves.  Its residual r
-    then bounds every eigenvalue of a sample to within r of the
-    basepoint values (Kahan's residual theorem, with the Frobenius norm
-    above the operator norm), so a window endpoint farther than r from
-    all of them is on the same side of the sample's eigenvalues, and the
-    window count holds; a sample where it is not is refused.
+
+class _Basepoint(NamedTuple):
+    """A rotation loop's sample B at t = 0 and its checked factorization (Lambda0, V0).
+
+    ``residual`` is ||B V0 - V0 Lambda0|| / scale, for ``scale`` = max
+    |Lambda0| floored at 1e-300, and ``defect`` ||V0^T V0 - I||, as
+    ``_validated`` measured them; the norms are Frobenius norms.
     """
-    base_values, base_vectors, turned = basepoint
-    clearance = min(float(np.abs(base_values - edge).min()) for edge in (window.lower, window.upper))
-    c, s = model._turn(ts)
-    rotated = c * base_vectors
-    rotated += s * turned
-    values, vectors, residual = _validated(chunk, lambda a: (
-        np.broadcast_to(base_values, a.shape[:-1]), rotated))
-    near = np.flatnonzero(~(clearance > residual))
-    if near.size:
-        i = int(near[0])
-        raise _StackError(f"a window endpoint lies {clearance:.3e} from the spectrum, within "
-                          f"the eigendecomposition residual {residual[i]:.3e}, so the window "
-                          "count is not certified", i)
-    return values, vectors
+
+    matrix: np.ndarray
+    turned: np.ndarray    # B K^T
+    values: np.ndarray
+    vectors: np.ndarray
+    scale: float
+    residual: float
+    defect: float
+    matrix_norm: float    # ||B|| / scale
+    vectors_norm: float   # ||V0||
+
+    @classmethod
+    def of(cls, model: EquivariantLoopModel, base, values, vectors, residual,
+           defect) -> "_Basepoint":
+        scale = max(float(np.abs(values).max(initial=0.0)), 1e-300)
+        return cls(base, model._times_k(base, axis=-1), values, vectors, scale, float(residual),
+                   float(defect), float(np.linalg.norm(base / scale)),
+                   float(np.linalg.norm(vectors)))
+
+
+def _rotation_bounds(model: EquivariantLoopModel, basepoint: _Basepoint, chunk: np.ndarray,
+                     c: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Bounds on the checks of the candidates (Lambda0, W(t)) for the samples D(t) of ``chunk``.
+
+    W(t) = fl(c V0 + s K V0) is rho(t) V0 as rounded, with c, s =
+    cos(pi h t), sin(pi h t) as (N, 1, 1) arrays.  Returns upper bounds
+    on ||D(t) W - W Lambda0|| / scale and on ||W^T W - I|| (Frobenius
+    norms) from O(n^2) work per sample.  rho^T rho = rho rho^T = mu I
+    exactly for mu = c^2 + s^2, so with X(t) = rho^T D(t) - B rho^T,
+    measured on the sample with one signed gather,
+    D rho V0 - rho V0 Lambda0 = rho X rho V0 / mu + rho (B V0 - V0 Lambda0),
+    and with ||V0||_2 <= sqrt(1 + defect0) and the rounding
+    ||W - rho V0|| <= e = gamma_2 (|c| + |s|) ||V0||,
+
+        residual <= ||X|| ||V0||_2 + sqrt(mu) residual0 + (||D(t)|| + max |Lambda0|) e,
+        defect   <= mu defect0 + |mu - 1| sqrt(n) + e (2 sqrt(mu) ||V0||_2 + e),
+
+    all divided by scale where the residual is.  ||X|| adds to its
+    measured value the rounding of evaluating X / scale,
+    gamma_4 (|c| + |s|) (||D(t)|| + ||B||) / scale, and ||D(t)|| <=
+    ||X|| / sqrt(mu) + ||B|| is bounded through it (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, section 3.1).  mu is taken
+    at its extremes over the chunk, widened by gamma_3 for its own
+    rounding, and |c| + |s| <= sqrt(2 mu), so the defect bound is one
+    number per chunk.  The norms, like ``_validated``'s, are taken as
+    computed, of scale-divided quantities, so they cannot overflow.
+    """
+    scale = basepoint.scale
+    # X / scale = (c (D - B) - s (K D + B K^T)) / scale, as K^T = -K
+    turned = model._times_k(chunk)
+    turned += basepoint.turned
+    turned *= s / scale
+    x = chunk - basepoint.matrix
+    x *= c / scale
+    x -= turned
+    measured = np.sqrt(np.einsum("...ij,...ij->...", x, x))
+    mu = c * c + s * s
+    mu_lo, mu_hi = float(mu.min()) - _gamma(3), float(mu.max()) + _gamma(3)
+    root_lo, root_hi = math.sqrt(mu_lo), math.sqrt(mu_hi)
+    rounding = _gamma(4) * math.sqrt(2.0) * root_hi
+    b = basepoint.matrix_norm
+    d_norm = (measured + (rounding + root_hi) * b) / (root_lo - rounding)
+    x_norm = measured + rounding * (d_norm + b)
+    error = _gamma(2) * math.sqrt(2.0) * root_hi * basepoint.vectors_norm
+    stretch = math.sqrt(1.0 + basepoint.defect)
+    # max |Lambda0| / scale <= 1
+    residual = x_norm * stretch + d_norm * error + (root_hi * basepoint.residual + error)
+    defect = (mu_hi * basepoint.defect + max(mu_hi - 1.0, 1.0 - mu_lo) * math.sqrt(chunk.shape[-1])
+              + error * (2.0 * root_hi * stretch + error))
+    return residual, np.full_like(measured, defect)
+
+
+def _rotated(model: EquivariantLoopModel, window: SpectralWindow, basepoint: _Basepoint):
+    """The window frames of rho(t) V0 at samples of the loop, certified: a map (chunk, ts) -> frames.
+
+    The candidate factorization of a sample D(t) is (Lambda0, W(t))
+    with W(t) = cos(pi h t) V0 + sin(pi h t) K V0.  Every candidate has
+    the values Lambda0, so the window rule is checked once, here, and a
+    failure is reported at the first sample.  A sample with a non-finite
+    entry is refused, and then ``_rotation_bounds`` must pass
+    ``spectral._check_factors``: the same thresholds as an ``eigh`` of
+    the sample, on bounds that are never below the measured values.
+    The residual bound r then bounds every eigenvalue of the sample to
+    within r of Lambda0 (Kahan's residual theorem, with the Frobenius
+    norm above the operator norm), so a window endpoint farther than r
+    from all of them is on the same side of the sample's eigenvalues,
+    and the window count holds; a sample where it is not is refused.
+    Only W's window columns are formed, as a (N, k, n) stack of
+    transposed frames like ``_window_frames``'s.
+    """
+    values, scale = basepoint.values, basepoint.scale
+    start = int(window._bounds(values[None])[0][0])
+    clearance = min(float(np.abs(values - edge).min()) for edge in (window.lower, window.upper))
+    # V0's window columns as rows, and K V0's: (K x)^T = x^T K^T
+    rows = np.ascontiguousarray(basepoint.vectors[:, start:start + window.count].T)
+    turned = model._times_k(rows, axis=-1)
+
+    def frames(chunk: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        _refuse_non_finite(chunk)
+        c, s = model._turn(ts)
+        residual, defect = _rotation_bounds(model, basepoint, chunk, c, s)
+        _check_factors(residual, scale, defect)
+        near = np.flatnonzero(~(clearance > residual * scale))
+        if near.size:
+            i = int(near[0])
+            raise _StackError(f"a window endpoint lies {clearance:.3e} from the spectrum, within "
+                              f"the eigendecomposition residual {residual[i] * scale:.3e}, so "
+                              "the window count is not certified", i)
+        rotated = c * rows
+        rotated += s * turned
+        return rotated
+
+    return frames
 
 
 def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -194,9 +303,10 @@ def _differ(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> bool:
     ``values`` are a's eigenvalues: ||a|| is their largest magnitude
     (floored at 1).  The Frobenius norm of a - b bounds its operator
     norm from above, so the test is no looser than an operator-norm one.
+    It is taken of (a - b) / ||a||, whose squares cannot overflow.
     """
     scale = max(float(np.abs(values).max()), 1.0)
-    return a.shape != b.shape or float(np.linalg.norm(a - b)) > 1e-12 * scale
+    return a.shape != b.shape or float(np.linalg.norm((a - b) / scale)) > 1e-12
 
 
 def _frame_distance(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -259,11 +369,12 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
     between samples as well as at them, and the grid is sampled in one
     pass.  Only the basepoint is factored by ``eigh``: at every other t
     the candidate (Lambda0, rho(t) V0) must pass the residual and
-    orthonormality checks of ``eigendecompose`` on the sample D(t), and
-    the window endpoints must lie farther from Lambda0 than that
-    residual, which bounds every eigenvalue of D(t) to within it of
-    Lambda0, so the window count holds at t; a failure raises
-    TransportError at that t.  Each step is still checked, at no extra
+    orthonormality thresholds of ``eigendecompose`` on the sample D(t),
+    through upper bounds taken in O(n^2) work from the sample (see
+    ``_rotation_bounds``), and the window endpoints must lie farther
+    from Lambda0 than that residual bound, which bounds every eigenvalue
+    of D(t) to within it of Lambda0, so the window count holds at t; a
+    failure raises TransportError at that t.  Each step is still checked, at no extra
     cost: its distance sqrt(1 - sigma_min^2) comes from the smallest
     singular value of the overlap that the polar step factors, and a
     step at or above MAX_PROJECTOR_STEP raises TransportError at its
@@ -292,7 +403,7 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
     # the raw sampler: calling a circle family wraps t = 1 back to 0
     base = loop.sampler(0.0)
     with _at([0.0]):
-        values, vectors = eigendecompose(base)
+        values, vectors, *measured = _validated(base, np.linalg.eigh)
         if _differ(base, loop.sampler(1.0), values):
             raise TransportError("loop is not closed: samples at t=0 and t=1 differ")
         frames = _window_frames(window, values[None], vectors[None])
@@ -307,7 +418,7 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
         intervals = max(intervals, int(np.floor(speed / MAX_PROJECTOR_STEP)) + 1)
     ts = np.linspace(0.0, 1.0, intervals + 1)
     frames = np.concatenate([frames, _sample_frames(loop, window, ts[1:], base.nbytes,
-                                                    (values, vectors))])
+                                                    (base, values, vectors, *measured))])
     if not certified:
         ts, frames = _refine(loop, window, ts, frames, base.nbytes)
     raw = frames.swapaxes(-1, -2)

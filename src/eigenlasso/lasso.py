@@ -341,7 +341,7 @@ def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
     ``_validated``'s checks; DegeneracyNotFound at (r, theta) when the
     closest anchored pair's gap is above ``tol``."""
     h = factored[0]
-    values, vectors, _ = _validated(h, lambda _: factored[1:])
+    values, vectors = _validated(h, lambda _: factored[1:])[:2]
     pairs = _guard_pairs(anchor, window.count, values.size)
     i = min(pairs, key=lambda p: values[p + 1] - values[p])
     lam_a, lam_b = float(values[i]), float(values[i + 1])

@@ -271,7 +271,8 @@ class EquivariantLoopModel:
     are: the block J and the spin K.  Every product with K is then a
     signed gather (``_times_k``), exact and without BLAS, so a sample
     rho(t) D0 rho(t)^T and a rotated eigenbasis rho(t) V0 cost O(n^2)
-    each.
+    each, and so does the certificate ``holonomy`` takes of that
+    eigenbasis on the sample: no sample past t = 0 costs n^3 work.
 
     The generator is Omega = pi h K.  A window projector moves as
     P(t) = rho(t) P0 rho(t)^T with P' = [Omega, P], at the constant speed

@@ -65,41 +65,68 @@ class _FactorError(RuntimeError):
         self.index = index
 
 
-def _validated(a: np.ndarray, factor) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, vectors, residual) of ``factor(a)`` for a (..., n, n) stack ``a``, checked.
-
-    The checks every eigendecomposition here passes, however it was
-    obtained, with ``factor`` mapping the stack to its (values,
-    vectors).  A matrix with a non-finite entry is refused before
-    ``factor`` runs (ValueError naming its stack index).  Then each
-    factorization must have a residual ||A V - V diag(values)|| of at
-    most 1e-11 times its largest |value| (the operator norm of a
-    Hermitian A, up to that residual) and a frame with ||V^H V - I|| at
-    most 1e-12 (RuntimeError naming the first failing entry).  Both are
-    measured in the Frobenius norm, an upper bound on the operator norm,
-    so neither check is looser than its operator-norm statement.
-    Returns the values, the vectors and each matrix's Frobenius
-    residual.
-    """
+def _refuse_non_finite(a: np.ndarray) -> None:
+    """Refuse a (..., n, n) stack with a non-finite entry (ValueError naming its stack index)."""
     finite = np.isfinite(a).all(axis=(-2, -1))
     if not finite.all():
         first = int(np.argmin(finite))
         where = ", ".join(map(str, np.unravel_index(first, finite.shape)))
         raise _StackError(f"non-finite matrix entries{where and ' at stack index ' + where}", first)
+
+
+def _check_factors(residual: np.ndarray, scale, defect: np.ndarray) -> None:
+    """Refuse the first factorization of a stack that fails a check.
+
+    ``residual`` is each factorization's ||A V - V diag(values)|| divided
+    by its ``scale``, the largest |value| (the operator norm of a
+    Hermitian A, up to that residual), and ``defect`` its ||V^H V - I||,
+    both in the Frobenius norm, measured or bounded from above.  The
+    first entry with a residual above 1e-11 times its scale, and then
+    the first with a defect above 1e-12, raises RuntimeError naming it.
+    """
+    bad = np.flatnonzero(~(residual <= 1e-11))
+    if bad.size:
+        i = int(bad[0])
+        value = float(residual.flat[i]) * float(np.broadcast_to(scale, residual.shape).flat[i])
+        raise _FactorError(f"eigendecomposition residual {value:.3e} too large", i)
+    bad = np.flatnonzero(~(defect <= 1e-12))
+    if bad.size:
+        i = int(bad[0])
+        raise _FactorError(f"eigenvector frame not orthonormal ({defect.flat[i]:.3e})", i)
+
+
+def _validated(a: np.ndarray, factor
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(values, vectors, residual, defect) of ``factor(a)`` for a (..., n, n) stack ``a``, checked.
+
+    The checks every eigendecomposition here passes, however it was
+    obtained, with ``factor`` mapping the stack to its (values,
+    vectors).  A non-square ``a`` is refused, and so is a matrix with a
+    non-finite entry, before ``factor`` runs (ValueError, naming the
+    matrix's stack index).  Then each factorization must pass
+    ``_check_factors``: a residual ||A V - V diag(values)|| of at most
+    1e-11 times its largest |value| and a frame with ||V^H V - I|| at
+    most 1e-12, both measured here in the Frobenius norm, an upper bound
+    on the operator norm, so neither check is looser than its
+    operator-norm statement.  The residual's norm is taken after
+    dividing by that scale, so its squared entries cannot overflow.
+    Returns the values, the vectors, and each matrix's measured
+    residual, divided by its scale, and frame defect.
+    """
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    _refuse_non_finite(a)
     values, vectors = factor(a)
     scale = np.maximum(np.abs(values).max(axis=-1, initial=0.0), 1e-300)
-    residual = np.linalg.norm(a @ vectors - vectors * values[..., None, :], axis=(-2, -1))
-    bad = np.flatnonzero(~(residual <= 1e-11 * scale))
-    if bad.size:
-        i = int(bad[0])
-        raise _FactorError(f"eigendecomposition residual {residual.flat[i]:.3e} too large", i)
-    eye = np.eye(a.shape[-1])
-    ortho = np.linalg.norm(vectors.conj().swapaxes(-1, -2) @ vectors - eye, axis=(-2, -1))
-    bad = np.flatnonzero(~(ortho <= 1e-12))
-    if bad.size:
-        i = int(bad[0])
-        raise _FactorError(f"eigenvector frame not orthonormal ({ortho.flat[i]:.3e})", i)
-    return values, vectors, residual
+    residual = a @ vectors
+    residual -= vectors * values[..., None, :]
+    residual /= scale[..., None, None]
+    residual = np.linalg.norm(residual, axis=(-2, -1))
+    defect = np.linalg.norm(vectors.conj().swapaxes(-1, -2) @ vectors - np.eye(a.shape[-1]),
+                            axis=(-2, -1))
+    _check_factors(residual, scale, defect)
+    return values, vectors, residual, defect
 
 
 def eigendecompose(op) -> Tuple[np.ndarray, np.ndarray]:
@@ -112,11 +139,8 @@ def eigendecompose(op) -> Tuple[np.ndarray, np.ndarray]:
     matrix's operator norm and frame orthonormality to 1e-12, both in
     the Frobenius norm.
     """
-    a = op.matrix if isinstance(op, SymmetricOperator) else np.asarray(op)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    values, vectors, _ = _validated(a, np.linalg.eigh)
-    return values, vectors
+    a = op.matrix if isinstance(op, SymmetricOperator) else op
+    return _validated(a, np.linalg.eigh)[:2]
 
 
 @dataclass(frozen=True)

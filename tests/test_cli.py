@@ -81,6 +81,29 @@ def test_the_cone_is_the_halfturn_loop_of_a_reflection(tmp_path):
         assert cert.r == 0.0 and cert.gap == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_holonomy_over_entries_near_1e200_is_certified(tmp_path):
+    # the residual entries are near 1e184, whose squares overflow: the
+    # checks take their norms after dividing by the spectrum's scale
+    cfg = write_config(tmp_path, {
+        "loop": {"kind": "halfturn", "base": {"kind": "matrix",
+                                              "entries": [[1e200, 3e199], [3e199, 2e200]]}},
+        "window": {"lower": 5e199, "upper": 1.5e200, "count": 1},
+    })
+    assert cli.main(["holonomy", "--config", cfg, "--out", str(tmp_path)]) == 0
+    results = read_report(tmp_path, "holonomy")["results"]
+    assert (results["sign"], results["certified"], results["predicted_sign"]) == (-1, True, -1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectrum_of_entries_near_1e200(tmp_path):
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "matrix", "entries": [[1e200, 1e200], [1e200, -1e200]]}})
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    values = read_report(tmp_path, "spectrum")["results"]["values"]
+    np.testing.assert_allclose(values, [-np.sqrt(2.0) * 1e200, np.sqrt(2.0) * 1e200], rtol=1e-15)
+
+
 def test_holonomy_expectation_failure_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "loop": HALFTURN_LOOP,

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigenlasso import holonomy, spectral
 from eigenlasso.holonomy import (
@@ -17,13 +18,15 @@ from eigenlasso.models import (
     EquivariantLoopModel,
     OperatorFamily,
     SymmetricOperator,
+    _spin_structure,
     make_block_rotation_loop,
     make_fullturn_loop,
     make_halfturn_loop,
     make_spin_loop,
 )
 from eigenlasso.spectral import SpectralWindow, projector_distance, spectral_projector_eig
-from oracle_reference import refined_grid, sequential_polar_frames, skew_expm, wilson_sign
+from oracle_reference import (factor_checks, refined_grid, sequential_polar_frames, skew_expm,
+                              wilson_sign)
 
 
 def boundless(family):
@@ -184,6 +187,14 @@ def test_transport_rejects_non_closed_sampler_quickly():
     with pytest.raises(TransportError, match="not closed"):
         transport(quarter_turn_family(), SpectralWindow(0.5, 1.5, count=1))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closure_check_takes_its_norm_after_scaling():
+    # the samples at t = 0 and t = 1 differ by 1e200, whose square overflows
+    loop = OperatorFamily(domain="circle", sampler=lambda t: np.diag([1e200, (2.0 + t) * 1e200]))
+    with pytest.raises(TransportError, match="not closed"):
+        transport(loop, SpectralWindow(5e199, 1.5e200, count=1))
 
 
 def test_transport_refuses_a_jump_between_adjacent_floats_quickly():
@@ -399,31 +410,38 @@ def test_each_interval_is_checked_once(monkeypatch, turns, count, initial_sample
 
 @pytest.mark.parametrize("n", [64, 256])
 def test_transport_stacks_stay_within_the_byte_budget(monkeypatch, n):
-    stacks, factored = [], []
-    validated, eigh = spectral._validated, np.linalg.eigh
+    stacks, validated, certified, factored = [], [], [], []
+    validate, check, eigh = holonomy._validated, holonomy._check_factors, np.linalg.eigh
+    model = make_block_rotation_loop(rotated_base(n), 1.0)
+
+    def stacker(ts):
+        stacks.append(ts.size)
+        return model.stack(ts)
 
     def recorded(a, factor):
-        stacks.append(a.shape)
-        return validated(a, factor)
+        validated.append(a.shape)
+        return validate(a, factor)
+
+    def checked(residual, scale, defect):
+        certified.append(residual.size)
+        return check(residual, scale, defect)
 
     def counted(a):
         factored.append(a.shape)
         return eigh(a)
 
-    # eigendecompose and the rotated samples both go through the one check
-    for module in (spectral, holonomy):
-        monkeypatch.setattr(module, "_validated", recorded)
+    monkeypatch.setattr(holonomy, "_validated", recorded)
+    monkeypatch.setattr(holonomy, "_check_factors", checked)
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    family = make_block_rotation_loop(rotated_base(n), 1.0).family()
+    family = dataclasses.replace(model.family(), stacker=stacker)
     # 40 initial samples make a first pass of 1.3 MB at n = 64
     path, _ = transport(family, SpectralWindow(0.5, 1.5, count=1), initial_samples=40)
-    matrices = [int(np.prod(shape[:-2])) for shape in stacks]
-    assert max(m * n * n * 8 for m in matrices) <= STACK_BYTES
-    # every sample validated once, the basepoint on its own
-    assert sum(matrices) == path.n_samples
-    assert max(matrices) == (STACK_BYTES // (n * n * 8))
-    # and only the basepoint factored
-    assert factored == [(n, n)]
+    assert max(m * n * n * 8 for m in stacks) <= STACK_BYTES
+    assert max(stacks) == (STACK_BYTES // (n * n * 8))
+    # every sample past the basepoint stacked and certified once, per stack
+    assert certified == stacks and sum(stacks) == path.n_samples - 1
+    # and only the basepoint validated and factored
+    assert validated == factored == [(n, n)]
 
 
 def complex_loop(n=6, turns=1.5, seed=2):
@@ -661,23 +679,64 @@ def test_rotated_samples_refuse_non_finite_entries():
     assert exc.value.parameter == 0.25
 
 
+def rotation_checks(model, ts):
+    """The certificate's bounds at ``ts``, and the residual and frame defect the oracle measures.
+
+    Each is a pair (residual, defect) of arrays over ``ts``; the oracle
+    takes the full rotated basis c V0 + s K V0 with K the dense structure.
+    """
+    base = model.family().sampler(0.0)
+    factored = spectral._validated(base, np.linalg.eigh)
+    basepoint = holonomy._Basepoint.of(model, base, *factored)
+    samples = model.stack(ts)
+    c, s = model._turn(ts)
+    residual, defect = holonomy._rotation_bounds(model, basepoint, samples, c, s)
+    values, vectors = factored[:2]
+    measured = factor_checks(samples, values, c * vectors + s * (model.structure @ vectors))
+    return (residual * basepoint.scale, defect), measured
+
+
 def test_rotated_samples_certify_the_window_count():
-    # the eigenvalue 1e8 makes the accepted residual of a rotated sample
-    # about 5e-8, far above ENDPOINT_MARGIN = 1e-9; an endpoint 5e-9 above
-    # the eigenvalue 1 clears the margin, yet the residual does not bound
-    # that eigenvalue of the sample to one side of it
+    # the eigenvalue 1e8 makes the accepted residuals of rotated samples,
+    # and their bounds, far larger than ENDPOINT_MARGIN = 1e-9; an endpoint
+    # 5e-9 above the eigenvalue 1 clears the margin, yet the bound does not
+    # hold that eigenvalue of the sample to one side of it
     model = make_block_rotation_loop(np.diag([1.0, 2.0, 3.0, 1e8]), 1.5)
     ts = np.linspace(0.0, 1.0, 20)
-    rotated = model.rotations(ts)
-    residual = np.linalg.norm(model.stack(ts) @ rotated - rotated * [1.0, 2.0, 3.0, 1e8],
-                              axis=(-2, -1))
-    assert 1e-9 < 5e-9 < residual.max() <= 1e-11 * 1e8
+    (bound, _), (residual, _) = rotation_checks(model, ts)
+    assert (bound >= residual).all()
+    assert 1e-9 < 5e-9 < residual.max() <= bound.max() <= 1e-11 * 1e8
     with pytest.raises(TransportError, match="window count is not certified") as exc:
         transport(model.family(), SpectralWindow(0.5, 1.0 + 5e-9, count=1))
     t = exc.value.parameter
     assert 0.0 < t < 1.0
-    assert np.linalg.norm(model.stack([t])[0] @ model.rotations([t])[0]
-                          - model.rotations([t])[0] * [1.0, 2.0, 3.0, 1e8]) >= 5e-9
+    (bound, _), (residual, _) = rotation_checks(model, [t])
+    assert bound[0] >= max(5e-9, residual[0])
     # an endpoint clear of the residual is accepted
     _, ret = transport(model.family(), SpectralWindow(0.5, 1.5, count=1))
     assert ret.certified and ret.sign == -1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(["block", "spin"]), half_turns=st.integers(1, 8),
+       exponent=st.floats(-3.0, 4.0), seed=st.integers(0, 2 ** 16),
+       extra=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_rotation_bounds_cover_the_measured_checks(data, kind, half_turns, exponent, seed, extra):
+    # block loops of any even n up to 256 and spin loops of m 6-8, over
+    # random bases of scale 1e-3 to 1e4: each bound is at least what the
+    # oracle measures, and far enough below its threshold to refuse nothing
+    if kind == "block":
+        n = 2 * data.draw(st.integers(1, 128), label="pairs")
+        structure = make_block_rotation_loop(np.eye(n), 0.5).structure
+    else:
+        structure = _spin_structure(data.draw(st.sampled_from([6, 7, 8]), label="m"))
+        n = structure.shape[0]
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    base = g + g.T
+    base *= 10.0 ** exponent / np.abs(np.linalg.eigvalsh(base)).max()
+    model = EquivariantLoopModel(SymmetricOperator(base), structure, half_turns)
+    ts = np.array([0.0, 0.25, 0.5, 1.0] + extra)
+    (residual, defect), (measured_residual, measured_defect) = rotation_checks(model, ts)
+    scale = np.abs(np.linalg.eigvalsh(base)).max()
+    assert (residual >= measured_residual).all() and (defect >= measured_defect).all()
+    assert (residual <= 1e-11 * scale).all() and (defect <= 1e-12).all()

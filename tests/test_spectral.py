@@ -103,6 +103,20 @@ def test_eigendecompose_refuses_non_finite_matrices(matrix):
         eigendecompose(np.stack([np.eye(2), np.eye(2), matrix, matrix]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 1e300])
+def test_factor_checks_are_scale_free(scale):
+    # the residual and frame norms are taken of scale-divided quantities,
+    # so squaring their entries neither overflows nor underflows
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((3, 6, 6))
+    stack = scale * (g + g.swapaxes(-1, -2))
+    values, vectors = eigendecompose(stack)
+    np.testing.assert_allclose(values / scale, np.linalg.eigvalsh(g + g.swapaxes(-1, -2)),
+                               rtol=1e-12, atol=1e-12)
+    assert np.isfinite(vectors).all()
+
+
 # ---------------------------------------------------------------- windows
 
 def test_window_basic_geometry():
