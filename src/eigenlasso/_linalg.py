@@ -4,7 +4,9 @@ import numpy as np
 
 
 def _opnorm(a: np.ndarray) -> float:
-    """Spectral (operator 2-) norm."""
+    """Spectral (operator 2-) norm; 0.0 for an all-zero matrix, with no SVD."""
+    if not a.any():
+        return 0.0
     return float(np.linalg.norm(a, 2))
 
 

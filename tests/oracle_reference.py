@@ -5,8 +5,8 @@ the package internals: overlap-determinant holonomy signs, an
 all-pairs projector refinement grid, a one-step-at-a-time polar frame
 chain, a searchsorted window rule, an eigh-based matrix exponential,
 an entrywise antilinear commutant solve, literal spectra, closed-form
-samples, index-built block rotations, spin lifts one t at a time, and
-factorization checks by dense products.
+samples, index-built block rotations, spin lifts one t at a time,
+factorization checks by dense products, and the two-SVD symmetry rule.
 When a package result and a reference disagree, the package is wrong.
 """
 
@@ -234,3 +234,20 @@ def factor_checks(a, values, vectors):
     residual = np.linalg.norm(a @ vectors - vectors * values[..., None, :], axis=(-2, -1))
     gram = np.swapaxes(vectors, -1, -2) @ vectors
     return residual, np.linalg.norm(gram - np.eye(a.shape[-1]), axis=(-2, -1))
+
+
+def two_svd_symmetry_rule(matrix, rtol=1e-13):
+    """Symmetric-operator acceptance with both SVDs always taken.
+
+    Accepts a square M when ||M - M^H||_2 <= rtol * max(||M||_2, 1e-300),
+    each norm by a full SVD, and returns M as a C-contiguous array;
+    raises ``ValueError`` with the package's messages otherwise.
+    """
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    scale = max(float(np.linalg.norm(m, 2)), 1e-300)
+    defect = float(np.linalg.norm(m - m.conj().T, 2))
+    if defect > rtol * scale:
+        raise ValueError(f"symmetry defect {defect:.3e} exceeds {rtol:.0e} * norm")
+    return np.ascontiguousarray(m)

@@ -1,14 +1,18 @@
+import inspect
 import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eigenlasso
 from eigenlasso import models
+from eigenlasso._linalg import _opnorm
 from eigenlasso.clifford import build_clifford, find_structure_map, real_form_basis
 from eigenlasso.holonomy import concatenate_loops
 from eigenlasso.models import (
@@ -28,6 +32,7 @@ from oracle_reference import (
     block_rotation_stack,
     halfturn_sample,
     lifted_spin_rotations,
+    two_svd_symmetry_rule,
 )
 
 
@@ -42,6 +47,79 @@ def test_symmetric_operator_accepts_hermitian():
     op = SymmetricOperator(np.array([[1.0, 1j], [-1j, 2.0]]))
     assert not op.is_real
     assert op.dim == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_symmetric_operator_refuses_a_non_finite_entry(bad):
+    # the SVD used to raise LinAlgError on NaN, and inf - inf warned first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            SymmetricOperator([[bad, 0], [0, 1]])
+
+
+def test_symmetric_operator_keeps_its_type_errors_and_the_empty_matrix():
+    for typed in (np.eye(2, dtype=object), np.eye(2, dtype=bool), np.eye(2, dtype=np.float16)):
+        with pytest.raises(TypeError):
+            SymmetricOperator(typed)
+    assert SymmetricOperator(np.zeros((0, 0))).dim == 0
+
+
+def _refuse_svd(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+
+    monkeypatch.setattr(np.linalg, "svd", broken)
+    # norm(., 2) calls the svd of its own module
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", broken)
+
+
+def test_exactly_hermitian_operators_take_no_svd(monkeypatch):
+    rng = np.random.default_rng(25)
+    a = rng.standard_normal((512, 512))
+    z = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    _refuse_svd(monkeypatch)
+    assert SymmetricOperator(a + a.T).dim == 512
+    assert not SymmetricOperator(z + z.conj().T).is_real
+    assert _opnorm(np.zeros((3, 3))) == 0.0 and type(_opnorm(np.zeros((2, 2), complex))) is float
+
+
+def _matrix(dtype, n, scale, defect, seed):
+    """A Hermitian matrix of the given scale, plus an anti-Hermitian part whose
+    defect ||M - M^H||_2 is ``defect`` times the acceptance threshold."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n))
+    if dtype == np.complex128:
+        x = x + 1j * rng.standard_normal((n, n))
+    h = (x + x.conj().T) * scale
+    if dtype == np.int64:
+        h = np.rint(h)
+    if defect and n:
+        a = x - x.conj().T
+        size = np.linalg.norm(a, 2)
+        if size:
+            h = h + a * (defect * 1e-13 * np.linalg.norm(h, 2) / (2 * size))
+    return (np.rint(h) if dtype == np.int64 else h).astype(dtype)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dtype=st.sampled_from([np.float64, np.complex128, np.int64]), n=st.integers(0, 64),
+       exponent=st.floats(-300, 300), defect=st.sampled_from([0.0, 0.5, 2.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_symmetric_operator_decides_as_the_two_svd_rule(dtype, n, exponent, defect, seed):
+    if dtype == np.int64:
+        exponent = 13 + (exponent + 300) / 150  # threshold 1e-13 * ||M|| >= 1, so a defect can be below it
+    m = _matrix(dtype, n, 10.0 ** exponent, defect, seed)
+    try:
+        expected = two_svd_symmetry_rule(m)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as caught:
+            SymmetricOperator(m)
+        assert str(caught.value) == str(refused)
+        return
+    op = SymmetricOperator(m)
+    assert op.matrix.dtype == expected.dtype and op.matrix.tobytes() == expected.tobytes()
+    assert not op.matrix.flags.writeable
 
 
 def test_family_domain_validation():
