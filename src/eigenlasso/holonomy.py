@@ -25,18 +25,17 @@ projector, the same at every t, so ||P(t) - P(t')|| <= s |t - t'| (Kato,
 *Perturbation Theory*; Davis and Kahan 1970), and a uniform grid of
 floor(s / MAX_PROJECTOR_STEP) + 1 intervals keeps every step below it,
 between samples as well as at them.  Their transports are certified and
-sample the grid once.  They are also factored once: rho(t) carries the
-eigenvectors of D0, so (Lambda0, rho(t) V0) is the candidate
+factored once, and sample no operator past the basepoint: rho(t)
+carries the eigenvectors of D0, so (Lambda0, rho(t) V0) is the candidate
 eigendecomposition of every sample, and it passes the same residual and
 orthonormality thresholds as an ``eigh`` of the sample would.  These
 are certified, not measured: rho(t)^T rho(t) = (c^2 + s^2) I holds
 exactly, so upper bounds on both follow from the basepoint's own checks
-and from ||rho(t)^T D(t) - D0 rho(t)^T||, measured on the sample
-itself, with the rounding of every step bounded too.  The frames are
-those of per-sample ``eigh`` up to round-off.  Their K is an exact
-signed permutation, so a sample, its certificate and the window
-columns of rho(t) V0 are signed gathers and scalings, O(n^2) each: no
-sample past the basepoint costs n^3 work.
+and from the model, whose samples round by a known amount, with the
+rounding of every step bounded too.  The frames are those of per-sample
+``eigh`` up to round-off.  Their K is an exact signed permutation, so
+the window columns of rho(t) V0 are signed gathers and scalings, O(nk)
+per t: nothing past the basepoint costs n^3 work.
 Families with no such bound (plain samplers, the commuting loop,
 concatenations, perturbed loops) are refined adaptively, with
 ``eigh`` at every sample, and are not certified: a subspace that turns by
@@ -48,13 +47,13 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .models import EquivariantLoopModel, OperatorFamily, _stack_chunks, _stacked_loop
-from .spectral import (SpectralWindow, _check_factors, _FactorError, _refuse_non_finite,
-                       _StackError, _validated, eigendecompose)
+from .spectral import (SpectralWindow, _check_factors, _FactorError, _StackError, _validated,
+                       eigendecompose)
 
 __all__ = [
     "MAX_PROJECTOR_STEP",
@@ -140,27 +139,24 @@ def _sample_frames(loop: OperatorFamily, window: SpectralWindow, ts,
     """``_window_frames`` at ``ts``, built and factored per ``models._stack_chunks`` run.
 
     A rotation loop (``loop.equivariant`` set) is factored at t = 0
-    only, and ``_rotated`` carries that factorization to every sample.
-    ``basepoint`` is (B, values, vectors, residual, defect): the sample
-    B = ``loop.sampler(0.0)`` and what ``_validated`` returned for it,
-    taken here when not given.
+    only and not sampled past it: ``_rotated`` carries that
+    factorization to every t.  ``basepoint`` is (B, values, vectors,
+    residual, defect): the sample B = ``loop.sampler(0.0)`` and what
+    ``_validated`` returned for it, taken here when not given.
     """
     model = loop.equivariant
-    if model is None:
-        def frames(chunk, ts):
-            return _window_frames(window, *eigendecompose(chunk))
-    else:
+    if model is not None:
         if basepoint is None:
             base = loop.sampler(0.0)
             with _at([0.0]):
                 basepoint = (base, *_validated(base, np.linalg.eigh))
-        with _at(ts):  # a window that fails on Lambda0 fails at every t, the first one named
-            frames = _rotated(model, window, _Basepoint.of(model, *basepoint))
+        with _at(ts):  # the certificate holds at every t or fails at the first
+            return _rotated(model, window, ts, *basepoint)
     stacks = []
     for chunk in _stack_chunks(loop, ts, nbytes):
         run = ts[sum(map(len, stacks)):][:len(chunk)]
         with _at(run):
-            stacks.append(frames(chunk, run))
+            stacks.append(_window_frames(window, *eigendecompose(chunk)))
     return np.concatenate(stacks)
 
 
@@ -170,126 +166,97 @@ def _gamma(k: int) -> float:
     return k * u / (1.0 - k * u)
 
 
-class _Basepoint(NamedTuple):
-    """A rotation loop's sample B at t = 0 and its checked factorization (Lambda0, V0).
+def _rotation_bound(base: np.ndarray, values: np.ndarray, vectors: np.ndarray, residual: float,
+                    defect: float, c: np.ndarray, s: np.ndarray) -> Tuple[float, float]:
+    """Bounds on the checks of the candidates (Lambda0, W(t)) on every sample D(t) at ``c``, ``s``.
 
-    ``residual`` is ||B V0 - V0 Lambda0|| / scale, for ``scale`` = max
-    |Lambda0| floored at 1e-300, and ``defect`` ||V0^T V0 - I||, as
-    ``_validated`` measured them; the norms are Frobenius norms.
-    """
+    ``base`` is a rotation loop's sample B at t = 0, (``values``,
+    ``vectors``) = (Lambda0, V0) its factorization, and ``residual``
+    and ``defect`` what ``_validated`` measured of it: ||B V0 - V0
+    Lambda0|| / scale, for scale = max |Lambda0| floored at 1e-300, and
+    ||V0^T V0 - I||.  c, s = cos(pi h t), sin(pi h t) are the floats of
+    the model's ``_turn``, rho = c I + s K, D(t) is the model's ``stack``
+    and W(t) = fl(c V0 + s K V0).  Returns one upper bound on ||D(t) W -
+    W Lambda0|| / scale and one on ||W^T W - I|| (Frobenius norms) for
+    every t, from the norms of B and V0 alone: no sample is formed.
 
-    matrix: np.ndarray
-    turned: np.ndarray    # B K^T
-    values: np.ndarray
-    vectors: np.ndarray
-    scale: float
-    residual: float
-    defect: float
-    matrix_norm: float    # ||B|| / scale
-    vectors_norm: float   # ||V0||
+    rho^T rho = rho rho^T = mu I exactly for mu = c^2 + s^2.  ``stack``
+    rounds twice, y = fl(c B + s K B) and D = fl(c y + s y K^T), each
+    within gamma_2 (|c| + |s|) of its exact value entrywise (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 3.1), and
+    |c| + |s| <= sqrt(2 mu).  So with b = ||B|| / scale, D differs from
+    the exact sample rho B rho^T by at most, over scale,
 
-    @classmethod
-    def of(cls, model: EquivariantLoopModel, base, values, vectors, residual,
-           defect) -> "_Basepoint":
-        scale = max(float(np.abs(values).max(initial=0.0)), 1e-300)
-        return cls(base, model._times_k(base, axis=-1), values, vectors, scale, float(residual),
-                   float(defect), float(np.linalg.norm(base / scale)),
-                   float(np.linalg.norm(vectors)))
+        delta = gamma_2 sqrt(2 mu) b (2 sqrt(mu) + gamma_2 sqrt(2 mu)),
 
+    and X = rho^T D - B rho^T = rho^T (D - rho B rho^T) + (mu - 1) B rho^T
+    has ||X|| / scale <= sqrt(mu) delta + |mu - 1| sqrt(mu) b, while
+    ||D|| / scale <= mu b + delta.  Then D rho V0 - rho V0 Lambda0 =
+    rho X rho V0 / mu + rho (B V0 - V0 Lambda0), and with ||V0||_2 <=
+    sqrt(1 + defect0) and the rounding ||W - rho V0|| <= e = gamma_2
+    sqrt(2 mu) ||V0||,
 
-def _rotation_bounds(model: EquivariantLoopModel, basepoint: _Basepoint, chunk: np.ndarray,
-                     c: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Bounds on the checks of the candidates (Lambda0, W(t)) for the samples D(t) of ``chunk``.
-
-    W(t) = fl(c V0 + s K V0) is rho(t) V0 as rounded, with c, s =
-    cos(pi h t), sin(pi h t) as (N, 1, 1) arrays.  Returns upper bounds
-    on ||D(t) W - W Lambda0|| / scale and on ||W^T W - I|| (Frobenius
-    norms) from O(n^2) work per sample.  rho^T rho = rho rho^T = mu I
-    exactly for mu = c^2 + s^2, so with X(t) = rho^T D(t) - B rho^T,
-    measured on the sample with one signed gather,
-    D rho V0 - rho V0 Lambda0 = rho X rho V0 / mu + rho (B V0 - V0 Lambda0),
-    and with ||V0||_2 <= sqrt(1 + defect0) and the rounding
-    ||W - rho V0|| <= e = gamma_2 (|c| + |s|) ||V0||,
-
-        residual <= ||X|| ||V0||_2 + sqrt(mu) residual0 + (||D(t)|| + max |Lambda0|) e,
+        residual <= ||X|| ||V0||_2 + sqrt(mu) residual0 + (||D|| + max |Lambda0|) e,
         defect   <= mu defect0 + |mu - 1| sqrt(n) + e (2 sqrt(mu) ||V0||_2 + e),
 
-    all divided by scale where the residual is.  ||X|| adds to its
-    measured value the rounding of evaluating X / scale,
-    gamma_4 (|c| + |s|) (||D(t)|| + ||B||) / scale, and ||D(t)|| <=
-    ||X|| / sqrt(mu) + ||B|| is bounded through it (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, section 3.1).  mu is taken
-    at its extremes over the chunk, widened by gamma_3 for its own
-    rounding, and |c| + |s| <= sqrt(2 mu), so the defect bound is one
-    number per chunk.  The norms, like ``_validated``'s, are taken as
-    computed, of scale-divided quantities, so they cannot overflow.
+    all divided by scale where the residual is.  mu is taken at its
+    extremes over ``c`` and ``s``, widened by gamma_3 for its own
+    rounding, so each bound is one number.  The norms, like
+    ``_validated``'s, are of scale-divided quantities and cannot overflow.
     """
-    scale = basepoint.scale
-    # X / scale = (c (D - B) - s (K D + B K^T)) / scale, as K^T = -K
-    turned = model._times_k(chunk)
-    turned += basepoint.turned
-    turned *= s / scale
-    x = chunk - basepoint.matrix
-    x *= c / scale
-    x -= turned
-    measured = np.sqrt(np.einsum("...ij,...ij->...", x, x))
+    scale = max(float(np.abs(values).max(initial=0.0)), 1e-300)
     mu = c * c + s * s
     mu_lo, mu_hi = float(mu.min()) - _gamma(3), float(mu.max()) + _gamma(3)
-    root_lo, root_hi = math.sqrt(mu_lo), math.sqrt(mu_hi)
-    rounding = _gamma(4) * math.sqrt(2.0) * root_hi
-    b = basepoint.matrix_norm
-    d_norm = (measured + (rounding + root_hi) * b) / (root_lo - rounding)
-    x_norm = measured + rounding * (d_norm + b)
-    error = _gamma(2) * math.sqrt(2.0) * root_hi * basepoint.vectors_norm
-    stretch = math.sqrt(1.0 + basepoint.defect)
+    root = math.sqrt(mu_hi)
+    drift = max(mu_hi - 1.0, 1.0 - mu_lo)  # |mu - 1|
+    rounding = _gamma(2) * math.sqrt(2.0) * root  # gamma_2 (|c| + |s|)
+    b = float(np.linalg.norm(base / scale))
+    delta = rounding * b * (2.0 * root + rounding)
+    x_norm = root * (delta + drift * b)
+    d_norm = mu_hi * b + delta
+    error = rounding * float(np.linalg.norm(vectors))
+    stretch = math.sqrt(1.0 + defect)
     # max |Lambda0| / scale <= 1
-    residual = x_norm * stretch + d_norm * error + (root_hi * basepoint.residual + error)
-    defect = (mu_hi * basepoint.defect + max(mu_hi - 1.0, 1.0 - mu_lo) * math.sqrt(chunk.shape[-1])
-              + error * (2.0 * root_hi * stretch + error))
-    return residual, np.full_like(measured, defect)
+    bound = x_norm * stretch + d_norm * error + (root * residual + error)
+    return bound, (mu_hi * defect + drift * math.sqrt(base.shape[-1])
+                   + error * (2.0 * root * stretch + error))
 
 
-def _rotated(model: EquivariantLoopModel, window: SpectralWindow, basepoint: _Basepoint):
-    """The window frames of rho(t) V0 at samples of the loop, certified: a map (chunk, ts) -> frames.
+def _rotated(model: EquivariantLoopModel, window: SpectralWindow, ts: np.ndarray,
+             base: np.ndarray, values: np.ndarray, vectors: np.ndarray, residual: float,
+             defect: float) -> np.ndarray:
+    """The window frames of rho(t) V0 at ``ts``, certified with no sample: a (N, k, n) stack.
 
     The candidate factorization of a sample D(t) is (Lambda0, W(t))
     with W(t) = cos(pi h t) V0 + sin(pi h t) K V0.  Every candidate has
-    the values Lambda0, so the window rule is checked once, here, and a
-    failure is reported at the first sample.  A sample with a non-finite
-    entry is refused, and then ``_rotation_bounds`` must pass
-    ``spectral._check_factors``: the same thresholds as an ``eigh`` of
-    the sample, on bounds that are never below the measured values.
-    The residual bound r then bounds every eigenvalue of the sample to
-    within r of Lambda0 (Kahan's residual theorem, with the Frobenius
-    norm above the operator norm), so a window endpoint farther than r
-    from all of them is on the same side of the sample's eigenvalues,
-    and the window count holds; a sample where it is not is refused.
-    Only W's window columns are formed, as a (N, k, n) stack of
-    transposed frames like ``_window_frames``'s.
+    the values Lambda0, so the window rule is checked once, here, and
+    ``_rotation_bound`` gives one pair of bounds for all of ``ts``, which
+    must pass ``spectral._check_factors``: the same thresholds as an
+    ``eigh`` of the sample, on bounds that are never below the values it
+    would measure.  The residual bound r then bounds every eigenvalue of
+    a sample to within r of Lambda0 (Kahan's residual theorem, with the
+    Frobenius norm above the operator norm), so a window endpoint
+    farther than r from all of them is on the same side of the sample's
+    eigenvalues, and the window count holds; an endpoint within r is
+    refused.  A failure names index 0, the first of ``ts``.  Only W's
+    window columns are formed, O(nk) per t, as a stack of transposed
+    frames like ``_window_frames``'s.
     """
-    values, scale = basepoint.values, basepoint.scale
+    scale = max(float(np.abs(values).max(initial=0.0)), 1e-300)
     start = int(window._bounds(values[None])[0][0])
+    c, s = model._turn(ts)
+    residual, defect = _rotation_bound(base, values, vectors, residual, defect, c, s)
+    _check_factors(np.array(residual), scale, np.array(defect))
     clearance = min(float(np.abs(values - edge).min()) for edge in (window.lower, window.upper))
+    if not clearance > residual * scale:
+        raise _StackError(f"a window endpoint lies {clearance:.3e} from the spectrum, within "
+                          f"the eigendecomposition residual {residual * scale:.3e}, so the "
+                          "window count is not certified", 0)
     # V0's window columns as rows, and K V0's: (K x)^T = x^T K^T
-    rows = np.ascontiguousarray(basepoint.vectors[:, start:start + window.count].T)
-    turned = model._times_k(rows, axis=-1)
-
-    def frames(chunk: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        _refuse_non_finite(chunk)
-        c, s = model._turn(ts)
-        residual, defect = _rotation_bounds(model, basepoint, chunk, c, s)
-        _check_factors(residual, scale, defect)
-        near = np.flatnonzero(~(clearance > residual * scale))
-        if near.size:
-            i = int(near[0])
-            raise _StackError(f"a window endpoint lies {clearance:.3e} from the spectrum, within "
-                              f"the eigendecomposition residual {residual[i] * scale:.3e}, so "
-                              "the window count is not certified", i)
-        rotated = c * rows
-        rotated += s * turned
-        return rotated
-
-    return frames
+    rows = np.ascontiguousarray(vectors[:, start:start + window.count].T)
+    rotated = c * rows
+    rotated += s * model._times_k(rows, axis=-1)
+    return rotated
 
 
 def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -366,20 +333,22 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
     projector moves at a speed s, so by at most s |t - t'| between any t
     and t', and ``linspace(0, 1, N + 1)`` with N = max(initial_samples,
     floor(s / MAX_PROJECTOR_STEP) + 1) keeps every step below 1/2,
-    between samples as well as at them, and the grid is sampled in one
-    pass.  Only the basepoint is factored by ``eigh``: at every other t
-    the candidate (Lambda0, rho(t) V0) must pass the residual and
+    between samples as well as at them.  Only the basepoint is factored
+    by ``eigh``, and no sample past it is formed: at every t the
+    candidate (Lambda0, rho(t) V0) must pass the residual and
     orthonormality thresholds of ``eigendecompose`` on the sample D(t),
-    through upper bounds taken in O(n^2) work from the sample (see
-    ``_rotation_bounds``), and the window endpoints must lie farther
-    from Lambda0 than that residual bound, which bounds every eigenvalue
-    of D(t) to within it of Lambda0, so the window count holds at t; a
-    failure raises TransportError at that t.  Each step is still checked, at no extra
-    cost: its distance sqrt(1 - sigma_min^2) comes from the smallest
-    singular value of the overlap that the polar step factors, and a
-    step at or above MAX_PROJECTOR_STEP raises TransportError at its
-    start, since the bound then does not hold.  An N beyond 100000 is
-    refused before anything past the basepoint is sampled.
+    through upper bounds taken once per transport from the basepoint's
+    checks and the model (see ``_rotation_bound``), and the window
+    endpoints must lie farther from Lambda0 than that residual bound,
+    which bounds every eigenvalue of D(t) to within it of Lambda0, so
+    the window count holds at t.  A failure raises TransportError at the
+    first t past the basepoint.  Each frame costs O(nk).  Each step is
+    still checked, at no extra cost: its distance sqrt(1 - sigma_min^2)
+    comes from the smallest singular value of the overlap that the polar
+    step factors, and a step at or above MAX_PROJECTOR_STEP raises
+    TransportError at its start, since the bound then does not hold.  An
+    N beyond 100000 is refused before any frame past the basepoint is
+    formed.
 
     Any other family is factored by ``eigendecompose`` at every sample
     and refined adaptively from ``initial_samples`` intervals: each
@@ -494,8 +463,8 @@ def sign_stability(loop_a: OperatorFamily, loop_b: OperatorFamily,
     the criterion fails the report only states what was computed;
     nothing is claimed in that regime.  A grid sample that fails the
     window rule raises TransportError at the smallest such t, loop_a's
-    at equal t.  A rotation loop is factored at t = 0 only, as in
-    ``transport``.
+    at equal t.  A rotation loop is factored at t = 0 only and not
+    sampled past it, as in ``transport``.
     """
     grid = np.linspace(0.0, 1.0, 257)
     stacks, leaks = [], []

@@ -96,7 +96,7 @@ class SymmetricOperator:
 
     @property
     def is_real(self) -> bool:
-        return not np.iscomplexobj(self.matrix) or float(np.abs(np.imag(self.matrix)).max()) == 0.0
+        return not np.imag(self.matrix).any()
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,10 @@ class OperatorFamily:
     rho(t) and the constant speed of a window projector, so
     ``transport`` takes a grid fine enough for that speed in one pass,
     and carries the eigenvectors of t = 0 along rho(t) in place of
-    factoring every sample.
+    factoring every sample.  It certifies them from the basepoint's
+    checks and the model alone, with no sample past t = 0, so a family
+    with ``equivariant`` set must have the model's own ``stack`` as its
+    ``stacker``; any other is refused with a ValueError.
     """
 
     domain: str
@@ -132,6 +135,9 @@ class OperatorFamily:
             raise ValueError(f"unknown family domain {self.domain!r}")
         if self.parity not in (None, "odd", "even"):
             raise ValueError(f"unknown parity {self.parity!r}")
+        if self.equivariant is not None and self.stacker != self.equivariant.stack:
+            raise ValueError("a rotation family's stacker must be its equivariant model's own "
+                             "stack: transport certifies its samples from the model")
 
     def __call__(self, t: float) -> np.ndarray:
         if self.domain == "circle":
@@ -286,8 +292,9 @@ class EquivariantLoopModel:
     are: the block J and the spin K.  Every product with K is then a
     signed gather (``_times_k``), exact and without BLAS, so a sample
     rho(t) D0 rho(t)^T and a rotated eigenbasis rho(t) V0 cost O(n^2)
-    each, and so does the certificate ``holonomy`` takes of that
-    eigenbasis on the sample: no sample past t = 0 costs n^3 work.
+    each.  ``holonomy`` certifies that eigenbasis from the checks of
+    t = 0 and the model, without forming a sample, so the window
+    columns of rho(t) V0 cost O(nk) per t and only t = 0 costs n^3 work.
 
     The generator is Omega = pi h K.  A window projector moves as
     P(t) = rho(t) P0 rho(t)^T with P' = [Omega, P], at the constant speed

@@ -410,38 +410,39 @@ def test_each_interval_is_checked_once(monkeypatch, turns, count, initial_sample
 
 @pytest.mark.parametrize("n", [64, 256])
 def test_transport_stacks_stay_within_the_byte_budget(monkeypatch, n):
-    stacks, validated, certified, factored = [], [], [], []
-    validate, check, eigh = holonomy._validated, holonomy._check_factors, np.linalg.eigh
-    model = make_block_rotation_loop(rotated_base(n), 1.0)
+    stacks, validated, factored = [], [], []
+    validate, eigh, stack = holonomy._validated, np.linalg.eigh, EquivariantLoopModel.stack
 
-    def stacker(ts):
-        stacks.append(ts.size)
-        return model.stack(ts)
+    def stacker(self, ts):
+        stacks.append(np.asarray(ts).tolist())
+        return stack(self, ts)
 
     def recorded(a, factor):
         validated.append(a.shape)
         return validate(a, factor)
 
-    def checked(residual, scale, defect):
-        certified.append(residual.size)
-        return check(residual, scale, defect)
-
     def counted(a):
         factored.append(a.shape)
         return eigh(a)
 
+    monkeypatch.setattr(EquivariantLoopModel, "stack", stacker)
     monkeypatch.setattr(holonomy, "_validated", recorded)
-    monkeypatch.setattr(holonomy, "_check_factors", checked)
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    family = dataclasses.replace(model.family(), stacker=stacker)
-    # 40 initial samples make a first pass of 1.3 MB at n = 64
-    path, _ = transport(family, SpectralWindow(0.5, 1.5, count=1), initial_samples=40)
-    assert max(m * n * n * 8 for m in stacks) <= STACK_BYTES
-    assert max(stacks) == (STACK_BYTES // (n * n * 8))
-    # every sample past the basepoint stacked and certified once, per stack
-    assert certified == stacks and sum(stacks) == path.n_samples - 1
-    # and only the basepoint validated and factored
-    assert validated == factored == [(n, n)]
+    family = make_block_rotation_loop(rotated_base(n), 1.0).family()
+    window = SpectralWindow(0.5, 1.5, count=1)
+    # the rotation route samples t = 0 and t = 1 only, and factors t = 0 once
+    path, ret = transport(family, window, initial_samples=40)
+    assert ret.certified and path.n_samples == 41
+    assert stacks == [[0.0], [1.0]] and validated == factored == [(n, n)]
+    # without the model every sample is stacked: past the closure check's
+    # t = 0 and 1, 40 initial samples make a first pass of 1.3 MB at n = 64,
+    # cut into stacks of at most STACK_BYTES
+    stacks.clear()
+    path, ret = transport(boundless(family), window, initial_samples=40)
+    sizes = [len(ts) for ts in stacks[2:]]
+    assert not ret.certified and sum(sizes) == path.n_samples - 1
+    assert max(m * n * n * 8 for m in sizes) <= STACK_BYTES
+    assert max(sizes) == (STACK_BYTES // (n * n * 8))
 
 
 def complex_loop(n=6, turns=1.5, seed=2):
@@ -646,74 +647,83 @@ def test_rotated_eigenbases_match_the_per_sample_eigh_oracle(loop, count, initia
     assert ret.sign == predicted_sign(model.parity, count)
 
 
-def test_rotated_samples_are_checked_on_the_samples_themselves():
+def _offset(model):
     # samples from t = 1/2 on are taken 1e-3 later than rho(t) carries the
-    # basepoint's eigenvectors: rho(t) V0 fails the residual check there
-    model = make_block_rotation_loop(rotated_base(8), 1.5)
-    loop = model.family()
-    offset = dataclasses.replace(
-        loop, stacker=lambda ts: model.stack(np.where(ts >= 0.5, ts + 1e-3, ts)))
-    window = SpectralWindow(0.5, 1.5, count=1)
-    # 32 intervals, more than the speed bound's 19, put t = 1/2 on the grid
-    with pytest.raises(TransportError, match=r"^at t=0\.5: eigendecomposition residual .* too "
-                                             r"large$") as exc:
-        transport(offset, window, initial_samples=32)
-    assert exc.value.parameter == 0.5
-    np.testing.assert_array_equal(transport(loop, window, initial_samples=32)[0].parameters,
-                                  np.arange(33) / 32)
-    # factored sample by sample, the same family is a loop that jumps a little
-    assert not transport(boundless(offset), window, initial_samples=32)[1].certified
+    # basepoint's eigenvectors
+    return lambda ts: model.stack(np.where(ts >= 0.5, ts + 1e-3, ts))
 
 
-def test_rotated_samples_refuse_non_finite_entries():
-    model = make_block_rotation_loop(rotated_base(8), 1.5)
-
+def _non_finite(model):
     def stacker(ts):
         samples = model.stack(ts)
         samples[ts >= 0.25, 3, 3] = np.nan
         return samples
 
-    loop = dataclasses.replace(model.family(), stacker=stacker)
-    with pytest.raises(TransportError, match=r"^at t=0\.25: non-finite matrix entries") as exc:
-        transport(loop, SpectralWindow(0.5, 1.5, count=1), initial_samples=32)
-    assert exc.value.parameter == 0.25
+    return stacker
+
+
+@pytest.mark.parametrize("make", [_offset, _non_finite], ids=["offset", "non-finite"])
+def test_a_rotation_family_refuses_another_stacker(make):
+    # transport certifies a rotation loop from its model and samples no
+    # stacker past t = 0, so a stacker other than the model's is refused
+    model = make_block_rotation_loop(rotated_base(8), 1.5)
+    loop, stacker = model.family(), make(model)
+    with pytest.raises(ValueError, match="stacker"):
+        dataclasses.replace(loop, stacker=stacker)
+    # without the model, the same samples are factored one by one
+    window = SpectralWindow(0.5, 1.5, count=1)
+    samples = dataclasses.replace(loop, stacker=stacker, equivariant=None)
+    if make is _offset:  # a loop that jumps a little at t = 1/2
+        assert not transport(samples, window, initial_samples=32)[1].certified
+    else:
+        with pytest.raises(TransportError, match=r"^at t=0\.25: non-finite matrix entries") as exc:
+            transport(samples, window, initial_samples=32)
+        assert exc.value.parameter == 0.25
+    np.testing.assert_array_equal(transport(loop, window, initial_samples=32)[0].parameters,
+                                  np.arange(33) / 32)
 
 
 def rotation_checks(model, ts):
-    """The certificate's bounds at ``ts``, and the residual and frame defect the oracle measures.
+    """The certificate's bounds over ``ts``, and the residual and frame defect the oracle measures.
 
-    Each is a pair (residual, defect) of arrays over ``ts``; the oracle
-    takes the full rotated basis c V0 + s K V0 with K the dense structure.
+    The bounds are one (residual, defect) pair for all of ``ts``, taken
+    from the basepoint and the model; the oracle's are arrays over
+    ``ts``, measured on the samples ``model.stack(ts)`` with the full
+    rotated basis c V0 + s K V0 for K the dense structure.  Residuals
+    are divided by the scale max |Lambda0|, and the oracle runs on
+    samples divided exactly by a power of two near it, so that its
+    squares neither overflow nor underflow.
     """
     base = model.family().sampler(0.0)
     factored = spectral._validated(base, np.linalg.eigh)
-    basepoint = holonomy._Basepoint.of(model, base, *factored)
-    samples = model.stack(ts)
-    c, s = model._turn(ts)
-    residual, defect = holonomy._rotation_bounds(model, basepoint, samples, c, s)
     values, vectors = factored[:2]
-    measured = factor_checks(samples, values, c * vectors + s * (model.structure @ vectors))
-    return (residual * basepoint.scale, defect), measured
+    c, s = model._turn(ts)
+    bounds = holonomy._rotation_bound(base, *factored, c, s)
+    scale = np.abs(values).max()
+    unit = 2.0 ** np.frexp(scale)[1]
+    residual, defect = factor_checks(model.stack(ts) / unit, values / unit,
+                                     c * vectors + s * (model.structure @ vectors))
+    return bounds, (residual * (unit / scale), defect)
 
 
 def test_rotated_samples_certify_the_window_count():
     # the eigenvalue 1e8 makes the accepted residuals of rotated samples,
-    # and their bounds, far larger than ENDPOINT_MARGIN = 1e-9; an endpoint
+    # and their bound, far larger than ENDPOINT_MARGIN = 1e-9; an endpoint
     # 5e-9 above the eigenvalue 1 clears the margin, yet the bound does not
     # hold that eigenvalue of the sample to one side of it
     model = make_block_rotation_loop(np.diag([1.0, 2.0, 3.0, 1e8]), 1.5)
     ts = np.linspace(0.0, 1.0, 20)
     (bound, _), (residual, _) = rotation_checks(model, ts)
     assert (bound >= residual).all()
-    assert 1e-9 < 5e-9 < residual.max() <= bound.max() <= 1e-11 * 1e8
+    assert 1e-9 < 5e-9 < 1e8 * residual.max() <= 1e8 * bound <= 1e-11 * 1e8
     with pytest.raises(TransportError, match="window count is not certified") as exc:
         transport(model.family(), SpectralWindow(0.5, 1.0 + 5e-9, count=1))
-    t = exc.value.parameter
-    assert 0.0 < t < 1.0
-    (bound, _), (residual, _) = rotation_checks(model, [t])
-    assert bound[0] >= max(5e-9, residual[0])
+    # one bound for the grid, refused at its first t past the basepoint
+    path, ret = transport(model.family(), SpectralWindow(0.5, 1.5, count=1))
+    assert exc.value.parameter == path.parameters[1]
+    (bound, _), _ = rotation_checks(model, path.parameters)
+    assert 1e8 * bound >= 5e-9
     # an endpoint clear of the residual is accepted
-    _, ret = transport(model.family(), SpectralWindow(0.5, 1.5, count=1))
     assert ret.certified and ret.sign == -1
 
 
@@ -723,8 +733,9 @@ def test_rotated_samples_certify_the_window_count():
        extra=st.lists(st.floats(0.0, 1.0), max_size=4))
 def test_rotation_bounds_cover_the_measured_checks(data, kind, half_turns, exponent, seed, extra):
     # block loops of any even n up to 256 and spin loops of m 6-8, over
-    # random bases of scale 1e-3 to 1e4: each bound is at least what the
-    # oracle measures, and far enough below its threshold to refuse nothing
+    # random bases of scale 1e-3 to 1e4, and near 1e-200 and 1e200: each
+    # bound, taken with no sample, is at least what the oracle measures on
+    # the rounded samples, and far enough below its threshold to refuse nothing
     if kind == "block":
         n = 2 * data.draw(st.integers(1, 128), label="pairs")
         structure = make_block_rotation_loop(np.eye(n), 0.5).structure
@@ -733,10 +744,10 @@ def test_rotation_bounds_cover_the_measured_checks(data, kind, half_turns, expon
         n = structure.shape[0]
     g = np.random.default_rng(seed).standard_normal((n, n))
     base = g + g.T
-    base *= 10.0 ** exponent / np.abs(np.linalg.eigvalsh(base)).max()
+    # the seed also shifts a third of the scales to near 1e-200 and a third to near 1e200
+    base *= 10.0 ** (exponent + (0, -200, 200)[seed % 3]) / np.abs(np.linalg.eigvalsh(base)).max()
     model = EquivariantLoopModel(SymmetricOperator(base), structure, half_turns)
     ts = np.array([0.0, 0.25, 0.5, 1.0] + extra)
     (residual, defect), (measured_residual, measured_defect) = rotation_checks(model, ts)
-    scale = np.abs(np.linalg.eigvalsh(base)).max()
     assert (residual >= measured_residual).all() and (defect >= measured_defect).all()
-    assert (residual <= 1e-11 * scale).all() and (defect <= 1e-12).all()
+    assert residual <= 1e-11 and defect <= 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import os
 import platform
@@ -125,6 +126,28 @@ def test_symmetric_operator_decides_as_the_two_svd_rule(dtype, n, exponent, defe
 def test_family_domain_validation():
     with pytest.raises(ValueError):
         OperatorFamily(domain="square", sampler=lambda t: np.eye(2))
+
+
+def test_empty_operators_are_real():
+    # the largest |imaginary part| of no entry used to raise "zero-size array"
+    for m in (np.zeros((0, 0), complex), np.zeros((0, 0))):
+        assert SymmetricOperator(m).is_real
+    assert SymmetricOperator(np.array([[1.0, 0.0], [0.0, 2.0]], complex)).is_real
+    assert not SymmetricOperator(np.array([[1.0, 1e-300j], [-1e-300j, 2.0]])).is_real
+
+
+def test_a_rotation_family_takes_only_its_models_stack():
+    model = make_block_rotation_loop(np.diag([1.0, 2.0]), 0.5)
+    family = model.family()
+    assert family.stacker == model.stack
+    # the same bound method again, and a name change keeps it
+    assert dataclasses.replace(family, name="renamed").stacker == model.stack
+    other = make_block_rotation_loop(np.diag([1.0, 2.0]), 0.5)
+    for stacker in (None, other.stack, lambda ts: model.stack(ts)):
+        with pytest.raises(ValueError, match="stacker"):
+            dataclasses.replace(family, stacker=stacker)
+    # without the model any stacker goes
+    assert dataclasses.replace(family, stacker=other.stack, equivariant=None).equivariant is None
 
 
 def test_circle_family_wraps_exactly():
