@@ -1,45 +1,46 @@
 """Eigenframe transport around closed operator loops.
 
 The sign of a window eigenbundle over a loop is read off from the
-return matrix of a transported orthonormal frame: the frame is dragged
-from sample to sample through the window projectors, and whatever
-orthogonal mismatch survives at closure is the holonomy.  Frames are
-realigned by polar orthonormalization, which is the unique choice
-closest to the dragged frame and thus cannot inject a spurious
-reflection; QR with unconstrained diagonal signs could.
+return matrix of a parallel orthonormal window frame: whatever
+orthogonal mismatch survives at closure is the holonomy.
+
+Rotation loops D(t) = rho(t) D0 rho(t)^T with rho(t) = exp(t pi h K),
+which are the block-rotation and spin loops of ``models``, have it in
+closed form.  For V_w the window frame of D0, rho(t) V_w is a window
+frame of D(t) with the constant connection (rho V_w)^T (rho V_w)' =
+pi h A, where A = V_w^T K V_w is k x k and antisymmetric, so the
+parallel frame is rho(t) V_w exp(-t pi h A), and since rho(1) = (-1)^h I
+the return matrix is (-1)^h exp(-pi h A), of determinant (-1)^(hk):
+the finite form of the spin lift of a full turn being -1.  Only t = 0
+is factored, and its certificate is the one ``eigendecompose`` checks
+there: D(t) is isospectral to D0 by construction, so a window whose
+endpoints lie farther from Lambda0 than the basepoint's measured
+residual holds its count at every t.  K is an exact signed
+permutation, so a frame costs a signed gather and a k x k rotation,
+O(nk^2) per t.  The frames are reported on a uniform grid of
+floor(s / MAX_PROJECTOR_STEP) + 1 intervals or more, for s = ||[pi h
+K, P0]|| the constant speed of the window projector, so consecutive
+grid frames are closer than MAX_PROJECTOR_STEP (Kato, *Perturbation
+Theory*; Davis and Kahan 1970), as on every other grid.
+
+Any other family (plain samplers, the commuting loop, concatenations,
+perturbed loops) is factored by ``eigh`` at every sample and refined
+adaptively, and its frame is dragged from sample to sample through the
+window projectors.  Frames are realigned by polar orthonormalization,
+which is the unique choice closest to the dragged frame and thus cannot
+inject a spurious reflection; QR with unconstrained diagonal signs
+could.  The polar chain runs in closed form: F_i = R_i W_i for the raw
+frames R_i, with W_0 = I and W_{i+1} = Q_i W_i for Q_i the polar factor
+of R_{i+1}^H R_i, as polar(M W) = polar(M) W and sigma(M W) = sigma(M)
+for unitary W.  Grids and signs are bit for bit those of one polar step
+at a time; frames and return matrices agree with it up to round-off.
+These transports are not certified: a subspace that turns by a half
+turn between two samples goes unseen there.
 
 Everything here works on n x k window frames, never on n x n
 projectors: for orthonormal frames F and G of equal rank,
 ||P_F - P_G|| = ||G - F (F^H G)|| = sin of the largest principal angle,
-and P_G F = G (G^H F).  The polar chain runs in closed form: F_i = R_i W_i
-for the raw frames R_i, with W_0 = I and W_{i+1} = Q_i W_i for Q_i the
-polar factor of R_{i+1}^H R_i, as polar(M W) = polar(M) W and sigma(M W) =
-sigma(M) for unitary W.  Grids and signs are bit for bit those of one polar
-step at a time; frames and return matrices agree with it up to round-off.
-
-Consecutive window subspaces on a grid must be closer than
-MAX_PROJECTOR_STEP.  Rotation loops D(t) = rho(t) D0 rho(t)^T with
-rho(t) = exp(t Omega), which are the block-rotation and spin loops of
-``models``, carry the speed s = ||[Omega, P0]|| of their window
-projector, the same at every t, so ||P(t) - P(t')|| <= s |t - t'| (Kato,
-*Perturbation Theory*; Davis and Kahan 1970), and a uniform grid of
-floor(s / MAX_PROJECTOR_STEP) + 1 intervals keeps every step below it,
-between samples as well as at them.  Their transports are certified and
-factored once, and sample no operator past the basepoint: rho(t)
-carries the eigenvectors of D0, so (Lambda0, rho(t) V0) is the candidate
-eigendecomposition of every sample, and it passes the same residual and
-orthonormality thresholds as an ``eigh`` of the sample would.  These
-are certified, not measured: rho(t)^T rho(t) = (c^2 + s^2) I holds
-exactly, so upper bounds on both follow from the basepoint's own checks
-and from the model, whose samples round by a known amount, with the
-rounding of every step bounded too.  The frames are those of per-sample
-``eigh`` up to round-off.  Their K is an exact signed permutation, so
-the window columns of rho(t) V0 are signed gathers and scalings, O(nk)
-per t: nothing past the basepoint costs n^3 work.
-Families with no such bound (plain samplers, the commuting loop,
-concatenations, perturbed loops) are refined adaptively, with
-``eigh`` at every sample, and are not certified: a subspace that turns by
-a half turn between two samples goes unseen there.
+and P_G F = G (G^H F).
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .models import EquivariantLoopModel, OperatorFamily, _stack_chunks, _stacked_loop
-from .spectral import (SpectralWindow, _check_factors, _FactorError, _StackError, _validated,
-                       eigendecompose)
+from .spectral import SpectralWindow, _FactorError, _StackError, _validated, eigendecompose
 
 __all__ = [
     "MAX_PROJECTOR_STEP",
@@ -102,9 +102,9 @@ class FramePath:
 class ReturnMatrix:
     """Closing matrix A with F_end = F_start A, and its orientation sign.
 
-    ``certified`` is True when the grid came from the family's
-    projector-speed bound, so no window step between samples can exceed
-    MAX_PROJECTOR_STEP.
+    ``certified`` is True for a rotation loop, whose A is the closed
+    form (-1)^h exp(-pi h V_w^T K V_w), from the basepoint's checked
+    factorization alone (see ``transport``).
     """
 
     matrix: np.ndarray
@@ -139,19 +139,17 @@ def _sample_frames(loop: OperatorFamily, window: SpectralWindow, ts,
     """``_window_frames`` at ``ts``, built and factored per ``models._stack_chunks`` run.
 
     A rotation loop (``loop.equivariant`` set) is factored at t = 0
-    only and not sampled past it: ``_rotated`` carries that
-    factorization to every t.  ``basepoint`` is (B, values, vectors,
-    residual, defect): the sample B = ``loop.sampler(0.0)`` and what
-    ``_validated`` returned for it, taken here when not given.
+    only and not sampled past it: its frames are ``_parallel_frames``.
+    ``basepoint`` is (values, vectors, residual), what ``_validated``
+    returned for ``loop.sampler(0.0)``, taken here when not given.
     """
     model = loop.equivariant
     if model is not None:
         if basepoint is None:
-            base = loop.sampler(0.0)
             with _at([0.0]):
-                basepoint = (base, *_validated(base, np.linalg.eigh))
-        with _at(ts):  # the certificate holds at every t or fails at the first
-            return _rotated(model, window, ts, *basepoint)
+                basepoint = _validated(loop.sampler(0.0), np.linalg.eigh)[:3]
+        with _at(ts):
+            return _parallel_frames(model, window, ts, *basepoint)
     stacks = []
     for chunk in _stack_chunks(loop, ts, nbytes):
         run = ts[sum(map(len, stacks)):][:len(chunk)]
@@ -160,103 +158,66 @@ def _sample_frames(loop: OperatorFamily, window: SpectralWindow, ts,
     return np.concatenate(stacks)
 
 
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u) for the float64 unit roundoff u = 2^-53."""
-    u = 2.0 ** -53
-    return k * u / (1.0 - k * u)
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp(M) for a (N, k, k) stack M, by matrix products alone.
 
-
-def _rotation_bound(base: np.ndarray, values: np.ndarray, vectors: np.ndarray, residual: float,
-                    defect: float, c: np.ndarray, s: np.ndarray) -> Tuple[float, float]:
-    """Bounds on the checks of the candidates (Lambda0, W(t)) on every sample D(t) at ``c``, ``s``.
-
-    ``base`` is a rotation loop's sample B at t = 0, (``values``,
-    ``vectors``) = (Lambda0, V0) its factorization, and ``residual``
-    and ``defect`` what ``_validated`` measured of it: ||B V0 - V0
-    Lambda0|| / scale, for scale = max |Lambda0| floored at 1e-300, and
-    ||V0^T V0 - I||.  c, s = cos(pi h t), sin(pi h t) are the floats of
-    the model's ``_turn``, rho = c I + s K, D(t) is the model's ``stack``
-    and W(t) = fl(c V0 + s K V0).  Returns one upper bound on ||D(t) W -
-    W Lambda0|| / scale and one on ||W^T W - I|| (Frobenius norms) for
-    every t, from the norms of B and V0 alone: no sample is formed.
-
-    rho^T rho = rho rho^T = mu I exactly for mu = c^2 + s^2.  ``stack``
-    rounds twice, y = fl(c B + s K B) and D = fl(c y + s y K^T), each
-    within gamma_2 (|c| + |s|) of its exact value entrywise (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, section 3.1), and
-    |c| + |s| <= sqrt(2 mu).  So with b = ||B|| / scale, D differs from
-    the exact sample rho B rho^T by at most, over scale,
-
-        delta = gamma_2 sqrt(2 mu) b (2 sqrt(mu) + gamma_2 sqrt(2 mu)),
-
-    and X = rho^T D - B rho^T = rho^T (D - rho B rho^T) + (mu - 1) B rho^T
-    has ||X|| / scale <= sqrt(mu) delta + |mu - 1| sqrt(mu) b, while
-    ||D|| / scale <= mu b + delta.  Then D rho V0 - rho V0 Lambda0 =
-    rho X rho V0 / mu + rho (B V0 - V0 Lambda0), and with ||V0||_2 <=
-    sqrt(1 + defect0) and the rounding ||W - rho V0|| <= e = gamma_2
-    sqrt(2 mu) ||V0||,
-
-        residual <= ||X|| ||V0||_2 + sqrt(mu) residual0 + (||D|| + max |Lambda0|) e,
-        defect   <= mu defect0 + |mu - 1| sqrt(n) + e (2 sqrt(mu) ||V0||_2 + e),
-
-    all divided by scale where the residual is.  mu is taken at its
-    extremes over ``c`` and ``s``, widened by gamma_3 for its own
-    rounding, so each bound is one number.  The norms, like
-    ``_validated``'s, are of scale-divided quantities and cannot overflow.
+    Scaled by 2^-j to a 1-norm below 1/4, where a degree-12 Taylor
+    series leaves a remainder below 1e-17, and squared j times.  M = 0
+    gives I exactly.
     """
-    scale = max(float(np.abs(values).max(initial=0.0)), 1e-300)
-    mu = c * c + s * s
-    mu_lo, mu_hi = float(mu.min()) - _gamma(3), float(mu.max()) + _gamma(3)
-    root = math.sqrt(mu_hi)
-    drift = max(mu_hi - 1.0, 1.0 - mu_lo)  # |mu - 1|
-    rounding = _gamma(2) * math.sqrt(2.0) * root  # gamma_2 (|c| + |s|)
-    b = float(np.linalg.norm(base / scale))
-    delta = rounding * b * (2.0 * root + rounding)
-    x_norm = root * (delta + drift * b)
-    d_norm = mu_hi * b + delta
-    error = rounding * float(np.linalg.norm(vectors))
-    stretch = math.sqrt(1.0 + defect)
-    # max |Lambda0| / scale <= 1
-    bound = x_norm * stretch + d_norm * error + (root * residual + error)
-    return bound, (mu_hi * defect + drift * math.sqrt(base.shape[-1])
-                   + error * (2.0 * root * stretch + error))
+    j = max(0, math.frexp(float(np.abs(m).sum(axis=-2).max(initial=0.0)))[1] + 2)
+    m = m / 2.0 ** j
+    eye = np.eye(m.shape[-1])
+    e = eye + m / 12.0
+    for i in range(11, 0, -1):  # Horner
+        e = m @ e
+        e /= i
+        e += eye
+    for _ in range(j):
+        e = e @ e
+    return e
 
 
-def _rotated(model: EquivariantLoopModel, window: SpectralWindow, ts: np.ndarray,
-             base: np.ndarray, values: np.ndarray, vectors: np.ndarray, residual: float,
-             defect: float) -> np.ndarray:
-    """The window frames of rho(t) V0 at ``ts``, certified with no sample: a (N, k, n) stack.
+def _parallel_frames(model: EquivariantLoopModel, window: SpectralWindow, ts: np.ndarray,
+                     values: np.ndarray, vectors: np.ndarray, residual: float) -> np.ndarray:
+    """The parallel window frames rho(t) V_w exp(-t pi h A) at ``ts``: a (N, k, n) stack.
 
-    The candidate factorization of a sample D(t) is (Lambda0, W(t))
-    with W(t) = cos(pi h t) V0 + sin(pi h t) K V0.  Every candidate has
-    the values Lambda0, so the window rule is checked once, here, and
-    ``_rotation_bound`` gives one pair of bounds for all of ``ts``, which
-    must pass ``spectral._check_factors``: the same thresholds as an
-    ``eigh`` of the sample, on bounds that are never below the values it
-    would measure.  The residual bound r then bounds every eigenvalue of
-    a sample to within r of Lambda0 (Kahan's residual theorem, with the
-    Frobenius norm above the operator norm), so a window endpoint
-    farther than r from all of them is on the same side of the sample's
-    eigenvalues, and the window count holds; an endpoint within r is
-    refused.  A failure names index 0, the first of ``ts``.  Only W's
-    window columns are formed, O(nk) per t, as a stack of transposed
-    frames like ``_window_frames``'s.
+    (``values``, ``vectors``) = (Lambda0, V0) factor the model's t = 0
+    with the measured ``residual`` ||D0 V0 - V0 Lambda0|| / scale, for
+    scale = max |Lambda0|.  Every D(t) has the spectrum of D0, so the
+    window rule is checked once, here, and each window endpoint must lie
+    farther than residual * scale from Lambda0: every eigenvalue of D0
+    is within it of Lambda0 (Kahan's residual theorem, with the
+    Frobenius norm above the operator norm), so an endpoint that clears
+    it is on the same side of every eigenvalue, and the window count
+    holds at every t; an endpoint within it is refused at index 0.
+    A = V_w^T K V_w is taken antisymmetric, so k = 1 gives A = 0 and
+    exp(-t pi h A) = I exactly.  rho(t + 1) = (-1)^h rho(t), so the
+    frame at t = 1 is (-1)^h V_w exp(-pi h A) with no rounding in rho.
+    Frames are transposed, like ``_window_frames``'s.
     """
     scale = max(float(np.abs(values).max(initial=0.0)), 1e-300)
     start = int(window._bounds(values[None])[0][0])
-    c, s = model._turn(ts)
-    residual, defect = _rotation_bound(base, values, vectors, residual, defect, c, s)
-    _check_factors(np.array(residual), scale, np.array(defect))
-    clearance = min(float(np.abs(values - edge).min()) for edge in (window.lower, window.upper))
+    # a spectrum near +-1e308 is farther than the largest float from an
+    # endpoint of the other sign: the distance overflows to +inf, which is right
+    with np.errstate(over="ignore"):
+        clearance = min(float(np.abs(values - edge).min()) for edge in (window.lower, window.upper))
     if not clearance > residual * scale:
         raise _StackError(f"a window endpoint lies {clearance:.3e} from the spectrum, within "
                           f"the eigendecomposition residual {residual * scale:.3e}, so the "
                           "window count is not certified", 0)
-    # V0's window columns as rows, and K V0's: (K x)^T = x^T K^T
+    # V_w as rows, and K V_w: (K x)^T = x^T K^T
     rows = np.ascontiguousarray(vectors[:, start:start + window.count].T)
-    rotated = c * rows
-    rotated += s * model._times_k(rows, axis=-1)
-    return rotated
+    turned = model._times_k(rows, axis=-1)
+    a = rows @ turned.T
+    a = 0.5 * (a - a.T)
+    ts = np.asarray(ts, dtype=float).reshape(-1, 1, 1)
+    c, s = model._turn(ts)
+    laps = float(model.sigma) ** np.floor(ts)
+    frames = (c * laps) * rows
+    frames += (s * laps) * turned
+    # transposed frames take exp(-t pi h A)^T = exp(t pi h A) from the left
+    return _expm((np.pi * model.half_turns) * ts * a) @ frames
 
 
 def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -321,34 +282,43 @@ def _refine(loop: OperatorFamily, window: SpectralWindow, ts: np.ndarray,
     return ts[order], np.concatenate(stacks)[order]
 
 
+def _polar_chain(raw: np.ndarray) -> np.ndarray:
+    """The aligned frames R_i W_i of the module docstring, for a (N, n, k) stack of raw R_i.
+
+    A step whose overlap has a singular value below 0.1 leaves the
+    dragged frame nearly rank-deficient and raises TransportError.
+    """
+    u, sigma, vh = np.linalg.svd(raw[1:].conj().swapaxes(-1, -2) @ raw[:-1])
+    smallest = sigma.min(axis=-1)
+    weak = np.flatnonzero(~(smallest >= 0.1))
+    if weak.size:
+        raise TransportError("dragged frame nearly rank-deficient "
+                             f"(smallest singular value {smallest[weak[0]]:.3e})")
+    turns = np.concatenate([np.eye(raw.shape[-1])[None], u @ vh])
+    # the W_i as prefix products in log2(N) doubling steps
+    for step in [1 << j for j in range((len(turns) - 1).bit_length())]:
+        turns[step:] = turns[step:] @ turns[:-step]
+    return raw @ turns
+
+
 def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int = 16):
-    """Drag a window eigenframe once around the loop.
+    """Carry a window eigenframe once around the loop.
 
     Returns (FramePath, ReturnMatrix).  Consecutive window subspaces on
-    the grid must be closer than MAX_PROJECTOR_STEP (1/2) in operator
-    norm, so that each polar step keeps the dragged frame's rank.
+    the grid are closer than MAX_PROJECTOR_STEP (1/2) in operator norm.
 
     A rotation loop (a family with ``equivariant`` set: every loop
-    rho(t) D0 rho(t)^T built by ``models``) is certified: its window
-    projector moves at a speed s, so by at most s |t - t'| between any t
-    and t', and ``linspace(0, 1, N + 1)`` with N = max(initial_samples,
-    floor(s / MAX_PROJECTOR_STEP) + 1) keeps every step below 1/2,
-    between samples as well as at them.  Only the basepoint is factored
-    by ``eigh``, and no sample past it is formed: at every t the
-    candidate (Lambda0, rho(t) V0) must pass the residual and
-    orthonormality thresholds of ``eigendecompose`` on the sample D(t),
-    through upper bounds taken once per transport from the basepoint's
-    checks and the model (see ``_rotation_bound``), and the window
-    endpoints must lie farther from Lambda0 than that residual bound,
-    which bounds every eigenvalue of D(t) to within it of Lambda0, so
-    the window count holds at t.  A failure raises TransportError at the
-    first t past the basepoint.  Each frame costs O(nk).  Each step is
-    still checked, at no extra cost: its distance sqrt(1 - sigma_min^2)
-    comes from the smallest singular value of the overlap that the polar
-    step factors, and a step at or above MAX_PROJECTOR_STEP raises
-    TransportError at its start, since the bound then does not hold.  An
-    N beyond 100000 is refused before any frame past the basepoint is
-    formed.
+    rho(t) D0 rho(t)^T built by ``models``) is answered in closed form
+    and certified.  Its basepoint is factored by ``eigh`` and passes
+    the checks of ``eigendecompose`` and the window rule, and the window
+    endpoints must lie farther from Lambda0 than its measured residual;
+    a failure raises TransportError at t = 0.  No sample past t = 0 is
+    formed.  The frames are the parallel frames rho(t) V_w exp(-t pi h
+    A), A = V_w^T K V_w, on ``linspace(0, 1, N + 1)`` with N =
+    max(initial_samples, floor(s / MAX_PROJECTOR_STEP) + 1) for the
+    window projector's constant speed s, so no step exceeds 1/2; an N
+    beyond 100000 is refused.  The return matrix is frames[0]^T
+    frames[-1] = (-1)^h exp(-pi h A), whose determinant is (-1)^(hk).
 
     Any other family is factored by ``eigendecompose`` at every sample
     and refined adaptively from ``initial_samples`` intervals: each
@@ -358,7 +328,8 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
     between samples there, so a subspace that turns by a half turn or
     more between two samples that land close goes unseen.
     Refinement stops with TransportError beyond 100000 samples or at an
-    interval whose ends are adjacent floats.
+    interval whose ends are adjacent floats.  The frames are then
+    aligned by the polar chain.
 
     ``initial_samples`` above 100000 is refused before anything is
     sampled.  A return matrix whose determinant is not real (a complex
@@ -372,48 +343,26 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
     # the raw sampler: calling a circle family wraps t = 1 back to 0
     base = loop.sampler(0.0)
     with _at([0.0]):
-        values, vectors, *measured = _validated(base, np.linalg.eigh)
+        values, vectors, residual, _ = _validated(base, np.linalg.eigh)
         if _differ(base, loop.sampler(1.0), values):
             raise TransportError("loop is not closed: samples at t=0 and t=1 differ")
         frames = _window_frames(window, values[None], vectors[None])
 
-    certified = loop.equivariant is not None
-    intervals = initial_samples
-    if certified:
-        speed = float(loop.equivariant._projector_speed(frames[0].swapaxes(-1, -2)))
+    model = loop.equivariant
+    if model is None:
+        ts = np.linspace(0.0, 1.0, initial_samples + 1)
+        frames = np.concatenate([frames, _sample_frames(loop, window, ts[1:], base.nbytes)])
+        ts, frames = _refine(loop, window, ts, frames, base.nbytes)
+        frames = _polar_chain(frames.swapaxes(-1, -2))
+    else:
+        speed = float(model._projector_speed(frames[0].swapaxes(-1, -2)))
         if not speed / MAX_PROJECTOR_STEP < _MAX_SAMPLES:
             raise TransportError(f"window projector speed {speed:.6g} needs more than "
                                  f"{_MAX_SAMPLES} intervals of step {MAX_PROJECTOR_STEP}")
-        intervals = max(intervals, int(np.floor(speed / MAX_PROJECTOR_STEP)) + 1)
-    ts = np.linspace(0.0, 1.0, intervals + 1)
-    frames = np.concatenate([frames, _sample_frames(loop, window, ts[1:], base.nbytes,
-                                                    (base, values, vectors, *measured))])
-    if not certified:
-        ts, frames = _refine(loop, window, ts, frames, base.nbytes)
-    raw = frames.swapaxes(-1, -2)
-
-    u, sigma, vh = np.linalg.svd(raw[1:].conj().swapaxes(-1, -2) @ raw[:-1])
-    smallest = sigma.min(axis=-1)
-    if certified:
-        # sigma are the cosines of the principal angles of a step
-        steps = np.sqrt(np.clip(1.0 - smallest * smallest, 0.0, None))
-        far = np.flatnonzero(~(steps < MAX_PROJECTOR_STEP))
-        if far.size:
-            i = int(far[0])
-            t = float(ts[i])
-            raise TransportError(
-                f"at t={t:.6g}: window subspace moves by {steps[i]:.4f} >= "
-                f"{MAX_PROJECTOR_STEP} to t={float(ts[i + 1]):.6g}, beyond its "
-                f"projector-speed bound of {speed:.6g} per unit t", parameter=t)
-    weak = np.flatnonzero(~(smallest >= 0.1))
-    if weak.size:
-        raise TransportError("dragged frame nearly rank-deficient "
-                             f"(smallest singular value {smallest[weak[0]]:.3e})")
-    turns = np.concatenate([np.eye(window.count)[None], u @ vh])
-    # the W_i of the module docstring, as prefix products in log2(N) doubling steps
-    for step in [1 << j for j in range((len(turns) - 1).bit_length())]:
-        turns[step:] = turns[step:] @ turns[:-step]
-    frames = raw @ turns
+        intervals = max(initial_samples, int(np.floor(speed / MAX_PROJECTOR_STEP)) + 1)
+        ts = np.linspace(0.0, 1.0, intervals + 1)
+        frames = _sample_frames(loop, window, ts, basepoint=(values, vectors, residual))
+        frames = frames.swapaxes(-1, -2)
 
     a = frames[0].conj().T @ frames[-1]
     det = np.linalg.det(a)
@@ -430,7 +379,7 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
             "no orientation sign")
     path = FramePath(parameters=ts, frames=tuple(frames), window=window)
     ret = ReturnMatrix(matrix=a, determinant=det, sign=1 if det > 0 else -1,
-                       certified=certified)
+                       certified=model is not None)
     return path, ret
 
 
@@ -464,7 +413,7 @@ def sign_stability(loop_a: OperatorFamily, loop_b: OperatorFamily,
     nothing is claimed in that regime.  A grid sample that fails the
     window rule raises TransportError at the smallest such t, loop_a's
     at equal t.  A rotation loop is factored at t = 0 only and not
-    sampled past it, as in ``transport``.
+    sampled past it: its frames are the parallel frames of ``transport``.
     """
     grid = np.linspace(0.0, 1.0, 257)
     stacks, leaks = [], []

@@ -113,14 +113,11 @@ class OperatorFamily:
     supply it.  Without it, ``stack`` stacks ``sampler`` calls.
 
     ``equivariant`` is the ``EquivariantLoopModel`` a rotation loop is
-    sampled from, which ``family()`` sets.  It gives the rotations
-    rho(t) and the constant speed of a window projector, so
-    ``transport`` takes a grid fine enough for that speed in one pass,
-    and carries the eigenvectors of t = 0 along rho(t) in place of
-    factoring every sample.  It certifies them from the basepoint's
-    checks and the model alone, with no sample past t = 0, so a family
-    with ``equivariant`` set must have the model's own ``stack`` as its
-    ``stacker``; any other is refused with a ValueError.
+    sampled from, which ``family()`` sets.  ``transport`` answers such
+    a loop in closed form from the model and the factored t = 0, with
+    no sample past it, so a family with ``equivariant`` set must have
+    the model's own ``stack`` as its ``stacker``; any other is refused
+    with a ValueError.
     """
 
     domain: str
@@ -137,7 +134,7 @@ class OperatorFamily:
             raise ValueError(f"unknown parity {self.parity!r}")
         if self.equivariant is not None and self.stacker != self.equivariant.stack:
             raise ValueError("a rotation family's stacker must be its equivariant model's own "
-                             "stack: transport certifies its samples from the model")
+                             "stack: transport answers it from the model")
 
     def __call__(self, t: float) -> np.ndarray:
         if self.domain == "circle":
@@ -291,16 +288,16 @@ class EquivariantLoopModel:
     K^2 = -I holds exactly too).  Both structures this package builds
     are: the block J and the spin K.  Every product with K is then a
     signed gather (``_times_k``), exact and without BLAS, so a sample
-    rho(t) D0 rho(t)^T and a rotated eigenbasis rho(t) V0 cost O(n^2)
-    each.  ``holonomy`` certifies that eigenbasis from the checks of
-    t = 0 and the model, without forming a sample, so the window
-    columns of rho(t) V0 cost O(nk) per t and only t = 0 costs n^3 work.
+    rho(t) D0 rho(t)^T costs O(n^2).  For V_w a window frame of D0 and
+    A = V_w^T K V_w, the parallel window frame is rho(t) V_w exp(-t pi
+    h A), which ``holonomy`` forms with no sample past t = 0, and the
+    window's return matrix is (-1)^h exp(-pi h A).
 
     The generator is Omega = pi h K.  A window projector moves as
     P(t) = rho(t) P0 rho(t)^T with P' = [Omega, P], at the constant speed
     ||[Omega, P0]|| = ||Omega F0 - F0 (F0^H Omega F0)|| for a frame F0 of
     P0 (the commutator is block off-diagonal in P0 + (I - P0), and Omega
-    is skew), which ``transport`` reads from the family's ``equivariant``.
+    is skew), which sets the grid ``transport`` reports frames on.
     """
 
     base: SymmetricOperator
@@ -366,7 +363,7 @@ class EquivariantLoopModel:
         """rho(t) for every t in ``ts`` as one (N, n, n) array.
 
         The matrices themselves, for checks against other constructions;
-        ``stack`` and the rotated eigenbases apply rho(t) through
+        ``stack`` and the parallel frames apply rho(t) through
         ``_times_k`` and never form it.
         """
         angles = (np.pi * self.half_turns) * np.asarray(ts, dtype=float).ravel()

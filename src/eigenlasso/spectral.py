@@ -74,27 +74,6 @@ def _refuse_non_finite(a: np.ndarray) -> None:
         raise _StackError(f"non-finite matrix entries{where and ' at stack index ' + where}", first)
 
 
-def _check_factors(residual: np.ndarray, scale, defect: np.ndarray) -> None:
-    """Refuse the first factorization of a stack that fails a check.
-
-    ``residual`` is each factorization's ||A V - V diag(values)|| divided
-    by its ``scale``, the largest |value| (the operator norm of a
-    Hermitian A, up to that residual), and ``defect`` its ||V^H V - I||,
-    both in the Frobenius norm, measured or bounded from above.  The
-    first entry with a residual above 1e-11 times its scale, and then
-    the first with a defect above 1e-12, raises RuntimeError naming it.
-    """
-    bad = np.flatnonzero(~(residual <= 1e-11))
-    if bad.size:
-        i = int(bad[0])
-        value = float(residual.flat[i]) * float(np.broadcast_to(scale, residual.shape).flat[i])
-        raise _FactorError(f"eigendecomposition residual {value:.3e} too large", i)
-    bad = np.flatnonzero(~(defect <= 1e-12))
-    if bad.size:
-        i = int(bad[0])
-        raise _FactorError(f"eigenvector frame not orthonormal ({defect.flat[i]:.3e})", i)
-
-
 def _validated(a: np.ndarray, factor
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(values, vectors, residual, defect) of ``factor(a)`` for a (..., n, n) stack ``a``, checked.
@@ -103,15 +82,18 @@ def _validated(a: np.ndarray, factor
     obtained, with ``factor`` mapping the stack to its (values,
     vectors).  A non-square ``a`` is refused, and so is a matrix with a
     non-finite entry, before ``factor`` runs (ValueError, naming the
-    matrix's stack index).  Then each factorization must pass
-    ``_check_factors``: a residual ||A V - V diag(values)|| of at most
-    1e-11 times its largest |value| and a frame with ||V^H V - I|| at
-    most 1e-12, both measured here in the Frobenius norm, an upper bound
-    on the operator norm, so neither check is looser than its
-    operator-norm statement.  The residual's norm is taken after
-    dividing by that scale, so its squared entries cannot overflow.
-    Returns the values, the vectors, and each matrix's measured
-    residual, divided by its scale, and frame defect.
+    matrix's stack index).  Then each factorization must pass two
+    checks: a residual ||A V - V diag(values)|| of at most 1e-11 times
+    its largest |value| (the operator norm of a Hermitian A, up to that
+    residual) and a frame with ||V^H V - I|| at most 1e-12, both
+    measured here in the Frobenius norm, an upper bound on the operator
+    norm, so neither check is looser than its operator-norm statement.
+    The first matrix that fails the residual check, and then the first
+    that fails the frame check, raises RuntimeError naming it.  The
+    residual's norm is taken after dividing by that scale, so its
+    squared entries cannot overflow.  Returns the values, the vectors,
+    and each matrix's measured residual, divided by its scale, and
+    frame defect.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -125,7 +107,15 @@ def _validated(a: np.ndarray, factor
     residual = np.linalg.norm(residual, axis=(-2, -1))
     defect = np.linalg.norm(vectors.conj().swapaxes(-1, -2) @ vectors - np.eye(a.shape[-1]),
                             axis=(-2, -1))
-    _check_factors(residual, scale, defect)
+    bad = np.flatnonzero(~(residual <= 1e-11))
+    if bad.size:
+        i = int(bad[0])
+        raise _FactorError("eigendecomposition residual "
+                           f"{float(residual.flat[i]) * float(scale.flat[i]):.3e} too large", i)
+    bad = np.flatnonzero(~(defect <= 1e-12))
+    if bad.size:
+        i = int(bad[0])
+        raise _FactorError(f"eigenvector frame not orthonormal ({defect.flat[i]:.3e})", i)
     return values, vectors, residual, defect
 
 
@@ -176,7 +166,10 @@ class SpectralWindow:
         """
         values = np.asarray(values)
         edges = (("lower", self.lower), ("upper", self.upper))
-        dist = [np.abs(values - edge).min(axis=-1, initial=np.inf) for _, edge in edges]
+        # a spectrum near +-1e308 is farther than the largest float from an
+        # endpoint of the other sign: the distance overflows to +inf, which is right
+        with np.errstate(over="ignore"):
+            dist = [np.abs(values - edge).min(axis=-1, initial=np.inf) for _, edge in edges]
         start, stop = (values <= self.lower).sum(-1), (values < self.upper).sum(-1)
         near = [d < ENDPOINT_MARGIN for d in dist]
         failed = near[0] | near[1] | (counted & (stop - start != self.count))

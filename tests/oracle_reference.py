@@ -6,7 +6,7 @@ all-pairs projector refinement grid, a one-step-at-a-time polar frame
 chain, a searchsorted window rule, an eigh-based matrix exponential,
 an entrywise antilinear commutant solve, literal spectra, closed-form
 samples, index-built block rotations, spin lifts one t at a time,
-factorization checks by dense products, and the two-SVD symmetry rule.
+and the two-SVD symmetry rule.
 When a package result and a reference disagree, the package is wrong.
 """
 
@@ -223,17 +223,6 @@ def lifted_spin_rotations(rep, basis, turns, ts):
             raise RuntimeError("lift did not restrict to the real form")
         out.append(r.real)
     return np.stack(out)
-
-
-def factor_checks(a, values, vectors):
-    """Frobenius residual ||A V - V diag(values)|| and frame defect ||V^T V - I|| by dense products.
-
-    ``a`` is a (..., n, n) stack and ``vectors`` its (..., n, n) bases;
-    one product A V and one Gram matrix V^T V per matrix.
-    """
-    residual = np.linalg.norm(a @ vectors - vectors * values[..., None, :], axis=(-2, -1))
-    gram = np.swapaxes(vectors, -1, -2) @ vectors
-    return residual, np.linalg.norm(gram - np.eye(a.shape[-1]), axis=(-2, -1))
 
 
 def two_svd_symmetry_rule(matrix, rtol=1e-13):
