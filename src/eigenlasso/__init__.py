@@ -13,7 +13,6 @@ from .clifford import (
     build_clifford,
     find_structure_map,
     lift_rotation,
-    real_form_basis,
 )
 from .models import (
     CircleDiracModel,

@@ -127,7 +127,7 @@ def make_commuting_loop(amplitude: float = 0.3) -> OperatorFamily:
         out[:, 1, 1] = 2.0 + amplitude * np.cos(a)
         return out
 
-    return _stacked_loop(stacker, "even", "commuting-diagonal")
+    return _stacked_loop(stacker, "even")
 
 
 def _window_for_count(k: int) -> SpectralWindow:
@@ -290,8 +290,7 @@ def _criterion_6(pins: Mapping) -> Tuple[bool, str]:
         g = rng.standard_normal((2, 2))
         g = 0.5 * (g + g.T)
         g *= (gap / 4.0) / np.linalg.norm(g, 2)
-        loop_b = _stacked_loop(lambda ts, _g=g: loop_a.stack(ts) + _g, "odd",
-                               f"halfturn + g(seed {seed})")
+        loop_b = _stacked_loop(lambda ts, _g=g: loop_a.stack(ts) + _g, "odd")
         report = sign_stability(loop_a, loop_b, w)
         worst_distance = max(worst_distance, report.max_projector_distance)
         if not report.criterion_met:

@@ -217,8 +217,8 @@ def _track_grid(samples: int) -> np.ndarray:
 
 
 def _scan_grid(n_r: int, n_theta: int) -> dict:
-    if n_r < 1 or n_theta < 3:
-        raise ValueError(f"need n_r >= 1 and n_theta >= 3, got n_r={n_r}, n_theta={n_theta}")
+    if n_r < 2 or n_theta < 3:
+        raise ValueError(f"need n_r >= 2 and n_theta >= 3, got n_r={n_r}, n_theta={n_theta}")
     if n_r * n_theta > _MAX_GRID_POINTS:
         raise ValueError(f"n_r * n_theta = {n_r * n_theta} points, more than {_MAX_GRID_POINTS}")
     return {"n_r": n_r, "n_theta": n_theta}

@@ -36,7 +36,6 @@ __all__ = [
     "build_clifford",
     "lift_rotation",
     "find_structure_map",
-    "real_form_basis",
 ]
 
 ALGEBRA_TOL = 1e-12
@@ -245,14 +244,14 @@ def find_structure_map(rep: CliffordRep) -> StructureMap:
 
 
 def _real_form_pairs(smap: StructureMap) -> np.ndarray:
-    """sqrt(2) times `real_form_basis`, with entries in {0, +-1, +-i}.
+    """sqrt(2) times an orthonormal basis of the J-fixed real form of an
+    epsilon = +1 map, with entries in {0, +-1, +-i}.
 
-    An epsilon = +1 map C is a real signed permutation with C^2 = I and
-    no fixed index, so it pairs the coordinates: C e_a = s e_b and
-    C e_b = s e_a.  Each pair a < b gives the J-fixed columns
-    e_a + s e_b and i (e_a - s e_b), in order of a.  Products of these
-    columns with generators are small integers, which keeps the spin
-    structure exact.
+    Such a map C is a real signed permutation with C^2 = I and no fixed
+    index, so it pairs the coordinates: C e_a = s e_b and C e_b = s e_a.
+    Each pair a < b gives the J-fixed columns e_a + s e_b and
+    i (e_a - s e_b), in order of a.  Products of these columns with
+    generators are small integers, which keeps the spin structure exact.
     """
     c = smap.matrix
     n = c.shape[0]
@@ -274,20 +273,3 @@ def _real_form_pairs(smap: StructureMap) -> np.ndarray:
         raise RuntimeError("real form basis columns are not J-fixed")
     return pairs
 
-
-def real_form_basis(rep: CliffordRep, smap: StructureMap) -> np.ndarray:
-    """Orthonormal basis of the J-fixed real subspace, as matrix columns.
-
-    Only defined for ``epsilon = +1`` maps, whose fixed set is a real
-    form of the representation space: dim complex space = dim real form.
-    The returned ``dim x dim`` complex matrix B has J-fixed orthonormal
-    columns (e_a + s e_b) / sqrt(2) and i (e_a - s e_b) / sqrt(2), one
-    pair for each pair of coordinates that C swaps, so conjugating a
-    lift by B produces a real orthogonal matrix whenever the lift
-    commutes with J.
-    """
-    if smap.epsilon != +1:
-        raise ValueError("real form requires a structure map with epsilon = +1")
-    if smap.matrix.shape != (rep.dim, rep.dim):
-        raise ValueError("structure map does not act on the representation space")
-    return _frozen(_real_form_pairs(smap) / np.sqrt(2.0))

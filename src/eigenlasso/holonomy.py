@@ -91,7 +91,6 @@ class FramePath:
 
     parameters: np.ndarray
     frames: Tuple[np.ndarray, ...]
-    window: SpectralWindow
 
     @property
     def n_samples(self) -> int:
@@ -135,21 +134,20 @@ def _window_frames(window: SpectralWindow, values, vectors) -> np.ndarray:
 
 
 def _sample_frames(loop: OperatorFamily, window: SpectralWindow, ts,
-                   nbytes: Optional[int] = None, basepoint=None):
+                   nbytes: Optional[int] = None):
     """``_window_frames`` at ``ts``, built and factored per ``models._stack_chunks`` run.
 
-    A rotation loop (``loop.equivariant`` set) is factored at t = 0
-    only and not sampled past it: its frames are ``_parallel_frames``.
-    ``basepoint`` is (values, vectors, residual), what ``_validated``
-    returned for ``loop.sampler(0.0)``, taken here when not given.
+    A rotation loop (``loop.equivariant`` set) is factored and windowed
+    at t = 0 only and not sampled past it: its frames are
+    ``_parallel_frames``.
     """
     model = loop.equivariant
     if model is not None:
-        if basepoint is None:
-            with _at([0.0]):
-                basepoint = _validated(loop.sampler(0.0), np.linalg.eigh)[:3]
+        with _at([0.0]):
+            values, vectors, residual, _ = _validated(loop.sampler(0.0), np.linalg.eigh)
+            rows = _window_frames(window, values[None], vectors[None])[0]
         with _at(ts):
-            return _parallel_frames(model, window, ts, *basepoint)
+            return _parallel_frames(model, window, ts, values, rows, residual)
     stacks = []
     for chunk in _stack_chunks(loop, ts, nbytes):
         run = ts[sum(map(len, stacks)):][:len(chunk)]
@@ -179,15 +177,16 @@ def _expm(m: np.ndarray) -> np.ndarray:
 
 
 def _parallel_frames(model: EquivariantLoopModel, window: SpectralWindow, ts: np.ndarray,
-                     values: np.ndarray, vectors: np.ndarray, residual: float) -> np.ndarray:
+                     values: np.ndarray, rows: np.ndarray, residual: float) -> np.ndarray:
     """The parallel window frames rho(t) V_w exp(-t pi h A) at ``ts``: a (N, k, n) stack.
 
-    (``values``, ``vectors``) = (Lambda0, V0) factor the model's t = 0
-    with the measured ``residual`` ||D0 V0 - V0 Lambda0|| / scale, for
-    scale = max |Lambda0|.  Every D(t) has the spectrum of D0, so the
-    window rule is checked once, here, and each window endpoint must lie
-    farther than residual * scale from Lambda0: every eigenvalue of D0
-    is within it of Lambda0 (Kahan's residual theorem, with the
+    ``values`` = Lambda0 and its window's frame ``rows`` = V_w^T, as
+    ``_window_frames`` takes them, factor the model's t = 0 with the
+    measured ``residual`` ||D0 V0 - V0 Lambda0|| / scale, for scale =
+    max |Lambda0|.  Every D(t) has the spectrum of D0, so the window
+    rule that picked ``rows`` holds at every t once each window endpoint
+    lies farther than residual * scale from Lambda0: every eigenvalue of
+    D0 is within it of Lambda0 (Kahan's residual theorem, with the
     Frobenius norm above the operator norm), so an endpoint that clears
     it is on the same side of every eigenvalue, and the window count
     holds at every t; an endpoint within it is refused at index 0.
@@ -197,7 +196,6 @@ def _parallel_frames(model: EquivariantLoopModel, window: SpectralWindow, ts: np
     Frames are transposed, like ``_window_frames``'s.
     """
     scale = max(float(np.abs(values).max(initial=0.0)), 1e-300)
-    start = int(window._bounds(values[None])[0][0])
     # a spectrum near +-1e308 is farther than the largest float from an
     # endpoint of the other sign: the distance overflows to +inf, which is right
     with np.errstate(over="ignore"):
@@ -206,8 +204,7 @@ def _parallel_frames(model: EquivariantLoopModel, window: SpectralWindow, ts: np
         raise _StackError(f"a window endpoint lies {clearance:.3e} from the spectrum, within "
                           f"the eigendecomposition residual {residual * scale:.3e}, so the "
                           "window count is not certified", 0)
-    # V_w as rows, and K V_w: (K x)^T = x^T K^T
-    rows = np.ascontiguousarray(vectors[:, start:start + window.count].T)
+    # K V_w as rows: (K x)^T = x^T K^T
     turned = model._times_k(rows, axis=-1)
     a = rows @ turned.T
     a = 0.5 * (a - a.T)
@@ -340,7 +337,7 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
         raise ValueError("need at least 2 initial samples")
     if initial_samples > _MAX_SAMPLES:
         raise ValueError(f"initial_samples must be at most {_MAX_SAMPLES}, got {initial_samples}")
-    # the raw sampler: calling a circle family wraps t = 1 back to 0
+    # the raw sampler: calling the family wraps t = 1 back to 0
     base = loop.sampler(0.0)
     with _at([0.0]):
         values, vectors, residual, _ = _validated(base, np.linalg.eigh)
@@ -361,7 +358,8 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
                                  f"{_MAX_SAMPLES} intervals of step {MAX_PROJECTOR_STEP}")
         intervals = max(initial_samples, int(np.floor(speed / MAX_PROJECTOR_STEP)) + 1)
         ts = np.linspace(0.0, 1.0, intervals + 1)
-        frames = _sample_frames(loop, window, ts, basepoint=(values, vectors, residual))
+        with _at(ts):
+            frames = _parallel_frames(model, window, ts, values, frames[0], residual)
         frames = frames.swapaxes(-1, -2)
 
     a = frames[0].conj().T @ frames[-1]
@@ -377,7 +375,7 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
             f"return matrix is far from orthogonal (|det| = {abs(det):.6f}): the frames "
             "at t=0 and t=1 do not span one subspace, so its determinant carries "
             "no orientation sign")
-    path = FramePath(parameters=ts, frames=tuple(frames), window=window)
+    path = FramePath(parameters=ts, frames=tuple(frames))
     ret = ReturnMatrix(matrix=a, determinant=det, sign=1 if det > 0 else -1,
                        certified=model is not None)
     return path, ret
@@ -480,4 +478,4 @@ def concatenate_loops(loop1: OperatorFamily, loop2: OperatorFamily) -> OperatorF
     parity = None
     if loop1.parity in ("odd", "even") and loop2.parity in ("odd", "even"):
         parity = "odd" if (loop1.parity == "odd") != (loop2.parity == "odd") else "even"
-    return _stacked_loop(stacker, parity, f"concat({loop1.name or '?'}, {loop2.name or '?'})")
+    return _stacked_loop(stacker, parity)

@@ -70,8 +70,6 @@ class DiscFamily:
     boundary: OperatorFamily
 
     def __post_init__(self):
-        if self.boundary.domain != "circle":
-            raise ValueError("disc boundary must be a circle family")
         b = self.boundary(0.0)
         if b.shape != self.center.matrix.shape:
             raise ValueError(
@@ -92,11 +90,11 @@ class DiscFamily:
 
 def make_orbit_disc(loop: Union[EquivariantLoopModel, OperatorFamily],
                     center: Union[str, np.ndarray, SymmetricOperator] = "mean") -> DiscFamily:
-    """Disc filling a loop, centered at its mean or base operator.
+    """Disc filling a loop, centered at its mean or at a given operator.
 
     ``center`` may be "mean" (average of 64 uniform boundary samples;
-    exact for trigonometric polynomial loops of degree below 32), "base"
-    (the boundary basepoint), or an explicit operator.
+    exact for trigonometric polynomial loops of degree below 32) or an
+    explicit operator.
     """
     family = loop.family() if isinstance(loop, EquivariantLoopModel) else loop
     if isinstance(center, str):
@@ -105,8 +103,6 @@ def make_orbit_disc(loop: Union[EquivariantLoopModel, OperatorFamily],
             for chunk in _stack_chunks(family, np.arange(64) / 64):
                 total = sum(chunk, total)
             c = SymmetricOperator(total / 64)
-        elif center == "base":
-            c = SymmetricOperator(family(0.0))
         else:
             raise ValueError(f"unknown center mode {center!r}")
     elif isinstance(center, SymmetricOperator):
@@ -232,15 +228,16 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
     core the process may run on (at most n_r), ring k to worker
     k mod workers: numpy's eigensolver releases the interpreter lock,
     and every matrix gives exactly what it gives alone, so the gap map
-    and ``best`` are byte for byte those of one thread.  The spectra and
-    one ring-sized operator buffer per worker are allocated before the
-    workers start, which allocate nothing ring-sized, so the scan holds
-    the ring plus one buffer per worker.  An exception in a worker is
-    raised here unchanged, after every worker has finished.
+    and ``best`` are byte for byte those of one thread.  A worker turns
+    each ring's spectra into its row of the gap map at once, so the scan
+    holds the ring, the (n_r, n_theta) gap map, and per worker one
+    ring-sized operator buffer and one ring's spectra.  An exception in
+    a worker is raised here unchanged, after every worker has finished.
+    n_r < 2 or n_theta < 3 is refused with a ValueError.
     """
     n_r, n_theta = grid
-    if n_r < 1 or n_theta < 3:
-        raise ValueError("grid must have n_r >= 1 and n_theta >= 3")
+    if n_r < 2 or n_theta < 3:
+        raise ValueError(f"grid must have n_r >= 2 and n_theta >= 3, got {grid}")
     anchor = _anchor_index(disc, window)
     _, ret = transport(disc.boundary, window)
     if ret.sign != -1:
@@ -257,16 +254,16 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
     ring = disc.boundary.stack(thetas) - c
     parts = min(_cores(), n_r) if disc.dim >= _PARALLEL_MIN_DIM else 1
     buffers = np.empty((parts,) + ring.shape)
-    values = np.empty((n_r, n_theta, disc.dim))
+    gap_map = np.empty((n_r, n_theta))
 
     def factor(k: int):
         """Rings k, k + parts, ..., each as c + r * ring."""
         for i in range(k, n_r, parts):
             h = np.multiply(rs[i], ring, out=buffers[k])
-            values[i] = np.linalg.eigvalsh(np.add(c, h, out=h))
+            gap_map[i] = _index_gaps(np.linalg.eigvalsh(np.add(c, h, out=h)), anchor,
+                                     window.count)
 
     _split(factor, parts)
-    gap_map = _index_gaps(values, anchor, window.count)
     i, j = np.unravel_index(np.argmin(gap_map), gap_map.shape)
     return ScanResult(r_values=rs, theta_values=thetas, gap_map=gap_map,
                       best=(float(gap_map[i, j]), float(rs[i]), float(thetas[j])),
@@ -297,8 +294,6 @@ class DegeneracyCertificate:
     residual_a: float
     residual_b: float
     pair_index: int
-    anchor: int
-    window: SpectralWindow
     tol: float
     levels: int
     evaluations: int
@@ -362,7 +357,7 @@ def _certificate_at(disc: DiscFamily, window: SpectralWindow, anchor: int,
     return DegeneracyCertificate(
         r=float(r), theta=float(theta), lambda_a=lam_a, lambda_b=lam_b,
         gap=gap, mean=mean, residual_a=res_a, residual_b=res_b,
-        pair_index=int(i), anchor=anchor, window=window, tol=tol,
+        pair_index=int(i), tol=tol,
         levels=levels, evaluations=evaluations, method=method,
     )
 

@@ -101,11 +101,11 @@ class SymmetricOperator:
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """A parametrized family of symmetric operators.
+    """A family of symmetric operators over the circle.
 
-    ``domain`` is "interval" or "circle".  Circle families wrap their
-    parameter modulo 1, which makes closure exact: family(1.0) returns
-    bit for bit the same matrix as family(0.0).
+    ``domain`` must be "circle": the parameter is wrapped modulo 1, which
+    makes closure exact: family(1.0) returns bit for bit the same matrix
+    as family(0.0).
 
     ``stacker``, when given, maps a 1-D array of (already wrapped)
     parameters to the (N, n, n) stack of their samples in one call, and
@@ -123,12 +123,11 @@ class OperatorFamily:
     domain: str
     sampler: Callable[[float], np.ndarray]
     parity: Optional[str] = None  # "odd" / "even" for equivariant loops
-    name: str = ""
     stacker: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
     equivariant: Optional[EquivariantLoopModel] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.domain not in ("interval", "circle"):
+        if self.domain != "circle":
             raise ValueError(f"unknown family domain {self.domain!r}")
         if self.parity not in (None, "odd", "even"):
             raise ValueError(f"unknown parity {self.parity!r}")
@@ -137,29 +136,24 @@ class OperatorFamily:
                              "stack: transport answers it from the model")
 
     def __call__(self, t: float) -> np.ndarray:
-        if self.domain == "circle":
-            t = float(t) % 1.0
-        return self.sampler(float(t))
+        return self.sampler(float(t) % 1.0)
 
     def stack(self, ts) -> np.ndarray:
         """The samples at every parameter in ``ts``, as one (N, n, n) array.
 
         Bit for bit ``np.stack([self(t) for t in ts])``.
         """
-        ts = np.asarray(ts, dtype=float).ravel()
-        if self.domain == "circle":
-            ts = ts % 1.0
+        ts = np.asarray(ts, dtype=float).ravel() % 1.0
         if self.stacker is not None:
             return self.stacker(ts)
         return np.stack([self.sampler(t) for t in ts.tolist()])
 
 
 def _stacked_loop(stacker: Callable[[np.ndarray], np.ndarray], parity: Optional[str],
-                  name: str, equivariant: Optional[EquivariantLoopModel] = None
-                  ) -> OperatorFamily:
+                  equivariant: Optional[EquivariantLoopModel] = None) -> OperatorFamily:
     """A circle family whose single sample is the one-element case of ``stacker``."""
     return OperatorFamily(domain="circle", sampler=lambda t: stacker(np.array([t]))[0],
-                          parity=parity, name=name, stacker=stacker, equivariant=equivariant)
+                          parity=parity, stacker=stacker, equivariant=equivariant)
 
 
 def _stack_chunks(family: OperatorFamily, ts, nbytes: Optional[int] = None
@@ -288,10 +282,10 @@ class EquivariantLoopModel:
     K^2 = -I holds exactly too).  Both structures this package builds
     are: the block J and the spin K.  Every product with K is then a
     signed gather (``_times_k``), exact and without BLAS, so a sample
-    rho(t) D0 rho(t)^T costs O(n^2).  For V_w a window frame of D0 and
-    A = V_w^T K V_w, the parallel window frame is rho(t) V_w exp(-t pi
-    h A), which ``holonomy`` forms with no sample past t = 0, and the
-    window's return matrix is (-1)^h exp(-pi h A).
+    rho(t) D0 rho(t)^T costs O(n^2) and rho(t) is never formed.  For V_w
+    a window frame of D0 and A = V_w^T K V_w, the parallel window frame
+    is rho(t) V_w exp(-t pi h A), which ``holonomy`` forms with no sample
+    past t = 0, and the window's return matrix is (-1)^h exp(-pi h A).
 
     The generator is Omega = pi h K.  A window projector moves as
     P(t) = rho(t) P0 rho(t)^T with P' = [Omega, P], at the constant speed
@@ -359,18 +353,6 @@ class EquivariantLoopModel:
         angles = (np.pi * self.half_turns) * ts
         return np.cos(angles), np.sin(angles)
 
-    def rotations(self, ts) -> np.ndarray:
-        """rho(t) for every t in ``ts`` as one (N, n, n) array.
-
-        The matrices themselves, for checks against other constructions;
-        ``stack`` and the parallel frames apply rho(t) through
-        ``_times_k`` and never form it.
-        """
-        angles = (np.pi * self.half_turns) * np.asarray(ts, dtype=float).ravel()
-        r = np.multiply.outer(np.sin(angles), self.structure)
-        r.reshape(-1, self.dim * self.dim)[:, ::self.dim + 1] += np.cos(angles)[:, None]
-        return r
-
     def generator(self, frame: np.ndarray) -> np.ndarray:
         """Omega F = pi h K F for an n x k frame F."""
         return (np.pi * self.half_turns) * self._times_k(frame)
@@ -396,8 +378,7 @@ class EquivariantLoopModel:
         return _opnorm(moved - frame @ (frame.conj().T @ moved))
 
     def family(self) -> OperatorFamily:
-        return _stacked_loop(self.stack, self.parity,
-                             f"equivariant(dim={self.dim}, parity={self.parity})", self)
+        return _stacked_loop(self.stack, self.parity, self)
 
 
 @functools.lru_cache(maxsize=16)

@@ -442,6 +442,21 @@ def test_transport_stacks_stay_within_the_byte_budget(monkeypatch, n):
     assert max(sizes) == (STACK_BYTES // (n * n * 8))
 
 
+def test_a_rotation_transport_applies_the_window_rule_once(monkeypatch):
+    spectra = []
+    bounds = SpectralWindow._bounds
+
+    def counted(self, values, *args, **kwargs):
+        spectra.append(np.shape(values))
+        return bounds(self, values, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralWindow, "_bounds", counted)
+    family = make_block_rotation_loop(rotated_base(4), 1.5).family()
+    _, ret = transport(family, SpectralWindow(1.5, 3.5, count=2))
+    # the basepoint's spectrum, which every sample shares
+    assert ret.certified and spectra == [(1, 4)]
+
+
 def complex_loop(n=6, turns=1.5, seed=2):
     """A block-rotation loop conjugated by a fixed complex unitary V.
 
@@ -523,8 +538,10 @@ def test_rotation_path_is_the_exponential_of_its_generator(make):
     omega = loop.generator(np.eye(loop.dim))
     assert float(np.abs(omega + omega.T).max()) <= 1e-12
     ts = np.linspace(0.0, 1.0, 9)
-    for t, r in zip(ts, loop.rotations(ts)):
-        assert float(np.abs(r - skew_expm(omega, t)).max()) <= 1e-12
+    d0 = loop.base.matrix
+    for t, d in zip(ts, loop.family().stack(ts)):
+        r = skew_expm(omega, t)
+        assert float(np.abs(d - r @ d0 @ r.T).max()) <= 1e-12 * float(np.abs(d0).max())
 
 
 def polar_limit(family, window, intervals=4096):

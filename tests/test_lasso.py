@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -74,25 +75,17 @@ def test_disc_rejects_radius_outside_unit_interval():
         disc.operator_at(-0.1, 0.0)
 
 
-def test_disc_requires_circle_boundary():
-    fam = OperatorFamily(domain="interval", sampler=lambda t: np.eye(2))
-    with pytest.raises(ValueError):
-        DiscFamily(center=SymmetricOperator(np.eye(2)), boundary=fam)
-
-
 def test_orbit_disc_center_modes():
     loop = make_halfturn_loop(np.diag([1.0, 2.0]))
     mean_disc = make_orbit_disc(loop, center="mean")
     np.testing.assert_allclose(mean_disc.center.matrix, 1.5 * np.eye(2), atol=1e-14)
 
-    base_disc = make_orbit_disc(loop, center="base")
-    np.testing.assert_allclose(base_disc.center.matrix, np.diag([1.0, 2.0]))
-
     explicit = make_orbit_disc(loop, center=np.diag([1.4, 1.6]))
     np.testing.assert_allclose(explicit.center.matrix, np.diag([1.4, 1.6]))
 
-    with pytest.raises(ValueError):
-        make_orbit_disc(loop, center="median")
+    for mode in ("base", "median"):
+        with pytest.raises(ValueError, match=f"^unknown center mode '{mode}'$"):
+            make_orbit_disc(loop, center=mode)
 
 
 # ---------------------------------------------------------------- scanning
@@ -124,6 +117,27 @@ def test_scan_min_gap_shrinks_under_grid_refinement():
     coarse = scan_disc(disc, window, grid=(8, 12))
     fine = scan_disc(disc, window, grid=(16, 24))
     assert fine.min_gap <= coarse.min_gap + 1e-15
+
+
+def test_scan_refuses_a_grid_of_one_ring():
+    # one ring starts Newton at r = 1, where it refused 240 of 300 forced discs
+    with pytest.raises(ValueError, match=r"n_r >= 2 and n_theta >= 3"):
+        scan_disc(make_conical_disc(), SpectralWindow(0.0, 2.0, count=1), grid=(1, 24))
+
+
+def test_a_long_scan_holds_its_gap_map_and_no_spectra():
+    # the spectra of 4096 rings of 3 angles at n = 16 take 1.5 MB, the gap map 96 KiB
+    disc = make_orbit_disc(make_halfturn_loop(np.diag(np.arange(1.0, 17.0))))
+    window = SpectralWindow(0.5, 1.5, count=1)
+    scan_disc(disc, window, grid=(2, 3))  # first-call set-up stays out of the measure
+    tracemalloc.start()
+    try:
+        scan = scan_disc(disc, window, grid=(4096, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scan.gap_map.shape == (4096, 3) and scan.boundary_sign == -1
+    assert peak < 0.5e6
 
 
 def test_scan_warns_when_boundary_sign_is_trivial():

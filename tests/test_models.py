@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import eigenlasso
 from eigenlasso import models
 from eigenlasso._linalg import _opnorm
-from eigenlasso.clifford import build_clifford, find_structure_map, real_form_basis
+from eigenlasso.clifford import _real_form_pairs, build_clifford, find_structure_map
 from eigenlasso.holonomy import concatenate_loops
 from eigenlasso.models import (
     EquivariantLoopModel,
@@ -33,6 +33,7 @@ from oracle_reference import (
     block_rotation_stack,
     halfturn_sample,
     lifted_spin_rotations,
+    skew_expm,
     two_svd_symmetry_rule,
 )
 
@@ -124,8 +125,9 @@ def test_symmetric_operator_decides_as_the_two_svd_rule(dtype, n, exponent, defe
 
 
 def test_family_domain_validation():
-    with pytest.raises(ValueError):
-        OperatorFamily(domain="square", sampler=lambda t: np.eye(2))
+    for domain in ("square", "interval"):
+        with pytest.raises(ValueError, match="unknown family domain"):
+            OperatorFamily(domain=domain, sampler=lambda t: np.eye(2))
 
 
 def test_empty_operators_are_real():
@@ -140,8 +142,8 @@ def test_a_rotation_family_takes_only_its_models_stack():
     model = make_block_rotation_loop(np.diag([1.0, 2.0]), 0.5)
     family = model.family()
     assert family.stacker == model.stack
-    # the same bound method again, and a name change keeps it
-    assert dataclasses.replace(family, name="renamed").stacker == model.stack
+    # the same bound method again, and a parity change keeps it
+    assert dataclasses.replace(family, parity="even").stacker == model.stack
     other = make_block_rotation_loop(np.diag([1.0, 2.0]), 0.5)
     for stacker in (None, other.stack, lambda ts: model.stack(ts)):
         with pytest.raises(ValueError, match="stacker"):
@@ -242,8 +244,9 @@ def test_eigenvector_transport_law():
     d0 = np.diag([1.0, 2.0, 3.0, 4.0])
     loop = make_halfturn_loop(d0)
     v = np.eye(4)[:, 2]  # eigenvector of the simple eigenvalue 3
+    omega = loop.generator(np.eye(4))
     for t in (0.2, 0.6):
-        moved = loop.rotations(np.array([t]))[0] @ v
+        moved = skew_expm(omega, t) @ v
         residual = np.linalg.norm(loop.family()(t) @ moved - 3.0 * moved)
         assert residual <= 1e-10
 
@@ -320,11 +323,13 @@ def test_rotation_loop_samples_are_the_same_bytes_on_any_blas_kernel():
 @pytest.mark.parametrize("m", [6, 7, 8])
 def test_spin_rotations_match_the_per_t_lift(m):
     rep = build_clifford(m)
-    basis = real_form_basis(rep, find_structure_map(rep))
+    basis = _real_form_pairs(find_structure_map(rep)) / np.sqrt(2.0)
+    d0 = np.diag(np.arange(1.0, rep.dim + 1.0))
     for turns in (1, 2):
-        loop = make_spin_loop(m, np.diag(np.arange(1.0, rep.dim + 1.0)), turns=turns)
+        loop = make_spin_loop(m, d0, turns=turns)
         lifted = lifted_spin_rotations(rep, basis, turns, ROTATION_TS)
-        assert float(np.abs(loop.rotations(ROTATION_TS) - lifted).max()) <= 1e-13
+        expected = lifted @ d0 @ lifted.swapaxes(-1, -2)
+        assert float(np.abs(loop.family().stack(ROTATION_TS) - expected).max()) <= 1e-13 * rep.dim
 
 
 def test_spin_structure_is_solved_once_per_m(monkeypatch):
@@ -432,7 +437,6 @@ STACKED_FAMILIES = {
     "concatenated": lambda: concatenate_loops(make_halfturn_loop(_rotated(4)).family(),
                                               make_fullturn_loop(_rotated(4)).family()),
     "lambda-circle": lambda: OperatorFamily(domain="circle", sampler=_wobble),
-    "lambda-interval": lambda: OperatorFamily(domain="interval", sampler=_wobble),
 }
 # t = 1.0 and t > 1 included: circle families wrap both
 STACK_TS = np.concatenate([np.linspace(0.0, 1.0, 13), [0.3, 0.999, 1.0, 1.25, 2.5, 0.5]])

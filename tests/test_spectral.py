@@ -211,7 +211,8 @@ def test_enumerate_constant_family():
 
 
 def test_enumerate_crossing_family():
-    fam = OperatorFamily(domain="interval",
+    # the circle wraps t = 1 to 0, which gives diag(0, 1) again
+    fam = OperatorFamily(domain="circle",
                          sampler=lambda t: np.diag([t, 1.0 - t]))
     result = enumerate_family(fam, np.array([0.0, 0.5, 1.0]))
     # sorted enumeration pinches at the crossing
