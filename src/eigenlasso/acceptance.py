@@ -91,16 +91,6 @@ class CriterionResult:
         budget = f" (budget {self.budget_s:g}s)" if self.budget_s else ""
         return f"criterion {self.index:2d} {status}  {self.runtime_s:7.2f}s{budget}  {self.title}"
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "title": self.title,
-            "passed": self.passed,
-            "runtime_s": self.runtime_s,
-            "budget_s": self.budget_s,
-            "detail": self.detail,
-        }
-
 
 # ---------------------------------------------------------------------------
 # shared model builders (also used by the CLI)

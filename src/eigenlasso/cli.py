@@ -20,6 +20,7 @@ import os
 import sys
 import time
 import warnings
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -426,14 +427,7 @@ def _cmd_lasso_scan(run: _Run, spec: dict) -> int:
         "scan_min_gap": scan.min_gap,
     }
     if cert is not None:
-        results["certificate"] = {
-            "r": cert.r, "theta": cert.theta,
-            "lambda_a": cert.lambda_a, "lambda_b": cert.lambda_b,
-            "gap": cert.gap, "mean": cert.mean,
-            "residual_a": cert.residual_a, "residual_b": cert.residual_b,
-            "pair_index": cert.pair_index, "tol": cert.tol,
-            "levels": cert.levels, "evaluations": cert.evaluations, "method": cert.method,
-        }
+        results["certificate"] = asdict(cert)
         return run.finish(results, certificate=True, gap=cert.gap, r=cert.r, best_gap=cert.gap)
     results["not_found"] = {
         "best_r": miss.best_point[0], "best_theta": miss.best_point[1],
@@ -487,7 +481,7 @@ def _cmd_reproduce_all(args) -> int:
     out = args.out or os.environ.get("EIGENLASSO_OUT")
     if out:
         _write_json(os.path.join(out, "reproduce_all.json"),
-                    {"results": [r.to_dict() for r in results],
+                    {"results": [asdict(r) for r in results],
                      "passed": n_pass == len(results)})
     return 0 if n_pass == len(results) else 2
 

@@ -133,26 +133,40 @@ def _window_frames(window: SpectralWindow, values, vectors) -> np.ndarray:
     return vectors.swapaxes(-1, -2)[np.arange(start.size)[:, None], columns]
 
 
-def _sample_frames(loop: OperatorFamily, window: SpectralWindow, ts,
-                   nbytes: Optional[int] = None):
-    """``_window_frames`` at ``ts``, built and factored per ``models._stack_chunks`` run.
+def _basepoint(loop: OperatorFamily, window: SpectralWindow):
+    """(sample nbytes, Lambda0, V_w^T, residual) of a loop's t = 0, factored once by ``eigh``.
 
-    A rotation loop (``loop.equivariant`` set) is factored and windowed
-    at t = 0 only and not sampled past it: its frames are
-    ``_parallel_frames``.
+    t = 0 passes ``_validated``'s checks and the window rule, and must
+    equal t = 1 to 1e-12 of its norm, else TransportError at t = 1.
     """
+    # the raw sampler: calling the family wraps t = 1 back to 0
+    base = loop.sampler(0.0)
+    with _at([0.0]):
+        values, vectors, residual = _validated(base, np.linalg.eigh)
+        if _differ(base, loop.sampler(1.0), values):
+            raise TransportError("loop is not closed: samples at t=0 and t=1 differ", 1.0)
+        rows = _window_frames(window, values[None], vectors[None])[0]
+    return base.nbytes, values, rows, residual
+
+
+def _sample_frames(loop: OperatorFamily, window: SpectralWindow, ts, basepoint):
+    """``_window_frames`` at ``ts`` for the loop's ``_basepoint``.
+
+    A rotation loop's are ``_parallel_frames``, with no sample formed.
+    Any other loop takes t = 0 from the basepoint's rows and stacks the
+    rest per ``models._stack_chunks`` run.
+    """
+    nbytes, values, rows, residual = basepoint
     model = loop.equivariant
     if model is not None:
-        with _at([0.0]):
-            values, vectors, residual, _ = _validated(loop.sampler(0.0), np.linalg.eigh)
-            rows = _window_frames(window, values[None], vectors[None])[0]
         with _at(ts):
             return _parallel_frames(model, window, ts, values, rows, residual)
-    stacks = []
-    for chunk in _stack_chunks(loop, ts, nbytes):
-        run = ts[sum(map(len, stacks)):][:len(chunk)]
-        with _at(run):
+    done = int(ts[0] == 0.0)
+    stacks = [rows[None]][:done]
+    for chunk in _stack_chunks(loop, ts[done:], nbytes):
+        with _at(ts[done:done + len(chunk)]):
             stacks.append(_window_frames(window, *eigendecompose(chunk)))
+        done += len(chunk)
     return np.concatenate(stacks)
 
 
@@ -246,7 +260,7 @@ def _frame_distance(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _refine(loop: OperatorFamily, window: SpectralWindow, ts: np.ndarray,
-            frames: np.ndarray, nbytes: int) -> Tuple[np.ndarray, np.ndarray]:
+            frames: np.ndarray, basepoint) -> Tuple[np.ndarray, np.ndarray]:
     """Split the grid ``ts`` until consecutive window frames pass the step check.
 
     ``frames`` are the transposed window frames at ``ts``.  A breadth-first
@@ -271,7 +285,7 @@ def _refine(loop: OperatorFamily, window: SpectralWindow, ts: np.ndarray,
             raise TransportError(f"at t={t:.6g}: window subspace jumps by at least "
                                  f"{MAX_PROJECTOR_STEP} between adjacent floats", parameter=t)
         times.append(mid)
-        stacks.append(_sample_frames(loop, window, mid, nbytes))
+        stacks.append(_sample_frames(loop, window, mid, basepoint))
         lo, hi = _interleave(lo, mid), _interleave(mid, hi)
         f_lo, f_hi = _interleave(f_lo, stacks[-1]), _interleave(stacks[-1], f_hi)
     ts = np.concatenate(times)
@@ -296,6 +310,38 @@ def _polar_chain(raw: np.ndarray) -> np.ndarray:
     for step in [1 << j for j in range((len(turns) - 1).bit_length())]:
         turns[step:] = turns[step:] @ turns[:-step]
     return raw @ turns
+
+
+def _transported(loop: OperatorFamily, window: SpectralWindow, ts: np.ndarray,
+                 frames: np.ndarray, basepoint) -> Tuple[FramePath, ReturnMatrix]:
+    """(FramePath, ReturnMatrix) of a loop's ``_sample_frames`` ``frames`` at ``ts``.
+
+    Those of any loop but a rotation loop are refined and aligned by the
+    polar chain first.
+    """
+    model = loop.equivariant
+    if model is None:
+        ts, frames = _refine(loop, window, ts, frames, basepoint)
+        frames = _polar_chain(frames.swapaxes(-1, -2))
+    else:
+        frames = frames.swapaxes(-1, -2)
+    a = frames[0].conj().T @ frames[-1]
+    det = np.linalg.det(a)
+    if abs(float(np.imag(det))) > 1e-10:
+        raise TransportError(
+            f"return matrix determinant {complex(det):.6g} is not real: the window "
+            "holonomy is a unitary phase, not an orthogonal matrix, so the loop has "
+            "no orientation sign")
+    det = float(np.real(det))
+    if not 0.9 <= abs(det) <= 1.1:
+        raise TransportError(
+            f"return matrix is far from orthogonal (|det| = {abs(det):.6f}): the frames "
+            "at t=0 and t=1 do not span one subspace, so its determinant carries "
+            "no orientation sign")
+    path = FramePath(parameters=ts, frames=tuple(frames))
+    ret = ReturnMatrix(matrix=a, determinant=det, sign=1 if det > 0 else -1,
+                       certified=model is not None)
+    return path, ret
 
 
 def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int = 16):
@@ -329,56 +375,25 @@ def transport(loop: OperatorFamily, window: SpectralWindow, initial_samples: int
     aligned by the polar chain.
 
     ``initial_samples`` above 100000 is refused before anything is
-    sampled.  A return matrix whose determinant is not real (a complex
-    loop whose window holonomy is a U(k) phase) or not of modulus near 1
-    has no orientation sign, and raises TransportError.
+    sampled.  A loop whose samples at t = 0 and t = 1 differ raises
+    TransportError at t = 1.  A return matrix whose determinant is not
+    real (a complex loop whose window holonomy is a U(k) phase) or not
+    of modulus near 1 has no orientation sign, and raises TransportError.
     """
     if initial_samples < 2:
         raise ValueError("need at least 2 initial samples")
     if initial_samples > _MAX_SAMPLES:
         raise ValueError(f"initial_samples must be at most {_MAX_SAMPLES}, got {initial_samples}")
-    # the raw sampler: calling the family wraps t = 1 back to 0
-    base = loop.sampler(0.0)
-    with _at([0.0]):
-        values, vectors, residual, _ = _validated(base, np.linalg.eigh)
-        if _differ(base, loop.sampler(1.0), values):
-            raise TransportError("loop is not closed: samples at t=0 and t=1 differ")
-        frames = _window_frames(window, values[None], vectors[None])
-
-    model = loop.equivariant
-    if model is None:
-        ts = np.linspace(0.0, 1.0, initial_samples + 1)
-        frames = np.concatenate([frames, _sample_frames(loop, window, ts[1:], base.nbytes)])
-        ts, frames = _refine(loop, window, ts, frames, base.nbytes)
-        frames = _polar_chain(frames.swapaxes(-1, -2))
-    else:
-        speed = float(model._projector_speed(frames[0].swapaxes(-1, -2)))
+    basepoint = _basepoint(loop, window)
+    intervals = initial_samples
+    if loop.equivariant is not None:
+        speed = float(loop.equivariant._projector_speed(basepoint[2].T))  # of V_w
         if not speed / MAX_PROJECTOR_STEP < _MAX_SAMPLES:
             raise TransportError(f"window projector speed {speed:.6g} needs more than "
                                  f"{_MAX_SAMPLES} intervals of step {MAX_PROJECTOR_STEP}")
         intervals = max(initial_samples, int(np.floor(speed / MAX_PROJECTOR_STEP)) + 1)
-        ts = np.linspace(0.0, 1.0, intervals + 1)
-        with _at(ts):
-            frames = _parallel_frames(model, window, ts, values, frames[0], residual)
-        frames = frames.swapaxes(-1, -2)
-
-    a = frames[0].conj().T @ frames[-1]
-    det = np.linalg.det(a)
-    if abs(float(np.imag(det))) > 1e-10:
-        raise TransportError(
-            f"return matrix determinant {complex(det):.6g} is not real: the window "
-            "holonomy is a unitary phase, not an orthogonal matrix, so the loop has "
-            "no orientation sign")
-    det = float(np.real(det))
-    if not 0.9 <= abs(det) <= 1.1:
-        raise TransportError(
-            f"return matrix is far from orthogonal (|det| = {abs(det):.6f}): the frames "
-            "at t=0 and t=1 do not span one subspace, so its determinant carries "
-            "no orientation sign")
-    path = FramePath(parameters=ts, frames=tuple(frames))
-    ret = ReturnMatrix(matrix=a, determinant=det, sign=1 if det > 0 else -1,
-                       certified=model is not None)
-    return path, ret
+    ts = np.linspace(0.0, 1.0, intervals + 1)
+    return _transported(loop, window, ts, _sample_frames(loop, window, ts, basepoint), basepoint)
 
 
 def predicted_sign(parity: str, count: int) -> int:
@@ -408,26 +423,29 @@ def sign_stability(loop_a: OperatorFamily, loop_b: OperatorFamily,
     When they stay closer than 1 everywhere, the two eigenbundles are
     isomorphic, so equal signs are asserted (a mismatch raises).  When
     the criterion fails the report only states what was computed;
-    nothing is claimed in that regime.  A grid sample that fails the
-    window rule raises TransportError at the smallest such t, loop_a's
-    at equal t.  A rotation loop is factored at t = 0 only and not
-    sampled past it: its frames are the parallel frames of ``transport``.
+    nothing is claimed in that regime.  Each loop is factored once, at
+    t = 0, and both signs are read from the 257-point frames compared,
+    as ``transport`` reads them (an adaptive grid is refined from them).
+    A loop that is not closed raises TransportError at t = 1, and a grid
+    sample that fails the window rule at its t: the smallest t first,
+    and loop_a's at equal t.
     """
     grid = np.linspace(0.0, 1.0, 257)
-    stacks, leaks = [], []
+    basepoints, stacks, leaks = [], [], []
     for loop in (loop_a, loop_b):
         try:
-            stacks.append(_sample_frames(loop, window, grid).swapaxes(-1, -2))
+            basepoints.append(_basepoint(loop, window))
+            stacks.append(_sample_frames(loop, window, grid, basepoints[-1]))
         except TransportError as exc:
             leaks.append(exc)
     if leaks:  # the smallest t first, and loop_a first at equal t
         raise min(leaks, key=lambda exc: exc.parameter)
-    worst = max([0.0] + _frame_distance(*stacks).tolist())
+    worst = max([0.0] + _frame_distance(*(f.swapaxes(-1, -2) for f in stacks)).tolist())
     criterion_met = worst < 1.0
-    _, ret_a = transport(loop_a, window)
+    _, ret_a = _transported(loop_a, window, grid, stacks[0], basepoints[0])
     note = ""
     try:
-        _, ret_b = transport(loop_b, window)
+        _, ret_b = _transported(loop_b, window, grid, stacks[1], basepoints[1])
         sign_b = ret_b.sign
     except TransportError as exc:
         sign_b = None

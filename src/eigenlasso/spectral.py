@@ -74,9 +74,8 @@ def _refuse_non_finite(a: np.ndarray) -> None:
         raise _StackError(f"non-finite matrix entries{where and ' at stack index ' + where}", first)
 
 
-def _validated(a: np.ndarray, factor
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(values, vectors, residual, defect) of ``factor(a)`` for a (..., n, n) stack ``a``, checked.
+def _validated(a: np.ndarray, factor) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, vectors, residual) of ``factor(a)`` for a (..., n, n) stack ``a``, checked.
 
     The checks every eigendecomposition here passes, however it was
     obtained, with ``factor`` mapping the stack to its (values,
@@ -92,8 +91,7 @@ def _validated(a: np.ndarray, factor
     that fails the frame check, raises RuntimeError naming it.  The
     residual's norm is taken after dividing by that scale, so its
     squared entries cannot overflow.  Returns the values, the vectors,
-    and each matrix's measured residual, divided by its scale, and
-    frame defect.
+    and each matrix's measured residual, divided by its scale.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -116,7 +114,7 @@ def _validated(a: np.ndarray, factor
     if bad.size:
         i = int(bad[0])
         raise _FactorError(f"eigenvector frame not orthonormal ({defect.flat[i]:.3e})", i)
-    return values, vectors, residual, defect
+    return values, vectors, residual
 
 
 def eigendecompose(op) -> Tuple[np.ndarray, np.ndarray]:

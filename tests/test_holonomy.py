@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eigenlasso import holonomy, spectral
+from eigenlasso.acceptance import make_commuting_loop
 from eigenlasso.holonomy import (
     TransportError,
     concatenate_loops,
@@ -17,6 +18,7 @@ from eigenlasso.models import (
     EquivariantLoopModel,
     OperatorFamily,
     SymmetricOperator,
+    _stacked_loop,
     make_block_rotation_loop,
     make_fullturn_loop,
     make_halfturn_loop,
@@ -323,6 +325,72 @@ def test_stability_reports_the_first_leak_on_the_grid(start_a, start_b, message)
         sign_stability(loop_a, loop_b, SpectralWindow(0.5, 1.5, count=1))
     assert str(exc.value) == message
     assert exc.value.parameter == 0.25
+
+
+def test_stability_factors_each_rotation_basepoint_once(monkeypatch):
+    factored, eigh = [], np.linalg.eigh
+
+    def counted(a):
+        factored.append(a.shape)
+        return eigh(a)
+
+    loop_a, loop_b = (make_block_rotation_loop(rotated_base(64), turns).family()
+                      for turns in (1.5, 0.5))
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sign_stability(loop_a, loop_b, SpectralWindow(0.5, 2.5, count=2))
+    assert factored == [(64, 64), (64, 64)]
+
+
+def test_stability_samples_a_plain_loop_once_per_grid_point():
+    loop = make_halfturn_loop(np.diag([1.0, 2.0])).family()
+    sampled = []
+
+    def sampler(t):
+        sampled.append(t)
+        return loop(t) + np.array([[0.05, 0.02], [0.02, -0.05]])
+
+    report = sign_stability(loop, OperatorFamily(domain="circle", sampler=sampler),
+                            SpectralWindow(0.5, 1.5, count=1))
+    # t = 0, the closure check's t = 1 and the 256 grid points past t = 0,
+    # which also carry the sign
+    assert len(sampled) == 258
+    assert report.criterion_met and report.sign_b == -1
+
+
+def test_stability_refuses_a_second_loop_that_is_not_closed():
+    loop = make_halfturn_loop(np.diag([1.0, 2.0])).family()
+    with pytest.raises(TransportError, match="not closed") as exc:
+        sign_stability(loop, quarter_turn_family(), SpectralWindow(0.5, 1.5, count=1))
+    assert exc.value.parameter == 1.0
+
+
+def stability_pairs():
+    """(loop_a, loop_b, window count) of every loop kind sign_stability reads signs from."""
+    half = make_halfturn_loop(np.diag([1.0, 2.0])).family()
+    g = np.random.default_rng(0).standard_normal((2, 2))
+    g = 0.5 * (g + g.T)
+    g *= 0.25 / np.linalg.norm(g, 2)  # criterion 6's perturbation of norm gap/4
+    perturbed = _stacked_loop(lambda ts: half.stack(ts) + g, "odd")
+    full = make_fullturn_loop(np.diag([1.0, 2.0])).family()
+    block = [make_block_rotation_loop(rotated_base(8), turns).family() for turns in (1.5, 0.5)]
+    spin, commuting = spin_loop(7).family(), make_commuting_loop()
+    return {
+        "block-rotation": (*block, 1),
+        "spin-m7": (spin, spin, 2),
+        "commuting": (commuting, commuting, 1),
+        "concatenated": (concatenate_loops(half, half), concatenate_loops(half, full), 1),
+        "perturbed": (half, perturbed, 1),
+    }
+
+
+@pytest.mark.parametrize("name", ["block-rotation", "spin-m7", "commuting", "concatenated",
+                                  "perturbed"])
+def test_stability_signs_are_the_transported_signs(name):
+    loop_a, loop_b, count = stability_pairs()[name]
+    window = SpectralWindow(0.5, count + 0.5, count=count)
+    report = sign_stability(loop_a, loop_b, window)
+    assert report.sign_a == transport(loop_a, window)[1].sign
+    assert report.sign_b == transport(loop_b, window)[1].sign
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -735,7 +803,7 @@ def test_rotated_samples_certify_the_window_count():
     # rotated, the base's measured residual exceeds that clearance: refused at t = 0
     q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
     model = make_block_rotation_loop((q * values) @ q.T, 1.5)
-    _, _, residual, _ = spectral._validated(model.family()(0.0), np.linalg.eigh)
+    _, _, residual = spectral._validated(model.family()(0.0), np.linalg.eigh)
     assert 1e8 * residual > 5e-9
     with pytest.raises(TransportError, match="window count is not certified") as exc:
         transport(model.family(), tight)
