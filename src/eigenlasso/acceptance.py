@@ -20,7 +20,6 @@ from .clifford import EPSILON_BY_DIMENSION, build_clifford, find_structure_map, 
 from .models import (
     OperatorFamily,
     SymmetricOperator,
-    _stack_chunks,
     _stacked_loop,
     make_circle_dirac,
     make_fullturn_loop,
@@ -30,6 +29,7 @@ from .models import (
 )
 from .spectral import (
     SpectralWindow,
+    enumerate_family,
     minmax_check,
     projector_distance,
     rayleigh_distance_check,
@@ -206,11 +206,8 @@ def _criterion_3(pins: Mapping) -> Tuple[bool, str]:
     ]
     worst = 0.0
     for _, loop in loops:
-        family = loop.family()
-        base_values = np.linalg.eigvalsh(family(0.0))
-        for mats in _stack_chunks(family, np.arange(n_samples) / n_samples):
-            values = np.linalg.eigvalsh(mats)
-            worst = max(worst, float(np.abs(values - base_values).max()))
+        values = enumerate_family(loop.family(), np.arange(n_samples) / n_samples).values
+        worst = max(worst, float(np.abs(values - values[0]).max()))
     ok = worst <= tol
     detail = f"max sorted-spectrum drift {worst:.2e} over {n_samples} samples (tol {tol:g})"
     return ok, detail

@@ -35,7 +35,8 @@ from .models import (
     make_odd_multiplicity_base,
     make_spin_loop,
 )
-from .spectral import SpectralWindow, eigendecompose, enumerate_family, verify_dirac_properties
+from .spectral import (SpectralWindow, _FactorError, eigendecompose, enumerate_family,
+                       verify_dirac_properties)
 from .holonomy import predicted_sign, transport
 from .lasso import WindowRefused, answer, make_orbit_disc
 
@@ -363,7 +364,10 @@ def _cmd_spectrum(run: _Run, spec: dict) -> int:
         analytic = np.sort(model.analytic_spectrum())
         results["max_deviation"] = float(np.abs(values - analytic).max())
     else:
-        values, _ = eigendecompose(model)
+        try:
+            values, _ = eigendecompose(model)
+        except _FactorError as exc:
+            raise _fail("model", str(exc)) from exc
     run.csv("spectrum.csv", "j,t,lambda",
             [(j, 0.0, float(v)) for j, v in enumerate(values)])
     results["values"] = [float(v) for v in values]

@@ -210,10 +210,7 @@ def _parallel_frames(model: EquivariantLoopModel, window: SpectralWindow, ts: np
     Frames are transposed, like ``_window_frames``'s.
     """
     scale = max(float(np.abs(values).max(initial=0.0)), 1e-300)
-    # a spectrum near +-1e308 is farther than the largest float from an
-    # endpoint of the other sign: the distance overflows to +inf, which is right
-    with np.errstate(over="ignore"):
-        clearance = min(float(np.abs(values - edge).min()) for edge in (window.lower, window.upper))
+    clearance = float(min(window._distances(values)))
     if not clearance > residual * scale:
         raise _StackError(f"a window endpoint lies {clearance:.3e} from the spectrum, within "
                           f"the eigendecomposition residual {residual * scale:.3e}, so the "

@@ -8,9 +8,9 @@ symmetric matrices is convex, so the filling is canonical), scans the
 disc for small eigenvalue gaps, and refines promising points into a
 certificate of near-degeneracy.  The scan factors one ring of the
 polar grid per batched eigensolve; on discs of dimension
-``_PARALLEL_MIN_DIM`` and up the rings are shared out across the cores
-the process may run on, one thread each, with the same bytes as one
-thread, since each ring gives what it gives alone.  The refinement
+``_PARALLEL_MIN_DIM`` and up the rings are shared out in blocks across
+the cores the process may run on, one pool thread each, with the same
+bytes as one thread, since each ring gives what it gives alone.  The refinement
 answers a rotation loop's disc at its center when the center commutes
 with the loop's structure; otherwise it runs Newton on the branching
 plane, solving the two first-order conditions of a crossing of the
@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -178,6 +178,9 @@ class ScanResult:
 # 16 x 24 scan went 6.9 -> 5.3 ms at n = 24, but 5.2 -> 5.6 ms at n = 20
 # and 3.6 -> 3.9 ms at n = 16
 _PARALLEL_MIN_DIM = 24
+# bytes of ring-sized operator stacks scan_disc builds at once, one per
+# worker; it holds 21 rings of 24 operators at n = 128, the benchmark's largest
+_SCAN_BYTES = 1 << 26
 
 
 def _cores() -> int:
@@ -185,31 +188,6 @@ def _cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _split(work, parts: int):
-    """Run work(k) for every k in range(parts): 0 on this thread, the
-    others on one thread each, joined before returning.  The first
-    exception raised, by part order, is raised here unchanged."""
-    errors: list = [None] * parts
-
-    def run(k: int):
-        try:
-            work(k)
-        except BaseException as exc:  # re-raised below, on the caller's thread
-            errors[k] = exc
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, parts)]
-    for thread in threads:
-        thread.start()
-    try:
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
 
 
 def scan_disc(disc: DiscFamily, window: SpectralWindow,
@@ -223,16 +201,17 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
     forced and a warning is issued, but the scan still runs; it simply
     reports whatever gaps it finds.
 
-    Each ring is one batched ``eigvalsh`` of c + r (ring - c).  From
-    ``_PARALLEL_MIN_DIM`` up, the rings are dealt out to one thread per
-    core the process may run on (at most n_r), ring k to worker
-    k mod workers: numpy's eigensolver releases the interpreter lock,
-    and every matrix gives exactly what it gives alone, so the gap map
-    and ``best`` are byte for byte those of one thread.  A worker turns
-    each ring's spectra into its row of the gap map at once, so the scan
-    holds the ring, the (n_r, n_theta) gap map, and per worker one
-    ring-sized operator buffer and one ring's spectra.  An exception in
-    a worker is raised here unchanged, after every worker has finished.
+    Each ring is one batched ``eigvalsh`` of c + r (ring - c), turned at
+    once into its row of the gap map.  From ``_PARALLEL_MIN_DIM`` up, the
+    rings are cut into contiguous blocks, the first for this thread and
+    the others for a standard thread pool: one worker per core the
+    process may run on, at most n_r and at most as many as ``_SCAN_BYTES``
+    holds rings.  numpy's eigensolver releases the interpreter lock, and
+    every matrix gives exactly what it gives alone, so the gap map and
+    ``best`` are byte for byte those of one thread.  The scan holds the
+    ring, the gap map, and per worker one ring-sized operator stack and
+    one ring's spectra.  The first failing ring, in ring order, raises
+    here unchanged, after every worker has finished.
     n_r < 2 or n_theta < 3 is refused with a ValueError.
     """
     n_r, n_theta = grid
@@ -249,21 +228,32 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
     rs = (np.arange(n_r) + 1.0) / n_r
     thetas = np.arange(n_theta) / n_theta
     # the boundary ring is sampled once; each worker builds one radius's
-    # (n_theta, n, n) stack of disc operators at a time in its own buffer
+    # (n_theta, n, n) stack of disc operators at a time in its own stack
     c = disc.center.matrix
     ring = disc.boundary.stack(thetas) - c
-    parts = min(_cores(), n_r) if disc.dim >= _PARALLEL_MIN_DIM else 1
-    buffers = np.empty((parts,) + ring.shape)
+
+    def rows(radii: np.ndarray, out: np.ndarray, h: np.ndarray) -> None:
+        """The gap map's rows at ``radii`` into ``out``, in ring order, built in ``h``."""
+        for k, r in enumerate(radii):
+            np.multiply(r, ring, out=h)
+            out[k] = _index_gaps(np.linalg.eigvalsh(np.add(c, h, out=h)), anchor, window.count)
+
+    workers = (max(1, min(_cores(), n_r, _SCAN_BYTES // ring.nbytes))
+               if disc.dim >= _PARALLEL_MIN_DIM else 1)
     gap_map = np.empty((n_r, n_theta))
-
-    def factor(k: int):
-        """Rings k, k + parts, ..., each as c + r * ring."""
-        for i in range(k, n_r, parts):
-            h = np.multiply(rs[i], ring, out=buffers[k])
-            gap_map[i] = _index_gaps(np.linalg.eigvalsh(np.add(c, h, out=h)), anchor,
-                                     window.count)
-
-    _split(factor, parts)
+    # allocated on this thread: stacks a pool thread allocates stay in its
+    # malloc arena, which took lasso peak RSS 52.6 -> 59.6 MB (2-core x86_64 VM)
+    stacks = np.empty((workers,) + ring.shape)
+    if workers == 1:
+        rows(rs, gap_map, stacks[0])
+    else:
+        # one contiguous block of rings per worker, the first on this thread,
+        # so the first block that fails holds the first ring that fails
+        radii, out = np.array_split(rs, workers), np.array_split(gap_map, workers)
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = pool.map(rows, radii[1:], out[1:], stacks[1:])
+            rows(radii[0], out[0], stacks[0])
+            list(others)
     i, j = np.unravel_index(np.argmin(gap_map), gap_map.shape)
     return ScanResult(r_values=rs, theta_values=thetas, gap_map=gap_map,
                       best=(float(gap_map[i, j]), float(rs[i]), float(thetas[j])),

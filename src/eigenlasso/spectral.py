@@ -87,8 +87,9 @@ def _validated(a: np.ndarray, factor) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     residual) and a frame with ||V^H V - I|| at most 1e-12, both
     measured here in the Frobenius norm, an upper bound on the operator
     norm, so neither check is looser than its operator-norm statement.
-    The first matrix that fails the residual check, and then the first
-    that fails the frame check, raises RuntimeError naming it.  The
+    The first non-finite eigenvalue (of finite entries near the float
+    limit), then the first matrix that fails the residual check, and then
+    the first that fails the frame check, raises RuntimeError naming it.  The
     residual's norm is taken after dividing by that scale, so its
     squared entries cannot overflow.  Returns the values, the vectors,
     and each matrix's measured residual, divided by its scale.
@@ -98,6 +99,11 @@ def _validated(a: np.ndarray, factor) -> Tuple[np.ndarray, np.ndarray, np.ndarra
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     _refuse_non_finite(a)
     values, vectors = factor(a)
+    finite = np.isfinite(values)
+    if not finite.all():  # finite entries whose eigenvalue overflows
+        first = int(np.argmin(finite))
+        raise _FactorError(f"non-finite eigenvalue {first % values.shape[-1]} "
+                           f"({values.flat[first]})", first // values.shape[-1])
     scale = np.maximum(np.abs(values).max(axis=-1, initial=0.0), 1e-300)
     residual = a @ vectors
     residual -= vectors * values[..., None, :]
@@ -153,6 +159,14 @@ class SpectralWindow:
     def radius(self) -> float:
         return 0.5 * (self.upper - self.lower)
 
+    def _distances(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Distances of the lower and the upper endpoint to each spectrum of a stack."""
+        # a spectrum near +-1e308 is farther than the largest float from an
+        # endpoint of the other sign: the distance overflows to +inf, which is right
+        with np.errstate(over="ignore"):
+            return tuple(np.abs(values - edge).min(axis=-1, initial=np.inf)
+                         for edge in (self.lower, self.upper))
+
     def _bounds(self, values: np.ndarray, counted: bool = True) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row index ranges (start, stop) of the window in a (P, n) stack.
 
@@ -164,10 +178,7 @@ class SpectralWindow:
         """
         values = np.asarray(values)
         edges = (("lower", self.lower), ("upper", self.upper))
-        # a spectrum near +-1e308 is farther than the largest float from an
-        # endpoint of the other sign: the distance overflows to +inf, which is right
-        with np.errstate(over="ignore"):
-            dist = [np.abs(values - edge).min(axis=-1, initial=np.inf) for _, edge in edges]
+        dist = self._distances(values)
         start, stop = (values <= self.lower).sum(-1), (values < self.upper).sum(-1)
         near = [d < ENDPOINT_MARGIN for d in dist]
         failed = near[0] | near[1] | (counted & (stop - start != self.count))

@@ -104,6 +104,20 @@ def test_spectrum_of_entries_near_1e200(tmp_path):
     np.testing.assert_allclose(values, [-np.sqrt(2.0) * 1e200, np.sqrt(2.0) * 1e200], rtol=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_eigenvalue_past_the_float_limit_names_the_field(tmp_path, capsys):
+    # the entries are finite, but the eigenvalue 2e308 is not
+    overflowing = {"kind": "matrix", "entries": [[1e308, 1e308], [1e308, 1e308]]}
+    cfg = write_config(tmp_path, {"model": overflowing})
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "config error: model: non-finite eigenvalue 1 (inf)\n"
+    cfg = write_config(tmp_path, {"loop": {"kind": "halfturn", "base": overflowing},
+                                  "window": UNIT_WINDOW})
+    assert cli.main(["holonomy", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: TransportError: at t=0: non-finite eigenvalue 1 (inf)\n")
+
+
 def test_holonomy_expectation_failure_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "loop": HALFTURN_LOOP,

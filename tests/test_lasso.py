@@ -445,18 +445,19 @@ def ring_by_ring_gaps(disc, window, anchor, grid=(16, 24)):
     return (values[..., lo + 1:hi + 1] - values[..., lo:hi]).min(-1)
 
 
-def split_into(monkeypatch, cores):
-    """Give the scan ``cores`` cores and record how many parts each scan used."""
-    parts = []
-    split = lasso._split
+def pools_with(monkeypatch, cores):
+    """Give the scan ``cores`` cores and record the ``max_workers`` of each
+    thread pool it opens, one worker fewer than the scan's."""
+    pools = []
 
-    def recording(work, count):
-        parts.append(count)
-        split(work, count)
+    class Recording(lasso.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
 
     monkeypatch.setattr(lasso, "_cores", lambda: cores)
-    monkeypatch.setattr(lasso, "_split", recording)
-    return parts
+    monkeypatch.setattr(lasso, "ThreadPoolExecutor", Recording)
+    return pools
 
 
 @pytest.mark.parametrize("n, seed", [(32, 0), (32, 4), (8, 3)])
@@ -467,10 +468,11 @@ def test_scan_gives_the_same_bytes_on_any_number_of_cores(monkeypatch, n, seed):
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
         for cores in (1, 2, 5):  # 5: more workers than cores, and 16 rings split unevenly
-            parts = split_into(monkeypatch, cores)
+            pools = pools_with(monkeypatch, cores)
             scans[cores] = scan_disc(disc, window)
-            # small discs, as the cli's and the spin discs, stay on the caller's thread
-            assert parts == [cores if n == 32 else 1]
+            # one core, and small discs such as the cli's and the spin discs,
+            # open no pool: every ring is factored on the caller's thread
+            assert pools == ([cores - 1] if n == 32 and cores > 1 else [])
     finally:
         sys.setswitchinterval(interval)
     want = ring_by_ring_gaps(disc, window, scans[1].anchor)
@@ -486,30 +488,53 @@ class SolverFailure(Exception):
     pass
 
 
-@pytest.mark.parametrize("ring", [5, 0], ids=["second-worker", "caller-thread"])
-def test_an_error_reaches_the_caller_and_no_thread_outlives_the_scan(monkeypatch, ring):
+@pytest.mark.parametrize("rings", [[12], [0], [12, 3]],
+                         ids=["second-worker", "caller-thread", "first-failing-ring"])
+def test_an_error_reaches_the_caller_and_no_thread_outlives_the_scan(monkeypatch, rings):
     disc, window = halfturn_disc(32, seed=0)
     c = disc.center.matrix
-    # of 16 rings on two threads, the odd ones are the second worker's
-    failing = c + (ring + 1.0) / 16 * (disc.boundary(7 / 24) - c)
+    # of 16 rings on two workers, rings 0 to 7 are the caller's and 8 to 15 the pool's
+    failing = {ring: c + (ring + 1.0) / 16 * (disc.boundary(7 / 24) - c) for ring in rings}
     raised_on = []
+    later_ring_failed = threading.Event()
     original = np.linalg.eigvalsh
 
     def failing_on_one_matrix(a, *args, **kwargs):
-        if np.ndim(a) == 3 and any(np.array_equal(m, failing) for m in a):
-            raised_on.append(threading.current_thread())
-            raise SolverFailure("no convergence")
+        for ring, matrix in failing.items():
+            if np.ndim(a) == 3 and any(np.array_equal(m, matrix) for m in a):
+                if ring < max(rings):  # the later ring fails first
+                    assert later_ring_failed.wait(timeout=10)
+                raised_on.append((ring, threading.current_thread()))
+                later_ring_failed.set()
+                raise SolverFailure(f"no convergence in ring {ring}")
         return original(a, *args, **kwargs)
 
-    parts = split_into(monkeypatch, 2)
+    pools = pools_with(monkeypatch, 2)
     monkeypatch.setattr(np.linalg, "eigvalsh", failing_on_one_matrix)
     before = threading.active_count()
-    with pytest.raises(SolverFailure, match="no convergence"):
+    # the first failing ring in ring order, though another failed first
+    with pytest.raises(SolverFailure, match=f"^no convergence in ring {min(rings)}$"):
         scan_disc(disc, window)
-    assert parts == [2] and len(raised_on) == 1
-    assert (raised_on[0] is threading.main_thread()) == (ring == 0)
-    # a failure in ring 0 ends the caller's share first, with the worker still busy
+    assert pools == [1] and sorted(ring for ring, _ in raised_on) == sorted(rings)
+    assert all((thread is threading.main_thread()) == (ring < 8) for ring, thread in raised_on)
+    # a failure in ring 0 ends the caller's block first, with the worker still
+    # busy: every worker has finished before the error leaves the scan
     assert threading.active_count() == before
+
+
+def test_the_rings_in_flight_keep_to_a_byte_budget(monkeypatch):
+    disc, window = halfturn_disc(32, seed=0)
+    ring_bytes = 24 * 32 * 32 * 8
+    pools = pools_with(monkeypatch, 64)
+    want = scan_disc(disc, window).gap_map
+    # a 64-core box: 16 rings, even of the benchmark's largest (3.1 MB), take 16 workers
+    assert pools == [15] and lasso._SCAN_BYTES >= 16 * 128 * 128 * 8 * 24
+    for budget, workers in [(3 * ring_bytes + 1, 3), (ring_bytes - 1, 1)]:
+        pools.clear()
+        monkeypatch.setattr(lasso, "_SCAN_BYTES", budget)
+        assert scan_disc(disc, window).gap_map.tobytes() == want.tobytes()
+        # a ring larger than the budget is factored alone, on the caller's thread
+        assert pools == ([workers - 1] if workers > 1 else [])
 
 
 # ---------------------------------------------------------------- boundary stackers

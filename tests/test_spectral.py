@@ -117,6 +117,18 @@ def test_factor_checks_are_scale_free(scale):
     assert np.isfinite(vectors).all()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_eigenvalue_that_overflows_is_refused_before_the_residual_check():
+    # finite entries whose eigenvalue 2e308 overflows to inf: the residual
+    # would divide inf by inf and report nan
+    overflowing = np.full((2, 2), 1e308)
+    with pytest.raises(RuntimeError, match=r"^non-finite eigenvalue 1 \(inf\)$"):
+        eigendecompose(overflowing)
+    with pytest.raises(RuntimeError, match=r"^non-finite eigenvalue 1 \(inf\)$") as exc:
+        eigendecompose(np.stack([np.eye(2), overflowing]))
+    assert exc.value.index == 1
+
+
 # ---------------------------------------------------------------- windows
 
 def test_window_basic_geometry():
