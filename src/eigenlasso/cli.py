@@ -429,6 +429,7 @@ def _cmd_lasso_scan(run: _Run, spec: dict) -> int:
         "boundary_sign": scan.boundary_sign,
         "anchor": scan.anchor,
         "scan_min_gap": scan.min_gap,
+        "scan_eigensolves": scan.eigensolves,
     }
     if cert is not None:
         results["certificate"] = asdict(cert)

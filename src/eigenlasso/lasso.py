@@ -6,16 +6,19 @@ eigenvalues around the window must collide.  This module fills the
 loop by linear interpolation toward a center operator (the space of
 symmetric matrices is convex, so the filling is canonical), scans the
 disc for small eigenvalue gaps, and refines promising points into a
-certificate of near-degeneracy.  The scan factors one ring of the
-polar grid per batched eigensolve; on discs of dimension
-``_PARALLEL_MIN_DIM`` and up the rings are shared out in blocks across
-the cores the process may run on, one pool thread each, with the same
-bytes as one thread, since each ring gives what it gives alone.  The refinement
-answers a rotation loop's disc at its center when the center commutes
-with the loop's structure; otherwise it runs Newton on the branching
-plane, solving the two first-order conditions of a crossing of the
-closest anchored pair, which meets a forced crossing in a few
-eigensolves.  Where Newton stops short, refinement refuses at once,
+certificate of near-degeneracy.  A rotation loop's mean is its
+closed form, which commutes with the loop's structure K bit for bit;
+a disc whose center does so has isospectral rings, and the scan
+factors one operator per radius for it.  Every other disc is scanned
+one ring of the polar grid per batched eigensolve; on discs of
+dimension ``_PARALLEL_MIN_DIM`` and up the rings are shared out in
+blocks across the cores the process may run on, one pool thread each,
+with the same bytes as one thread, since each ring gives what it gives
+alone.  The refinement answers a rotation loop's disc at its center
+when the center commutes with the loop's structure; otherwise it runs
+Newton on the branching plane, solving the two first-order conditions
+of a crossing of the closest anchored pair, which meets a forced
+crossing in a few eigensolves.  Where Newton stops short, refinement refuses at once,
 with the best Newton iterate.  Both routes' points are certified by
 the same eigendecomposition checks, on the ``eigh`` that found them.
 ``answer`` joins the two stages: refinement starts at the scan's best
@@ -92,19 +95,31 @@ def make_orbit_disc(loop: Union[EquivariantLoopModel, OperatorFamily],
                     center: Union[str, np.ndarray, SymmetricOperator] = "mean") -> DiscFamily:
     """Disc filling a loop, centered at its mean or at a given operator.
 
-    ``center`` may be "mean" (average of 64 uniform boundary samples;
-    exact for trigonometric polynomial loops of degree below 32) or an
-    explicit operator.
+    ``center`` may be "mean" or an explicit operator.  The mean of a
+    rotation loop (a family with ``equivariant`` set) is its closed form
+    C = 1/2 D0 + 1/2 K D0 K^T, the average of rho(t) D0 rho(t)^T over t
+    for h != 0 half turns, taken with two signed gathers; it is D0
+    itself for h = 0.  Each entry of C is the same two operands added,
+    whichever way the gathers reach it, so C is exactly symmetric when
+    D0 is, and KC = CK holds bit for bit; halving each term first keeps
+    the sum finite for any finite D0.  Any other family's mean is the
+    average of 64 uniform boundary samples.
     """
     family = loop.family() if isinstance(loop, EquivariantLoopModel) else loop
     if isinstance(center, str):
-        if center == "mean":
+        if center != "mean":
+            raise ValueError(f"unknown center mode {center!r}")
+        model = family.equivariant
+        if model is None:
             total = 0  # summed sample by sample, in order
             for chunk in _stack_chunks(family, np.arange(64) / 64):
                 total = sum(chunk, total)
             c = SymmetricOperator(total / 64)
+        elif model.half_turns == 0:
+            c = model.base
         else:
-            raise ValueError(f"unknown center mode {center!r}")
+            d0 = model.base.matrix
+            c = SymmetricOperator(0.5 * d0 + 0.5 * model._times_k(model._times_k(d0), axis=-1))
     elif isinstance(center, SymmetricOperator):
         c = center
     else:
@@ -157,7 +172,8 @@ def _index_gaps(values: np.ndarray, anchor: int, count: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ScanResult:
     """Gap map over the scan grid and its smallest gap, ``best`` =
-    (gap, r, theta) at the first grid point in row-major order."""
+    (gap, r, theta) at the first grid point in row-major order;
+    ``eigensolves`` counts the matrices factored for the gap map."""
 
     r_values: np.ndarray
     theta_values: np.ndarray
@@ -165,6 +181,7 @@ class ScanResult:
     best: Tuple[float, float, float]
     anchor: int
     boundary_sign: int
+    eigensolves: int
 
     @property
     def min_gap(self) -> float:
@@ -190,6 +207,11 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+def _commutes(loop: EquivariantLoopModel, c: np.ndarray) -> bool:
+    """KC == CK bit for bit: (KC)_ij = -(C K^T)_ij, by two signed gathers."""
+    return np.array_equal(loop._times_k(c), -loop._times_k(c, axis=-1))
+
+
 def scan_disc(disc: DiscFamily, window: SpectralWindow,
               grid: Tuple[int, int] = (16, 24)) -> ScanResult:
     """Evaluate the anchored gap indicator on a polar grid.
@@ -201,8 +223,22 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
     forced and a warning is issued, but the scan still runs; it simply
     reports whatever gaps it finds.
 
-    Each ring is one batched ``eigvalsh`` of c + r (ring - c), turned at
-    once into its row of the gap map.  From ``_PARALLEL_MIN_DIM`` up, the
+    Isospectral rings: when the boundary has an ``equivariant`` model
+    and its structure K commutes with the center C bit for bit (checked
+    by signed gathers, with no tolerance, as for a rotation loop's
+    mean), rho(theta) = cos(pi h theta) I + sin(pi h theta) K commutes
+    with C, so rho C rho^T = C and
+    H(r, theta) = rho(theta) (C + r (D0 - C)) rho(theta)^T.  Every ring
+    is orthogonally similar to its point at theta = 0, so it has exactly
+    one spectrum.  The gap map is then one ``eigvalsh`` per radius of
+    C + r (D0 - C), the same bytes as the ring path's theta = 0 column,
+    and each row is that value repeated across theta.  The radii go
+    through in stacks of at most n_theta operators, so the scan holds
+    no more than one ring's stack, and it opens no pool.
+
+    Every other disc takes the ring path: each ring is one batched
+    ``eigvalsh`` of c + r (ring - c), turned at once into its row of the
+    gap map.  From ``_PARALLEL_MIN_DIM`` up, the
     rings are cut into contiguous blocks, the first for this thread and
     the others for a standard thread pool: one worker per core the
     process may run on, at most n_r and at most as many as ``_SCAN_BYTES``
@@ -212,6 +248,7 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
     ring, the gap map, and per worker one ring-sized operator stack and
     one ring's spectra.  The first failing ring, in ring order, raises
     here unchanged, after every worker has finished.
+    ``eigensolves`` is n_r on the first path and n_r * n_theta on the other.
     n_r < 2 or n_theta < 3 is refused with a ValueError.
     """
     n_r, n_theta = grid
@@ -227,20 +264,52 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
         )
     rs = (np.arange(n_r) + 1.0) / n_r
     thetas = np.arange(n_theta) / n_theta
-    # the boundary ring is sampled once; each worker builds one radius's
-    # (n_theta, n, n) stack of disc operators at a time in its own stack
     c = disc.center.matrix
-    ring = disc.boundary.stack(thetas) - c
+    loop = disc.boundary.equivariant
+    if loop is not None and _commutes(loop, c):
+        gap_map = _isospectral_rows(disc.boundary(0.0) - c, c, rs, n_theta,
+                                    anchor, window.count)
+        eigensolves = n_r
+    else:
+        gap_map = _ring_rows(disc.boundary.stack(thetas) - c, c, rs, anchor, window.count)
+        eigensolves = n_r * n_theta
+    i, j = np.unravel_index(np.argmin(gap_map), gap_map.shape)
+    return ScanResult(r_values=rs, theta_values=thetas, gap_map=gap_map,
+                      best=(float(gap_map[i, j]), float(rs[i]), float(thetas[j])),
+                      anchor=anchor, boundary_sign=ret.sign, eigensolves=eigensolves)
+
+
+def _isospectral_rows(radial: np.ndarray, c: np.ndarray, rs: np.ndarray, n_theta: int,
+                      anchor: int, count: int) -> np.ndarray:
+    """The gap map of a disc whose rings are isospectral: the gaps of
+    c + r ``radial`` at each r in ``rs``, factored in stacks of at most
+    n_theta operators, each repeated across n_theta angles."""
+    gaps = np.empty(rs.size)
+    stack = np.empty((min(rs.size, n_theta),) + c.shape)
+    for start in range(0, rs.size, n_theta):
+        radii = rs[start:start + n_theta]
+        h = stack[:radii.size]
+        np.multiply(radii[:, None, None], radial, out=h)
+        gaps[start:start + radii.size] = _index_gaps(np.linalg.eigvalsh(np.add(c, h, out=h)),
+                                                     anchor, count)
+    return np.repeat(gaps[:, None], n_theta, axis=1)
+
+
+def _ring_rows(ring: np.ndarray, c: np.ndarray, rs: np.ndarray, anchor: int,
+               count: int) -> np.ndarray:
+    """The gap map, one row per r in ``rs``, each from one batched
+    ``eigvalsh`` of c + r ``ring``, the rings shared out across cores
+    from ``_PARALLEL_MIN_DIM`` up."""
 
     def rows(radii: np.ndarray, out: np.ndarray, h: np.ndarray) -> None:
         """The gap map's rows at ``radii`` into ``out``, in ring order, built in ``h``."""
         for k, r in enumerate(radii):
             np.multiply(r, ring, out=h)
-            out[k] = _index_gaps(np.linalg.eigvalsh(np.add(c, h, out=h)), anchor, window.count)
+            out[k] = _index_gaps(np.linalg.eigvalsh(np.add(c, h, out=h)), anchor, count)
 
-    workers = (max(1, min(_cores(), n_r, _SCAN_BYTES // ring.nbytes))
-               if disc.dim >= _PARALLEL_MIN_DIM else 1)
-    gap_map = np.empty((n_r, n_theta))
+    workers = (max(1, min(_cores(), rs.size, _SCAN_BYTES // ring.nbytes))
+               if c.shape[0] >= _PARALLEL_MIN_DIM else 1)
+    gap_map = np.empty((rs.size, ring.shape[0]))
     # allocated on this thread: stacks a pool thread allocates stay in its
     # malloc arena, which took lasso peak RSS 52.6 -> 59.6 MB (2-core x86_64 VM)
     stacks = np.empty((workers,) + ring.shape)
@@ -254,10 +323,7 @@ def scan_disc(disc: DiscFamily, window: SpectralWindow,
             others = pool.map(rows, radii[1:], out[1:], stacks[1:])
             rows(radii[0], out[0], stacks[0])
             list(others)
-    i, j = np.unravel_index(np.argmin(gap_map), gap_map.shape)
-    return ScanResult(r_values=rs, theta_values=thetas, gap_map=gap_map,
-                      best=(float(gap_map[i, j]), float(rs[i]), float(thetas[j])),
-                      anchor=anchor, boundary_sign=ret.sign)
+    return gap_map
 
 
 # ---------------------------------------------------------------------------

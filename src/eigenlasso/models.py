@@ -266,6 +266,11 @@ def make_circle_dirac(n_max: int, delta: float) -> CircleDiracModel:
 # equivariant loops
 # ---------------------------------------------------------------------------
 
+# largest bound on a rotation loop's sample entries that the model accepts;
+# the margin below the float limit covers the rounding of ``stack``
+_SAMPLE_MAX = np.finfo(float).max * (1.0 - 2.0 ** -40)
+
+
 @dataclass(frozen=True)
 class EquivariantLoopModel:
     """Loop D(t) = rho(t) D0 rho(t)^T along rho(t) = exp(t pi h K).
@@ -286,6 +291,9 @@ class EquivariantLoopModel:
     a window frame of D0 and A = V_w^T K V_w, the parallel window frame
     is rho(t) V_w exp(-t pi h A), which ``holonomy`` forms with no sample
     past t = 0, and the window's return matrix is (-1)^h exp(-pi h A).
+    A base whose samples could overflow (``_block_bound`` above
+    ``_SAMPLE_MAX``, just below the float limit) is refused with a
+    ValueError naming ``base``.
 
     The generator is Omega = pi h K.  A window projector moves as
     P(t) = rho(t) P0 rho(t)^T with P' = [Omega, P], at the constant speed
@@ -327,6 +335,25 @@ class EquivariantLoopModel:
         object.__setattr__(self, "parity", "odd" if h % 2 else "even")
         object.__setattr__(self, "_perm", _frozen(perm))
         object.__setattr__(self, "_sign", _frozen(sign))
+        # (|cos| + |sin|)^2 <= 2: a sample entry is at most 2 max|D0|
+        largest = float(np.abs(self.base.matrix).max(initial=0.0))
+        if largest > _SAMPLE_MAX / 2 and self._block_bound(largest) > _SAMPLE_MAX:
+            raise ValueError(f"base has entries up to {largest:.3e}, with which the loop's "
+                             f"samples could pass the float limit")
+
+    def _block_bound(self, largest: float) -> float:
+        """A bound on every entry of D(t), and of ``stack``'s intermediate
+        rho(t) D0, for ``largest`` = max|D0| > 0.
+
+        Each is a bilinear form of unit vectors on the 2 x 2 block of D0
+        that the orbits {i, K(i)} and {j, K(j)} cut out, so it is at most
+        that block's Frobenius norm, measured on D0 / ``largest`` so that
+        the bound itself cannot overflow.
+        """
+        squares = np.square(self.base.matrix / largest)
+        squares += squares[self._perm]
+        squares += squares[:, self._perm]
+        return largest * math.sqrt(float(squares.max()))
 
     @property
     def dim(self) -> int:

@@ -111,11 +111,13 @@ def test_an_eigenvalue_past_the_float_limit_names_the_field(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": overflowing})
     assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "config error: model: non-finite eigenvalue 1 (inf)\n"
+    # the loop's samples stay finite, but the eigenvalue 3.2e308 is not
+    overflowing = {"kind": "matrix", "entries": [[8e307] * 4] * 4}
     cfg = write_config(tmp_path, {"loop": {"kind": "halfturn", "base": overflowing},
                                   "window": UNIT_WINDOW})
     assert cli.main(["holonomy", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == (
-        "error: TransportError: at t=0: non-finite eigenvalue 1 (inf)\n")
+        "error: TransportError: at t=0: non-finite eigenvalue 3 (inf)\n")
 
 
 def test_holonomy_expectation_failure_exits_2(tmp_path, capsys):
@@ -145,6 +147,8 @@ def negative_control_with_removed_fields():
     return cfg
 
 
+OVERFLOWING_LOOP = {"kind": "halfturn",
+                    "base": {"kind": "matrix", "entries": [[1e308, 1e308], [1e308, 1e308]]}}
 SPIN_THREE_TURNS = {"kind": "spin", "m": 7, "turns": 3,
                     "base": {"kind": "odd_base", "cluster_values": [3.5] * 8,
                              "epsilon": 0.1, "seed": 1}}
@@ -219,6 +223,16 @@ BAD_CONFIGS = {
     "window-misses-basepoint": (
         "lasso-scan", shipped("lasso_conical.json", window={"lower": 1.5, "upper": 2.5}),
         "window: at the boundary basepoint: window holds 0 eigenvalues, expected 1"),
+    # the loop's samples reach 2e308: under RuntimeWarning errors both exited 1 with
+    # "error: RuntimeWarning: overflow encountered in add", and the track exited 0
+    # with max_drift NaN without them
+    "track-samples-past-the-float-limit": (
+        "track", {"loop": OVERFLOWING_LOOP, "grid": {"samples": 16}},
+        "loop: base has entries up to 1.000e+308, with which the loop's samples could "
+        "pass the float limit"),
+    "disc-samples-past-the-float-limit": (
+        "lasso-scan", {"disc": {"boundary": OVERFLOWING_LOOP}, "window": UNIT_WINDOW},
+        "disc.boundary: base has entries up to 1.000e+308"),
     # used to exit with a bare "RuntimeError: no simple spectrum after 10 draws"
     "odd-base-no-simple-spectrum": (
         "spectrum",
@@ -516,6 +530,17 @@ def test_lasso_scan_negative_control_records_floor_and_warning(tmp_path):
     assert (not_found["method"], not_found["levels"], not_found["evaluations"]) == \
         ("newton", 0, 1)
     assert not_found["best_gap"] >= 1.0 - 0.3 * np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("name, eigensolves", [
+    ("lasso_spin_m7.json", 16), ("lasso_conical.json", 16), ("lasso_halfturn.json", 384)])
+def test_lasso_scan_reports_the_matrices_its_gap_map_factored(tmp_path, name, eigensolves):
+    # mean-centred spin and zero-centred conical discs have isospectral rings;
+    # the half-turn disc's explicit center does not commute with J
+    cfg = write_config(tmp_path, shipped(name))
+    assert cli.main(["lasso-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads(next(tmp_path.glob("*_report.json")).read_text())
+    assert report["results"]["scan_eigensolves"] == eigensolves
 
 
 def halfturn_disc_config(n, seed):

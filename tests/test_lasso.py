@@ -22,6 +22,7 @@ from eigenlasso.lasso import (
 from eigenlasso.models import (
     OperatorFamily,
     SymmetricOperator,
+    make_block_rotation_loop,
     make_halfturn_loop,
     make_odd_multiplicity_base,
     make_spin_loop,
@@ -88,6 +89,42 @@ def test_orbit_disc_center_modes():
             make_orbit_disc(loop, center=mode)
 
 
+def test_the_mean_of_a_rotation_loop_is_its_closed_form():
+    # 64 samples alias on 32 turns: every one of them is D0
+    base = make_odd_multiplicity_base(np.arange(1.0, 9.0), 0.1, seed=1)
+    loop = make_block_rotation_loop(base, turns=32)
+    d0, k = base.matrix, loop.structure
+    center = make_orbit_disc(loop).center.matrix
+    # K is a signed permutation: each entry of K D0 K^T is one product of +-1 and D0
+    assert center.tobytes() == (0.5 * d0 + 0.5 * (k @ d0 @ k.T)).tobytes()
+    assert np.abs(center - d0).max() > 0.5
+
+
+def test_the_mean_of_a_loop_of_no_turns_is_its_base():
+    base = make_odd_multiplicity_base(np.arange(1.0, 9.0), 0.1, seed=1)
+    disc = make_orbit_disc(make_block_rotation_loop(base, turns=0))
+    assert disc.center.matrix.tobytes() == base.matrix.tobytes()
+
+
+def rotation_loops():
+    """Spin m = 7 and 8 and half-turn loops of seeded bases."""
+    loops = [make_spin_loop(m, make_odd_multiplicity_base([3.5] * dim, 0.1, seed=seed))
+             for m, dim in ((7, 8), (8, 16)) for seed in (1, 2)]
+    loops += [make_halfturn_loop(make_odd_multiplicity_base(np.arange(1.0, n + 1.0), 0.1,
+                                                            seed=n)) for n in (2, 8, 64)]
+    return loops
+
+
+@pytest.mark.parametrize("loop", rotation_loops(), ids=["spin-m7-1", "spin-m7-2", "spin-m8-1",
+                                                        "spin-m8-2", "halfturn-n2",
+                                                        "halfturn-n8", "halfturn-n64"])
+def test_a_rotation_loops_mean_is_symmetric_and_commutes_with_its_structure(loop):
+    c, k = make_orbit_disc(loop.family()).center.matrix, loop.structure
+    assert (c == c.T).all()
+    # K has one nonzero per row and column, so both products are exact
+    assert (k @ c == c @ k).all()
+
+
 # ---------------------------------------------------------------- scanning
 
 def test_conical_gap_map_is_exactly_linear():
@@ -137,6 +174,23 @@ def test_a_long_scan_holds_its_gap_map_and_no_spectra():
     finally:
         tracemalloc.stop()
     assert scan.gap_map.shape == (4096, 3) and scan.boundary_sign == -1
+    assert peak < 0.5e6
+
+
+def test_a_long_ring_by_ring_scan_holds_its_gap_map_and_no_spectra():
+    # as above, with a center that does not commute with J: the scan goes ring by ring
+    d0 = np.diag(np.arange(1.0, 17.0))
+    disc = make_orbit_disc(make_halfturn_loop(d0), center=d0)
+    window = SpectralWindow(0.5, 1.5, count=1)
+    assert scan_disc(disc, window, grid=(2, 3)).eigensolves == 6
+    tracemalloc.start()
+    try:
+        scan = scan_disc(disc, window, grid=(4096, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scan.gap_map.shape == (4096, 3) and scan.boundary_sign == -1
+    assert scan.eigensolves == 4096 * 3
     assert peak < 0.5e6
 
 
@@ -482,6 +536,51 @@ def test_scan_gives_the_same_bytes_on_any_number_of_cores(monkeypatch, n, seed):
     i, j = np.unravel_index(np.argmin(want), want.shape)
     assert hexed(*scans[1].best) == hexed(want[i, j], scans[1].r_values[i],
                                           scans[1].theta_values[j])
+
+
+def mean_centred_discs():
+    """A spin m = 8 and a half-turn disc centred at the loop's mean, with
+    a window around one eigenvalue of the base."""
+    spin = make_odd_multiplicity_base([3.5] * 16, 0.1, seed=3)
+    halfturn = make_odd_multiplicity_base(np.arange(1.0, 33.0), 0.1, seed=3)
+    discs = []
+    for loop, k in ((make_spin_loop(8, spin), 7), (make_halfturn_loop(halfturn), 12)):
+        v = np.linalg.eigvalsh(loop.base.matrix)
+        window = SpectralWindow(0.5 * (v[k - 1] + v[k]), 0.5 * (v[k] + v[k + 1]), count=1)
+        discs.append((make_orbit_disc(loop.family()), window))
+    return discs
+
+
+@pytest.mark.parametrize("disc, window", mean_centred_discs(), ids=["spin-m8", "halfturn-n32"])
+def test_isospectral_rings_take_one_eigensolve_per_radius(monkeypatch, disc, window):
+    pools = pools_with(monkeypatch, 2)
+    calls = count_eigvalsh(monkeypatch)
+    scan = scan_disc(disc, window, grid=(16, 24))
+    # the anchor's eigvalsh, then 16 radii at theta = 0 in one stack, where
+    # ring by ring took 16 stacks of 24; and no pool, even at n = 32
+    assert calls == [1, 16] and scan.eigensolves == 16 and pools == []
+    assert scan.boundary_sign == -1
+    want = ring_by_ring_gaps(disc, window, scan.anchor)
+    scale = np.abs(np.linalg.eigvalsh(disc.boundary(0.0))).max()
+    np.testing.assert_allclose(scan.gap_map, want, rtol=0.0, atol=1e-13 * scale)
+    # the theta = 0 column is the ring path's, and each row repeats it
+    assert scan.gap_map[:, 0].tobytes() == want[:, 0].tobytes()
+    assert (scan.gap_map == scan.gap_map[:, :1]).all()
+    assert hexed(*scan.best) == hexed(want[:, 0].min(), scan.r_values[np.argmin(want[:, 0])],
+                                      0.0)
+
+
+@pytest.mark.parametrize("disc, window", mean_centred_discs(), ids=["spin-m8", "halfturn-n32"])
+def test_a_center_that_nearly_commutes_goes_ring_by_ring(monkeypatch, disc, window):
+    c = disc.center.matrix.copy()
+    c[0, 0] += 4 * np.finfo(float).eps * np.abs(c).max()  # commutes with K to about 1e-15
+    nearly = DiscFamily(center=SymmetricOperator(c), boundary=disc.boundary)
+    pools = pools_with(monkeypatch, 2)
+    calls = count_eigvalsh(monkeypatch)
+    scan = scan_disc(nearly, window, grid=(16, 24))
+    assert calls == [1] + [24] * 16 and scan.eigensolves == 384
+    assert pools == ([1] if disc.dim >= lasso._PARALLEL_MIN_DIM else [])
+    assert scan.gap_map.tobytes() == ring_by_ring_gaps(nearly, window, scan.anchor).tobytes()
 
 
 class SolverFailure(Exception):

@@ -387,6 +387,26 @@ def test_loop_parity_comes_from_its_half_turns():
         assert (loop.parity, loop.sigma) == (("odd", -1) if h % 2 else ("even", 1))
 
 
+def test_loop_refuses_a_base_whose_samples_could_overflow():
+    # at t = 1/4 the half-turn loop of 1e308 ones has the entry 2e308
+    with pytest.raises(ValueError, match=r"^base has entries up to 1\.000e\+308, with which "):
+        make_halfturn_loop(np.full((2, 2), 1e308))
+    with pytest.raises(ValueError, match="^base has entries up to"):
+        make_spin_loop(7, np.full((8, 8), 1e308))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("base", [
+    np.full((2, 2), models._SAMPLE_MAX / 2), np.diag([1.2e308, -1.2e308]),
+    np.full((4, 4), 8e307)], ids=["ones-at-the-cap", "diagonal", "ones-n4"])
+def test_loop_samples_of_an_accepted_base_stay_finite(base):
+    # each 2 x 2 block J's orbits cut out has Frobenius norm at most _SAMPLE_MAX,
+    # though an entry may pass half the float limit
+    samples = make_halfturn_loop(base).stack(np.linspace(0.0, 1.0, 1025))
+    assert np.isfinite(samples).all()
+    assert np.abs(samples).max() >= 0.99 * np.abs(base).max()
+
+
 @pytest.mark.parametrize("turns", [np.inf, -np.inf, np.nan])
 def test_block_rotation_loop_refuses_non_finite_turns(turns):
     with pytest.raises(ValueError, match="turns must be a finite multiple of one half"):
