@@ -174,9 +174,13 @@ def _expm(m: np.ndarray) -> np.ndarray:
     """exp(M) for a (N, k, k) stack M, by matrix products alone.
 
     Scaled by 2^-j to a 1-norm below 1/4, where a degree-12 Taylor
-    series leaves a remainder below 1e-17, and squared j times.  M = 0
-    gives I exactly.
+    series leaves a remainder below 1e-17, and squared j times.  A stack
+    with no non-zero entry (every k = 1 window, every h = 0 loop) is
+    returned as the C-contiguous identity stack at once, with no series:
+    the series gives I for it too, byte for byte, -0.0 entries included.
     """
+    if not m.any():
+        return np.repeat(np.eye(m.shape[-1])[None], len(m), axis=0)
     j = max(0, math.frexp(float(np.abs(m).sum(axis=-2).max(initial=0.0)))[1] + 2)
     m = m / 2.0 ** j
     eye = np.eye(m.shape[-1])

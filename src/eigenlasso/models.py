@@ -109,15 +109,18 @@ class OperatorFamily:
 
     ``stacker``, when given, maps a 1-D array of (already wrapped)
     parameters to the (N, n, n) stack of their samples in one call, and
-    ``sampler`` is its one-element case; families built by this package
-    supply it.  Without it, ``stack`` stacks ``sampler`` calls.
+    ``sampler`` is bit for bit its one-element case; families built by
+    this package supply it.  Without it, ``stack`` stacks ``sampler``
+    calls.
 
     ``equivariant`` is the ``EquivariantLoopModel`` a rotation loop is
     sampled from, which ``family()`` sets.  ``transport`` answers such
     a loop in closed form from the model and the factored t = 0, with
     no sample past it, so a family with ``equivariant`` set must have
-    the model's own ``stack`` as its ``stacker``; any other is refused
-    with a ValueError.
+    the model's own ``_sample`` as its ``sampler`` and ``stack`` as its
+    ``stacker``; any other is refused with a ValueError.  ``_sample`` is
+    the model's scalar kernel: one sample with no one-element stack,
+    bit for bit ``stack([t])[0]``.
     """
 
     domain: str
@@ -131,9 +134,10 @@ class OperatorFamily:
             raise ValueError(f"unknown family domain {self.domain!r}")
         if self.parity not in (None, "odd", "even"):
             raise ValueError(f"unknown parity {self.parity!r}")
-        if self.equivariant is not None and self.stacker != self.equivariant.stack:
-            raise ValueError("a rotation family's stacker must be its equivariant model's own "
-                             "stack: transport answers it from the model")
+        model = self.equivariant
+        if model is not None and (self.sampler, self.stacker) != (model._sample, model.stack):
+            raise ValueError("a rotation family's sampler and stacker must be its equivariant "
+                             "model's own _sample and stack: transport answers it from the model")
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sampler(float(t) % 1.0)
@@ -149,11 +153,11 @@ class OperatorFamily:
         return np.stack([self.sampler(t) for t in ts.tolist()])
 
 
-def _stacked_loop(stacker: Callable[[np.ndarray], np.ndarray], parity: Optional[str],
-                  equivariant: Optional[EquivariantLoopModel] = None) -> OperatorFamily:
+def _stacked_loop(stacker: Callable[[np.ndarray], np.ndarray],
+                  parity: Optional[str]) -> OperatorFamily:
     """A circle family whose single sample is the one-element case of ``stacker``."""
     return OperatorFamily(domain="circle", sampler=lambda t: stacker(np.array([t]))[0],
-                          parity=parity, stacker=stacker, equivariant=equivariant)
+                          parity=parity, stacker=stacker)
 
 
 def _stack_chunks(family: OperatorFamily, ts, nbytes: Optional[int] = None
@@ -384,13 +388,14 @@ class EquivariantLoopModel:
         """Omega F = pi h K F for an n x k frame F."""
         return (np.pi * self.half_turns) * self._times_k(frame)
 
-    def stack(self, ts) -> np.ndarray:
-        """D(t) for every t in ``ts`` (wrapped mod 1) as one C-contiguous (N, n, n) array.
+    def _rotate(self, c, s) -> np.ndarray:
+        """rho D0 rho^T for c, s = cos and sin of the angle pi h t.
 
-        With c, s = cos(pi h t), sin(pi h t): y = rho(t) D0 = c D0 + s K D0,
-        then D(t) = y rho(t)^T = c y + s y K^T, elementwise and in place.
+        y = rho D0 = c D0 + s K D0, then rho D0 rho^T = c y + s y K^T,
+        elementwise and in place.  Float64 scalars c and s give one n x n
+        sample, and ``_turn``'s (N, 1, 1) arrays a C-contiguous (N, n, n)
+        stack; each entry takes the same rounding steps either way.
         """
-        c, s = self._turn(ts)
         y = c * self.base.matrix
         d = s * self._times_k(self.base.matrix)
         y += d
@@ -400,12 +405,30 @@ class EquivariantLoopModel:
         d += y
         return d
 
+    def stack(self, ts) -> np.ndarray:
+        """D(t) for every t in ``ts`` (wrapped mod 1) as one C-contiguous (N, n, n) array.
+
+        ``_rotate`` of ``_turn``'s cos(pi h t) and sin(pi h t).
+        """
+        return self._rotate(*self._turn(ts))
+
+    def _sample(self, t: float) -> np.ndarray:
+        """D(t) for one t (wrapped mod 1): the family's ``sampler``.
+
+        ``_rotate`` of float64 scalars, with t wrapped and the angle
+        formed as ``_turn`` does, so it is bit for bit ``stack([t])[0]``
+        without building a one-element stack.
+        """
+        angle = (np.pi * self.half_turns) * (float(t) % 1.0)
+        return self._rotate(np.cos(angle), np.sin(angle))
+
     def _projector_speed(self, frame: np.ndarray) -> float:
         moved = self.generator(frame)
         return _opnorm(moved - frame @ (frame.conj().T @ moved))
 
     def family(self) -> OperatorFamily:
-        return _stacked_loop(self.stack, self.parity, self)
+        return OperatorFamily(domain="circle", sampler=self._sample, parity=self.parity,
+                              stacker=self.stack, equivariant=self)
 
 
 @functools.lru_cache(maxsize=16)

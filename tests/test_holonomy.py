@@ -393,6 +393,35 @@ def test_stability_signs_are_the_transported_signs(name):
     assert report.sign_b == transport(loop_b, window)[1].sign
 
 
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("size", [0.25, 0.45])
+def test_a_perturbed_loop_is_one_loop_sampled_or_stacked(n, size):
+    # the perturbed loop_a(t) + g as a plain sampler, one t at a time, and
+    # as criterion 6 stacks it: the same samples, so the same report
+    loop_a = make_halfturn_loop(rotated_base(n)).family()
+    g = np.random.default_rng(n).standard_normal((n, n))
+    g = 0.5 * (g + g.T)
+    g *= size / np.linalg.norm(g, 2)  # gap/4, and close to the window's edges
+    plain = OperatorFamily(domain="circle", sampler=lambda t: loop_a(t) + g, parity="odd")
+    stacked = _stacked_loop(lambda ts: loop_a.stack(ts) + g, "odd")
+    window = SpectralWindow(0.5, 1.5, count=1)
+    sampled, batched = (sign_stability(loop_a, loop_b, window) for loop_b in (plain, stacked))
+    assert sampled == batched
+    assert sampled.max_projector_distance.hex() == batched.max_projector_distance.hex()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_exponential_of_a_zero_stack_is_the_identity(k):
+    # k = 1 windows give A = 0, and h = 0 loops t * 0 * A, whose entries
+    # are -0.0 where A is negative
+    a = np.random.default_rng(k).standard_normal((k, k))
+    for m in (np.zeros((5, k, k)), (np.pi * 0) * np.linspace(0.0, 1.0, 5)[:, None, None] * a,
+              np.full((1, k, k), -0.0)):
+        e = holonomy._expm(m)
+        assert e.dtype == np.float64 and e.shape == m.shape and e.flags.c_contiguous
+        assert (e == np.eye(k)).all() and not np.signbit(e).any()
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("angle", [1e-9, 0.3, 0.5 * np.pi - 1e-9])
@@ -476,11 +505,16 @@ def test_each_interval_is_checked_once(monkeypatch, turns, count, initial_sample
 @pytest.mark.parametrize("n", [64, 256])
 def test_transport_stacks_stay_within_the_byte_budget(monkeypatch, n):
     stacks, validated, factored = [], [], []
-    validate, eigh, stack = holonomy._validated, np.linalg.eigh, EquivariantLoopModel.stack
+    validate, eigh = holonomy._validated, np.linalg.eigh
+    stack, sample = EquivariantLoopModel.stack, EquivariantLoopModel._sample
 
     def stacker(self, ts):
         stacks.append(np.asarray(ts).tolist())
         return stack(self, ts)
+
+    def sampler(self, t):  # a single sample, recorded as a one-element stack
+        stacks.append([t])
+        return sample(self, t)
 
     def recorded(a, factor):
         validated.append(a.shape)
@@ -491,6 +525,7 @@ def test_transport_stacks_stay_within_the_byte_budget(monkeypatch, n):
         return eigh(a)
 
     monkeypatch.setattr(EquivariantLoopModel, "stack", stacker)
+    monkeypatch.setattr(EquivariantLoopModel, "_sample", sampler)
     monkeypatch.setattr(holonomy, "_validated", recorded)
     monkeypatch.setattr(np.linalg, "eigh", counted)
     family = make_block_rotation_loop(rotated_base(n), 1.0).family()

@@ -148,6 +148,11 @@ def test_a_rotation_family_takes_only_its_models_stack():
     for stacker in (None, other.stack, lambda ts: model.stack(ts)):
         with pytest.raises(ValueError, match="stacker"):
             dataclasses.replace(family, stacker=stacker)
+    # transport factors the sampler's t = 0 as the model's, so the sampler is held too
+    assert family.sampler == model._sample
+    for sampler in (other._sample, lambda t: model.stack([t])[0]):
+        with pytest.raises(ValueError, match="sampler"):
+            dataclasses.replace(family, sampler=sampler)
     # without the model any stacker goes
     assert dataclasses.replace(family, stacker=other.stack, equivariant=None).equivariant is None
 
@@ -307,7 +312,10 @@ def test_rotation_loop_samples_are_the_same_bytes_on_any_blas_kernel():
         "ts = np.linspace(0.0, 1.0, 8, endpoint=False) + 0.01\n"
         "digest = hashlib.sha256()\n"
         "for model in (make_block_rotation_loop(g + g.T, 1.5), make_spin_loop(7, h + h.T)):\n"
-        "    digest.update(model.family().stack(ts).tobytes())\n"
+        "    family = model.family()\n"
+        "    digest.update(family.stack(ts).tobytes())\n"
+        "    for t in ts:\n"
+        "        digest.update(family(t).tobytes())\n"
         "print(digest.hexdigest())\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(eigenlasso.__file__).parents[1])}
@@ -454,12 +462,19 @@ STACKED_FAMILIES = {
     # kron placed -0.0 off the blocks where the broadcast rotations hold +0.0
     "block-diagonal-base": lambda: make_halfturn_loop(np.diag(np.arange(1.0, 9.0))).family(),
     "spin-m7": lambda: make_spin_loop(7, np.diag(np.arange(1.0, 9.0))).family(),
+    # h = 0: every angle is 0, whatever t
+    "block-n8-h0": lambda: make_block_rotation_loop(_rotated(8, seed=2), 0.0).family(),
+    "block-n8-h16": lambda: make_block_rotation_loop(_rotated(8, seed=3), 8.0).family(),
+    "spin-m8": lambda: make_spin_loop(8, _rotated(16, seed=4)).family(),
+    "block-n256-half": lambda: make_block_rotation_loop(_rotated(256), 0.5).family(),
     "concatenated": lambda: concatenate_loops(make_halfturn_loop(_rotated(4)).family(),
                                               make_fullturn_loop(_rotated(4)).family()),
     "lambda-circle": lambda: OperatorFamily(domain="circle", sampler=_wobble),
 }
-# t = 1.0 and t > 1 included: circle families wrap both
-STACK_TS = np.concatenate([np.linspace(0.0, 1.0, 13), [0.3, 0.999, 1.0, 1.25, 2.5, 0.5]])
+# t = 1.0 and t > 1 included: circle families wrap both.  -1e-20 wraps to
+# 1.0, which wraps again to 0.0; 1 - 2^-53 is the largest float below 1
+STACK_TS = np.concatenate([np.linspace(0.0, 1.0, 13), [0.3, 0.999, 1.0, 1.25, 2.5, 0.5],
+                           [-1e-20, -0.3, 1.0 - 2.0 ** -53, 7.25]])
 
 
 @pytest.mark.parametrize("name", STACKED_FAMILIES)
@@ -469,3 +484,16 @@ def test_stack_is_bitwise_the_stacked_samples(name):
     stacked = family.stack(STACK_TS)
     assert stacked.dtype == expected.dtype and stacked.shape == expected.shape
     assert stacked.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", STACKED_FAMILIES)
+def test_single_samples_are_bitwise_the_one_element_stack(name):
+    # a rotation family's sampler is its model's scalar kernel, and any
+    # other family's stack is built from its sampler: the three routes to
+    # one sample give the same bytes.  The family hands its sampler t
+    # wrapped once, as its stack hands its stacker
+    family = STACKED_FAMILIES[name]()
+    for t in STACK_TS.tolist():
+        single, called, stacked = family.sampler(t % 1.0), family(t), family.stack([t])[0]
+        assert single.shape == stacked.shape and single.dtype == stacked.dtype, t
+        assert single.tobytes() == called.tobytes() == stacked.tobytes(), t
